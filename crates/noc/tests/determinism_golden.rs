@@ -124,6 +124,43 @@ fn uniform_digest(w: u16, h: u16, metrics: bool) -> u64 {
     run_digest(net, traffic, 1_500)
 }
 
+/// The regime Fig. 3 runs: every node of a 512-node mesh sends one power
+/// request to a corner manager in cycle 0 and the network drains, with 60
+/// always-on Trojans on the way. Unlike the six scenarios above this one
+/// is a single saturating burst (deep injection backlog at every node, the
+/// manager's two input links as the bottleneck), not a paced stream.
+struct Burst {
+    mesh: Mesh2d,
+    manager: NodeId,
+}
+
+impl TrafficPattern for Burst {
+    fn generate(&mut self, cycle: u64) -> Vec<Packet> {
+        if cycle != 0 {
+            return Vec::new();
+        }
+        self.mesh
+            .iter_nodes()
+            .filter(|&src| src != self.manager)
+            .map(|src| Packet::power_request(src, self.manager, 1_000 + u32::from(src.0)))
+            .collect()
+    }
+}
+
+fn drain512_digest(metrics: bool) -> u64 {
+    let mesh = Mesh2d::with_nodes(512).unwrap();
+    let manager = NodeId(0);
+    // 60 Trojans spread by a stride coprime to the mesh width, never on the
+    // manager.
+    let nodes: Vec<NodeId> = (1..=60u16).map(|i| NodeId(i * 37 % 511 + 1)).collect();
+    assert_eq!(nodes.len(), 60);
+    let mut net = Network::with_inspector(traced(mesh), ZeroTrojans { nodes, manager });
+    if metrics {
+        net.enable_metrics();
+    }
+    run_digest(net, Burst { mesh, manager }, 1)
+}
+
 fn trojan_digest(w: u16, h: u16, metrics: bool) -> u64 {
     let mesh = Mesh2d::new(w, h).unwrap();
     let mut net = Network::with_inspector(traced(mesh), trojans_for(mesh));
@@ -174,4 +211,12 @@ fn golden_trojan_8x8() {
 fn golden_trojan_16x16() {
     assert_eq!(trojan_digest(16, 16, false), 9836475051372867626);
     assert_eq!(trojan_digest(16, 16, true), 9836475051372867626);
+}
+
+/// Recorded from the `Vec`-per-router layout of PR 5 (parent of the
+/// round-3 slab layout), before any layout change.
+#[test]
+fn golden_drain_512_corner_60_trojans() {
+    assert_eq!(drain512_digest(false), 10431778353058420335);
+    assert_eq!(drain512_digest(true), 10431778353058420335);
 }
