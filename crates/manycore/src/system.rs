@@ -574,6 +574,11 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
     }
 
     /// Advances the system one cycle.
+    ///
+    /// Steady-state allocation-free: only the two per-epoch calls (request
+    /// injection and the manager's allocation, both outside the hot
+    /// regions) may touch the heap; locked by `tests/alloc_regression.rs`.
+    // htpb-lint: hot
     pub fn step(&mut self) {
         let cycle = self.net.cycle();
         let phase = cycle % self.config.epoch_cycles;
@@ -589,6 +594,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         self.consume_deliveries();
         self.tick_tiles();
     }
+    // htpb-lint: end-hot
 
     /// Runs `cycles` cycles.
     ///
@@ -732,17 +738,16 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
     fn inject_power_requests(&mut self) {
         let manager = self.config.manager;
         let efficiency = self.config.efficiency;
-        let mut requests: Vec<(NodeId, u32)> = Vec::new();
+        let protection = self.config.protection;
         for t in &self.tiles {
-            if t.node() == manager {
+            let node = t.node();
+            if node == manager {
                 continue;
             }
-            if let Some(mw) = t.desired_request_mw(&self.model, efficiency) {
-                requests.push((t.node(), mw.round() as u32));
-            }
-        }
-        let protection = self.config.protection;
-        for (node, mw) in requests {
+            let Some(mw) = t.desired_request_mw(&self.model, efficiency) else {
+                continue;
+            };
+            let mw = mw.round() as u32;
             let mut packet = Packet::power_request(node, manager, mw);
             if let Some(p) = protection {
                 packet = packet.with_options(p.checksum(node.raw(), mw));
@@ -781,6 +786,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         }
     }
 
+    // htpb-lint: hot
     fn fire_due_replies(&mut self, cycle: u64) {
         while let Some(&Reverse((fire, _, from, to))) = self.events.peek() {
             if fire > cycle {
@@ -897,7 +903,8 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         } else {
             dir.read(line, requester.raw())
         };
-        for sharer in action.invalidate {
+        let was_tracked = action.was_tracked;
+        for &sharer in action.invalidate {
             if sharer == requester.raw() {
                 continue;
             }
@@ -908,7 +915,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
             );
         }
         let l2 = &mut self.l2_slices[home.0 as usize];
-        let hit = l2.access(line).hit && action.was_tracked;
+        let hit = l2.access(line).hit && was_tracked;
         let delay = if hit {
             self.config.l2_hit_latency
         } else {
@@ -929,12 +936,12 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         if self.config.detailed_caches {
             let mshr = self.config.mshr_limit;
             for i in 0..nodes {
-                let misses = self.tiles[i].tick_detailed(&self.model, duty, 2, mshr);
+                let (misses, n) = self.tiles[i].tick_detailed(&self.model, duty, mshr);
                 if !self.config.memory_traffic {
                     continue;
                 }
-                self.tiles[i].note_misses_sent(misses.len() as u32);
-                for (addr, is_write) in misses {
+                self.tiles[i].note_misses_sent(n as u32);
+                for &(addr, is_write) in &misses[..n] {
                     let line_idx = (addr >> 6) as u32 & 0x7FFF_FFFF;
                     // Home by line-index hash, never the requester itself.
                     let mut home = (line_idx as usize * 0x9E37 + 0x79B9) % nodes;
@@ -973,6 +980,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
             }
         }
     }
+    // htpb-lint: end-hot
 }
 
 impl<I: PacketInspector> Drop for ManyCoreSystem<I> {

@@ -9,6 +9,11 @@ use crate::cache::{AddressStream, CacheConfig, SetAssocCache};
 /// mode (loads + stores reaching the L1 data cache).
 pub(crate) const REFS_PER_KINSTR: f64 = 300.0;
 
+/// L1 misses a tile may send towards their L2 home per tick (detailed
+/// mode): the network interface's injection width. Further misses of the
+/// same tick still allocate in the L1 but generate no traffic.
+pub(crate) const MISSES_PER_TICK: usize = 2;
+
 /// One tile of the chip: a core (with its private L1 and shared-L2 slice)
 /// plus its network interface state.
 ///
@@ -247,43 +252,46 @@ impl Tile {
 
     /// Detailed-mode tick: retires instructions, then runs the tick's
     /// memory references through the real L1 and returns the misses (as
-    /// `(line address, is_write)`) that must travel to their L2 home, at
-    /// most `cap` per call.
+    /// `(line address, is_write)`) that must travel to their L2 home: the
+    /// first `n` entries of the returned array, `n <= MISSES_PER_TICK`.
+    // htpb-lint: hot
     pub(crate) fn tick_detailed(
         &mut self,
         model: &PowerModel,
         starvation_duty: f64,
-        cap: usize,
         mshr_limit: u32,
-    ) -> Vec<(u64, bool)> {
+    ) -> ([(u64, bool); MISSES_PER_TICK], usize) {
+        let mut misses = [(0, false); MISSES_PER_TICK];
         // A full MSHR stalls the core for the cycle: no retirement, no new
         // references. This couples core performance to real NoC and memory
         // latency.
         if let Some(d) = self.detailed.as_mut() {
             if d.outstanding >= mshr_limit {
                 d.stall_cycles += 1;
-                return Vec::new();
+                return (misses, 0);
             }
         }
         let Some(retired) = self.retire(model, starvation_duty) else {
-            return Vec::new();
+            return (misses, 0);
         };
         let Some(d) = self.detailed.as_mut() else {
-            return Vec::new();
+            return (misses, 0);
         };
         d.ref_credit += retired * REFS_PER_KINSTR / 1_000.0;
         let whole = d.ref_credit.floor() as usize;
         d.ref_credit -= whole as f64;
-        let mut misses = Vec::new();
+        let mut n = 0;
         for _ in 0..whole {
             let (addr, is_write) = d.stream.next_ref();
             let result = d.cache.access(addr);
-            if !result.hit && misses.len() < cap {
-                misses.push((addr, is_write));
+            if !result.hit && n < MISSES_PER_TICK {
+                misses[n] = (addr, is_write);
+                n += 1;
             }
         }
-        misses
+        (misses, n)
     }
+    // htpb-lint: end-hot
 
     /// Retires one nanosecond of instructions; `None` for idle tiles.
     fn retire(&mut self, model: &PowerModel, starvation_duty: f64) -> Option<f64> {
@@ -412,9 +420,9 @@ mod tests {
         t.apply_grant(model.peak_power_mw(), &model);
         let mut total_misses = 0usize;
         for _ in 0..5_000 {
-            let misses = t.tick_detailed(&model, 1.0, 2, u32::MAX);
-            assert!(misses.len() <= 2);
-            total_misses += misses.len();
+            let (_, n) = t.tick_detailed(&model, 1.0, u32::MAX);
+            assert!(n <= MISSES_PER_TICK);
+            total_misses += n;
         }
         assert!(total_misses > 0, "no L1 misses at all");
         // The L1 absorbs the hot set: hit rate must be substantial but not
@@ -430,7 +438,7 @@ mod tests {
         t.enable_detailed_cache();
         assert!(!t.has_detailed_cache());
         let model = PowerModel::default_45nm();
-        assert!(t.tick_detailed(&model, 1.0, 2, u32::MAX).is_empty());
+        assert_eq!(t.tick_detailed(&model, 1.0, u32::MAX).1, 0);
     }
 
     #[test]
@@ -440,14 +448,14 @@ mod tests {
         t.enable_detailed_cache();
         t.note_misses_sent(8);
         let before = t.retired_total();
-        let misses = t.tick_detailed(&model, 1.0, 2, 8);
-        assert!(misses.is_empty());
+        let (_, misses) = t.tick_detailed(&model, 1.0, 8);
+        assert_eq!(misses, 0);
         assert_eq!(t.retired_total(), before, "stalled core retires nothing");
         assert_eq!(t.stall_cycles(), 1);
         // A reply frees an MSHR and execution resumes.
         t.note_reply();
         assert_eq!(t.outstanding_misses(), 7);
-        t.tick_detailed(&model, 1.0, 2, 8);
+        t.tick_detailed(&model, 1.0, 8);
         assert!(t.retired_total() > before);
     }
 

@@ -11,6 +11,138 @@ use htpb_manycore::{
 use htpb_noc::Mesh2d;
 use htpb_power::DvfsTable;
 
+/// The directory this crate shipped before the FNV-indexed one, kept
+/// verbatim as the model the new one is checked against: a linear scan over
+/// a `Vec` of entries in allocation order, `Vec::remove(0)` eviction, one
+/// `BTreeSet` of sharers per line.
+mod model {
+    use std::collections::BTreeSet;
+
+    use htpb_manycore::LineState;
+
+    struct DirEntry {
+        line: u64,
+        state: LineState,
+        sharers: BTreeSet<u16>,
+    }
+
+    pub struct DirectoryAction {
+        pub invalidate: Vec<u16>,
+        pub was_tracked: bool,
+    }
+
+    pub struct Directory {
+        entries: Vec<DirEntry>,
+        capacity: usize,
+    }
+
+    impl Directory {
+        pub fn new(capacity: usize) -> Self {
+            Directory {
+                entries: Vec::new(),
+                capacity: capacity.max(1),
+            }
+        }
+
+        fn find(&mut self, line: u64) -> Option<usize> {
+            self.entries.iter().position(|e| e.line == line)
+        }
+
+        pub fn read(&mut self, line: u64, core: u16) -> DirectoryAction {
+            match self.find(line) {
+                Some(i) => {
+                    let entry = &mut self.entries[i];
+                    let mut invalidate = Vec::new();
+                    if entry.state == LineState::Modified {
+                        invalidate = entry
+                            .sharers
+                            .iter()
+                            .copied()
+                            .filter(|s| *s != core)
+                            .collect();
+                        entry.sharers.retain(|s| *s == core);
+                        entry.state = LineState::Shared;
+                    }
+                    entry.sharers.insert(core);
+                    DirectoryAction {
+                        invalidate,
+                        was_tracked: true,
+                    }
+                }
+                None => {
+                    let evict_invalidations = self.allocate(line, core, LineState::Shared);
+                    DirectoryAction {
+                        invalidate: evict_invalidations,
+                        was_tracked: false,
+                    }
+                }
+            }
+        }
+
+        pub fn write(&mut self, line: u64, core: u16) -> DirectoryAction {
+            match self.find(line) {
+                Some(i) => {
+                    let entry = &mut self.entries[i];
+                    let invalidate: Vec<u16> = entry
+                        .sharers
+                        .iter()
+                        .copied()
+                        .filter(|s| *s != core)
+                        .collect();
+                    entry.sharers.clear();
+                    entry.sharers.insert(core);
+                    entry.state = LineState::Modified;
+                    DirectoryAction {
+                        invalidate,
+                        was_tracked: true,
+                    }
+                }
+                None => {
+                    let evict_invalidations = self.allocate(line, core, LineState::Modified);
+                    DirectoryAction {
+                        invalidate: evict_invalidations,
+                        was_tracked: false,
+                    }
+                }
+            }
+        }
+
+        fn allocate(&mut self, line: u64, core: u16, state: LineState) -> Vec<u16> {
+            let mut invalidations = Vec::new();
+            if self.entries.len() >= self.capacity {
+                let victim = self.entries.remove(0);
+                invalidations = victim.sharers.into_iter().collect();
+            }
+            let mut sharers = BTreeSet::new();
+            sharers.insert(core);
+            self.entries.push(DirEntry {
+                line,
+                state,
+                sharers,
+            });
+            invalidations
+        }
+
+        pub fn state(&self, line: u64) -> LineState {
+            self.entries
+                .iter()
+                .find(|e| e.line == line)
+                .map_or(LineState::Invalid, |e| e.state)
+        }
+
+        pub fn sharers(&self, line: u64) -> Vec<u16> {
+            self.entries
+                .iter()
+                .find(|e| e.line == line)
+                .map_or_else(Vec::new, |e| e.sharers.iter().copied().collect())
+        }
+
+        pub fn tracked_lines(&self) -> usize {
+            self.entries.len()
+        }
+    }
+}
+
 fn arb_benchmark() -> impl Strategy<Value = Benchmark> {
     proptest::sample::select(Benchmark::ALL.to_vec())
 }
@@ -104,6 +236,38 @@ proptest! {
             } else {
                 d.read(line, core);
                 prop_assert!(d.sharers(line).contains(&core));
+            }
+        }
+    }
+
+    /// The FNV-indexed directory is the old one: on any read/write sequence
+    /// — capacities small enough that most allocations evict, few enough
+    /// lines that they come back after eviction — every request reports the
+    /// same `was_tracked` and the same invalidation list in the same order,
+    /// and afterwards every line has the same state and sharers.
+    #[test]
+    fn directory_matches_the_linear_scan_model(
+        capacity in 1usize..=24,
+        ops in proptest::collection::vec((any::<bool>(), 0u16..12, 0u64..40), 1..400),
+    ) {
+        let mut new = Directory::new(capacity);
+        let mut old = model::Directory::new(capacity);
+        for (step, &(is_write, core, line_idx)) in ops.iter().enumerate() {
+            // Spread lines the way coherence packets do (64 B apart) plus a
+            // few far apart, so FNV home buckets collide and wrap.
+            let line = (line_idx * 64) << (line_idx % 3 * 9);
+            let (got, want) = if is_write {
+                (new.write(line, core), old.write(line, core))
+            } else {
+                (new.read(line, core), old.read(line, core))
+            };
+            prop_assert_eq!(got.was_tracked, want.was_tracked, "step {}", step);
+            prop_assert_eq!(got.invalidate, &want.invalidate[..], "step {}", step);
+            prop_assert_eq!(new.tracked_lines(), old.tracked_lines());
+            for idx in 0..40u64 {
+                let line = (idx * 64) << (idx % 3 * 9);
+                prop_assert_eq!(new.state(line), old.state(line), "step {} line {:#x}", step, line);
+                prop_assert_eq!(new.sharers(line), old.sharers(line), "step {} line {:#x}", step, line);
             }
         }
     }

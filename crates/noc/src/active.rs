@@ -14,9 +14,18 @@
 //! word-by-word, lowest set bit first, reproduces exactly that ascending
 //! order, unlike an insertion-ordered worklist which would need re-sorting
 //! every cycle.
+//!
+//! A stage walks a worklist by copying one 64-bit word at a time
+//! ([`ActiveSet::word`]) and iterating the copy with [`BitsIter`]. The copy
+//! is what lets the stage mutate the set while walking it; it equals a
+//! whole-set snapshot taken at stage entry because every stage only ever
+//! *removes the index it is currently visiting* from the set it walks
+//! (switch traversal retires the router it just drained, link delivery the
+//! link it just emptied, injection the queue it just finished), so no
+//! not-yet-copied word changes under the walk.
 
 /// A fixed-capacity bitset over `0..len` with O(1) insert/remove/contains,
-/// an O(1) emptiness check, and ascending-order snapshot iteration.
+/// an O(1) emptiness check, and ascending-order word-copy iteration.
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveSet {
     words: Vec<u64>,
@@ -63,9 +72,31 @@ impl ActiveSet {
         self.count
     }
 
+    /// Number of 64-bit words; word `w` covers indices `w * 64 ..`.
+    #[inline]
+    pub(crate) fn words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// A copy of word `w`: bit `b` set iff index `w * 64 + b` is active.
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Clears word `w` and returns what it held — "visit and retire" for a
+    /// stage that empties every index it walks.
+    #[inline]
+    pub(crate) fn take_word(&mut self, w: usize) -> u64 {
+        let bits = std::mem::take(&mut self.words[w]);
+        self.count -= bits.count_ones() as usize;
+        bits
+    }
+
     /// Snapshots the active indices into `out` (cleared first) in ascending
-    /// order — the same order the dense scans visited them. The caller may
-    /// then mutate the set freely while walking the snapshot.
+    /// order. Only the debug-build invariant auditor (and tests) use it;
+    /// the pipeline stages walk word copies instead.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn snapshot_into(&self, out: &mut Vec<u32>) {
         out.clear();
         if self.count == 0 {
@@ -138,6 +169,32 @@ mod tests {
         let mut out = vec![9, 9, 9];
         s.snapshot_into(&mut out);
         assert_eq!(out, vec![3]);
+    }
+
+    #[test]
+    fn word_copies_walk_the_snapshot_order_and_take_word_retires() {
+        let mut s = ActiveSet::new(300);
+        for i in [250usize, 0, 63, 64, 65, 128, 1] {
+            s.insert(i);
+        }
+        let mut snap = Vec::new();
+        s.snapshot_into(&mut snap);
+        let mut walked = Vec::new();
+        for w in 0..s.words() {
+            for b in BitsIter(s.word(w)) {
+                // Removing the index being visited must not disturb the walk.
+                s.remove(w * 64 + b);
+                walked.push((w * 64 + b) as u32);
+            }
+        }
+        assert_eq!(walked, snap);
+        assert!(s.is_empty());
+        s.insert(70);
+        s.insert(100);
+        s.insert(5);
+        assert_eq!(s.take_word(1), (1 << 6) | (1 << 36));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.word(1), 0);
     }
 
     #[test]

@@ -36,13 +36,35 @@ impl FlitKind {
     pub fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
+
+    /// Kind of the `i`-th of a packet's `n` flits: `i == 0` carries the
+    /// header, `i == n - 1` terminates the wormhole, `n == 1` is the
+    /// combined `HeadTail` flit of a meta packet.
+    #[must_use]
+    pub fn nth(i: usize, n: usize) -> FlitKind {
+        if n == 1 {
+            FlitKind::HeadTail
+        } else if i == 0 {
+            FlitKind::Head
+        } else if i == n - 1 {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        }
+    }
 }
 
-/// A flow-control unit travelling through the network.
+/// A flow-control unit on the wire, carrying everything about its packet
+/// inline.
 ///
-/// Head flits carry the full decoded [`Packet`] so that the routing
-/// computation (and the Trojan sitting in front of it, Fig. 2b) can inspect
-/// source, destination, type and payload without reassembling the frame.
+/// This is the *reference* representation: `htpb-testkit`'s dense
+/// `ReferenceNet` buffers these, and [`Flit::packetize`] documents how a
+/// packet is cut into flits (Table I). Head flits carry the full decoded
+/// [`Packet`] so that routing computation (and the Trojan sitting in front
+/// of it, Fig. 2b) can inspect source, destination, type and payload
+/// without reassembling the frame. Inside [`crate::Network`] a flit is only
+/// an 8-byte handle into the [`crate::PacketStore`]; the frame, id and
+/// injection cycle live there once per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Position within the packet.
@@ -56,42 +78,9 @@ pub struct Flit {
     /// Cycle at which the packet was injected (head flit only, for latency
     /// accounting).
     pub injected_at: u64,
-    /// Index of the packet's bookkeeping slot in the owning network's
-    /// packet store. [`Flit::NO_SLOT`] for flits created outside a network
-    /// (unit tests, reference models) — such flits carry all their metadata
-    /// inline and never touch a store.
-    pub slot: u32,
 }
 
 impl Flit {
-    /// Sentinel [`Flit::slot`] for flits not backed by a packet store.
-    pub const NO_SLOT: u32 = u32::MAX;
-
-    /// Builds the `i`-th of the `n` wire flits of a packet, without
-    /// allocating. `i == 0` carries the header (and the packet frame);
-    /// `i == n - 1` terminates the wormhole; `n == 1` yields the combined
-    /// `HeadTail` flit of a meta packet.
-    #[must_use]
-    pub fn nth(packet: Packet, packet_id: u64, now: u64, i: usize, n: usize) -> Flit {
-        let kind = if n == 1 {
-            FlitKind::HeadTail
-        } else if i == 0 {
-            FlitKind::Head
-        } else if i == n - 1 {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
-        };
-        Flit {
-            kind,
-            packet_id,
-            dst: packet.dst(),
-            packet: kind.is_head().then_some(packet),
-            injected_at: now,
-            slot: Flit::NO_SLOT,
-        }
-    }
-
     /// Splits a packet into its wire flits.
     ///
     /// Meta packets (power requests/grants, config commands, coherence
@@ -101,9 +90,28 @@ impl Flit {
     pub fn packetize(packet: Packet, packet_id: u64, now: u64) -> Vec<Flit> {
         let n = packet.flit_count();
         (0..n)
-            .map(|i| Flit::nth(packet, packet_id, now, i, n))
+            .map(|i| {
+                let kind = FlitKind::nth(i, n);
+                Flit {
+                    kind,
+                    packet_id,
+                    dst: packet.dst(),
+                    packet: kind.is_head().then_some(packet),
+                    injected_at: now,
+                }
+            })
             .collect()
     }
+}
+
+/// What a flit is inside [`crate::Network`]: the packet's
+/// [`crate::PacketStore`] slot plus its position in the packet. Eight bytes
+/// per buffered or in-flight flit; everything else about the packet (frame,
+/// id, injection cycle, hops, tamper flag) is read through the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlitHandle {
+    pub slot: u32,
+    pub kind: FlitKind,
 }
 
 #[cfg(test)]
@@ -140,5 +148,10 @@ mod tests {
         let flits = Flit::packetize(p, 77, 0);
         assert!(flits.iter().all(|f| f.packet_id == 77));
         assert!(flits.iter().all(|f| f.dst == NodeId(9)));
+    }
+
+    #[test]
+    fn handle_is_eight_bytes() {
+        assert!(std::mem::size_of::<FlitHandle>() <= 8);
     }
 }

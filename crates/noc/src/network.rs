@@ -1,16 +1,14 @@
-use std::collections::VecDeque;
-
 use crate::active::{ActiveSet, BitsIter};
 use crate::error::NocError;
 use crate::fault::{FaultAction, FaultHook};
-use crate::flit::Flit;
+use crate::flit::{FlitHandle, FlitKind};
 use crate::inspect::{NullInspector, PacketInspector};
 use crate::metrics::NocMetrics;
 use crate::packet::{Packet, PacketKind};
-use crate::router::{Router, RouterConfig};
+use crate::router::{Router, RouterConfig, Routers};
 use crate::routing::{RoutingAlgorithm, RoutingKind};
 use crate::stats::NetworkStats;
-use crate::store::PacketStore;
+use crate::store::{PacketStore, NIL};
 use crate::topology::{Direction, Mesh2d, NodeId};
 use crate::trace::{TraceBuffer, TraceEvent};
 
@@ -84,6 +82,56 @@ pub struct DeliveredPacket {
     pub modified: bool,
 }
 
+/// A flit in flight on a link — its handle, flattened — with the downstream
+/// VC it was allocated. Eight bytes; an empty link holds
+/// [`LinkSlot::EMPTY`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkSlot {
+    slot: u32,
+    kind: FlitKind,
+    ovc: u8,
+}
+
+impl LinkSlot {
+    const EMPTY: LinkSlot = LinkSlot {
+        slot: NIL,
+        kind: FlitKind::Body,
+        ovc: 0,
+    };
+
+    fn is_empty(&self) -> bool {
+        self.slot == NIL
+    }
+}
+
+/// One node's injection queue: a FIFO of *packets* threaded through the
+/// [`PacketStore`] (`head` → `next_queued` → … → `tail`). Flits are cut off
+/// the head packet one per cycle as the local input port accepts them.
+#[derive(Debug, Clone, Copy)]
+struct InjectQueue {
+    /// Store slot of the packet whose flits enter the router next.
+    head: u32,
+    /// Store slot of the most recently queued packet (meaningful while
+    /// `head` is not `NIL`).
+    tail: u32,
+    /// Flits still waiting, summed over the queued packets.
+    flits: u32,
+    /// Flits of the head packet already inside the router.
+    sent: u8,
+    /// Local input VC receiving the head packet, once its head flit is in.
+    vc: Option<u8>,
+}
+
+impl InjectQueue {
+    const EMPTY: InjectQueue = InjectQueue {
+        head: NIL,
+        tail: NIL,
+        flits: 0,
+        sent: 0,
+        vc: None,
+    };
+}
+
 /// A cycle-accurate wormhole-switched 2D-mesh network.
 ///
 /// The per-cycle pipeline models a two-cycle router plus one-cycle links
@@ -109,23 +157,27 @@ pub struct DeliveredPacket {
 /// restored at the end of every [`Network::step`]:
 ///
 /// * `active` = set of routers with `buffered_flits() > 0`;
-/// * `links_occupied` = set of link indices with `links[i].is_some()`;
+/// * `links_occupied` = set of link indices carrying a flit;
 /// * `inject_busy` = set of nodes with a non-empty injection queue, and
 ///   `queued_flits` = total flits across all injection queues.
+///
+/// # Where the state lives
+///
+/// A flit inside the network is an 8-byte handle (packet-store slot, flit
+/// kind). The packet frame, id, injection cycle, hop count and tamper flag
+/// live once per packet in the [`PacketStore`]; all router state lives in
+/// the mesh-wide slabs of `router::Routers`, sized once from the
+/// [`RouterConfig`]. See `docs/PERF.md`, *Data layout & arenas*.
 pub struct Network<I: PacketInspector = NullInspector> {
     mesh: Mesh2d,
     routing: Box<dyn RoutingAlgorithm>,
-    routers: Vec<Router>,
-    /// `links[node * 4 + dir]`: flit in flight from `node` towards `dir`,
-    /// together with the downstream VC it was allocated.
-    links: Vec<Option<(Flit, usize)>>,
-    injection_queues: Vec<VecDeque<Flit>>,
-    /// Local input VC currently receiving an in-progress injected packet.
-    injection_vc: Vec<Option<usize>>,
+    routers: Routers,
+    /// `links[node * 4 + dir]`: flit in flight from `node` towards `dir`.
+    links: Vec<LinkSlot>,
+    inject_q: Vec<InjectQueue>,
     injection_capacity: usize,
-    /// Slab of per-packet bookkeeping (injection cycle, hops, tamper flag,
-    /// parked head frames). Flits carry their slot index, so hot-path
-    /// metadata touches are one array access, not a hash probe.
+    /// Slab owning every in-flight packet: frame, id, injection cycle,
+    /// hops, tamper flag. Flits carry only the slot index.
     store: PacketStore,
     ejected: Vec<DeliveredPacket>,
     inspector: I,
@@ -154,10 +206,9 @@ pub struct Network<I: PacketInspector = NullInspector> {
     /// `neighbor_tbl[node * 4 + dir]`: the node across that link, flattened
     /// once at construction so the hot loops never recompute coordinates.
     neighbor_tbl: Vec<Option<NodeId>>,
-    /// Reusable snapshot buffer for per-stage worklist iteration.
-    scratch: Vec<u32>,
-    /// Reusable buffer for deferred credit returns in switch traversal.
-    credit_scratch: Vec<(NodeId, Direction, usize, bool)>,
+    /// Reusable buffer for deferred credit returns in switch traversal:
+    /// indices into the routers' credit slab.
+    credit_scratch: Vec<u32>,
     /// Test-only seeded bug ([`Network::set_rr_skew`]): advance the switch
     /// round-robin pointer by 2 instead of 1 after each grant.
     rr_skew: bool,
@@ -174,18 +225,20 @@ impl Network<NullInspector> {
 impl<I: PacketInspector> Network<I> {
     /// Creates a network whose routers pass every packet header through
     /// `inspector` ahead of routing computation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.router` is outside the limits documented on
+    /// [`RouterConfig`] (`vcs` in 1..=12, `buffer_depth` in 1..=255).
     #[must_use]
     pub fn with_inspector(config: NetworkConfig, inspector: I) -> Self {
         let nodes = config.mesh.nodes() as usize;
         Network {
             mesh: config.mesh,
             routing: config.routing.build(),
-            routers: (0..nodes)
-                .map(|i| Router::new(NodeId(i as u16), config.router))
-                .collect(),
-            links: vec![None; nodes * 4],
-            injection_queues: (0..nodes).map(|_| VecDeque::new()).collect(),
-            injection_vc: vec![None; nodes],
+            routers: Routers::new(nodes, config.router),
+            links: vec![LinkSlot::EMPTY; nodes * 4],
+            inject_q: vec![InjectQueue::EMPTY; nodes],
             injection_capacity: config.injection_queue_capacity,
             store: PacketStore::new(),
             ejected: Vec::new(),
@@ -201,7 +254,6 @@ impl<I: PacketInspector> Network<I> {
             inject_busy: ActiveSet::new(nodes),
             queued_flits: 0,
             neighbor_tbl: config.mesh.neighbor_table(),
-            scratch: Vec::new(),
             credit_scratch: Vec::new(),
             rr_skew: false,
         }
@@ -287,21 +339,25 @@ impl<I: PacketInspector> Network<I> {
         self.trace.as_ref()
     }
 
-    /// Read access to a router (diagnostics and tests).
+    /// Read-only view of a router (diagnostics and tests).
     ///
     /// # Panics
     ///
     /// Panics if `node` is outside the mesh.
     #[must_use]
-    pub fn router(&self, node: NodeId) -> &Router {
-        &self.routers[node.0 as usize]
+    pub fn router(&self, node: NodeId) -> Router<'_> {
+        Router::new(&self.routers, &self.store, node.0 as usize)
     }
 
     /// Per-node crossbar utilization: flits forwarded by each router, in
     /// node order — the raw material for congestion heatmaps.
     #[must_use]
     pub fn utilization_map(&self) -> Vec<u64> {
-        self.routers.iter().map(Router::flits_forwarded).collect()
+        self.routers
+            .core
+            .iter()
+            .map(|c| c.flits_forwarded)
+            .collect()
     }
 
     /// Enqueues `packet` at its source node's injection queue and returns the
@@ -320,21 +376,24 @@ impl<I: PacketInspector> Network<I> {
                 });
             }
         }
-        let queue = &mut self.injection_queues[packet.src().0 as usize];
-        if queue.len() + packet.flit_count() > self.injection_capacity {
+        let src = packet.src().0 as usize;
+        let n = packet.flit_count();
+        let queue = &mut self.inject_q[src];
+        if queue.flits as usize + n > self.injection_capacity {
             return Err(NocError::InjectionQueueFull { node: packet.src() });
         }
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        let slot = self.store.alloc(id, self.cycle);
-        let n = packet.flit_count();
-        for i in 0..n {
-            let mut flit = Flit::nth(packet, id, self.cycle, i, n);
-            flit.slot = slot;
-            queue.push_back(flit);
+        let slot = self.store.alloc(packet, id, self.cycle);
+        if queue.head == NIL {
+            queue.head = slot;
+        } else {
+            self.store.set_next_queued(queue.tail, slot);
         }
+        queue.tail = slot;
+        queue.flits += n as u32;
         self.queued_flits += n;
-        self.inject_busy.insert(packet.src().0 as usize);
+        self.inject_busy.insert(src);
         if let Some(trace) = self.trace.as_mut() {
             trace.record(TraceEvent::Injected {
                 packet: id,
@@ -408,8 +467,7 @@ impl<I: PacketInspector> Network<I> {
         self.stage_link_delivery();
         self.stage_switch_traversal(faults_engaged);
         self.stage_injection();
-        self.stage_vc_allocation();
-        self.stage_routing_and_inspection(faults_engaged);
+        self.stage_allocation_and_routing(faults_engaged);
         self.cycle += 1;
         #[cfg(debug_assertions)]
         self.debug_check_invariants();
@@ -438,11 +496,16 @@ impl<I: PacketInspector> Network<I> {
         if !self.cycle.is_multiple_of(64) {
             return;
         }
+        let nodes = self.routers.core.len();
         // Flit presence: every in-flight packet keeps between 1 and
         // flit_count() flits somewhere (queued, buffered, or on a link).
-        let buffered: usize = self.routers.iter().map(Router::buffered_flits).sum();
-        let on_links = self.links.iter().filter(|l| l.is_some()).count();
-        let present = buffered + on_links + self.queued_flits;
+        let buffered: usize = (0..nodes)
+            .map(|r| self.routers.core[r].buffered as usize)
+            .sum();
+        let on_links = self.links.iter().filter(|l| !l.is_empty()).count();
+        let queued: usize = self.inject_q.iter().map(|q| q.flits as usize).sum();
+        assert_eq!(queued, self.queued_flits, "queued-flit counter drifted");
+        let present = buffered + on_links + queued;
         assert!(
             present >= self.store.live(),
             "cycle {}: {} in-flight packets but only {} flits present",
@@ -460,21 +523,21 @@ impl<I: PacketInspector> Network<I> {
         // Per-VC credit conservation: for every link, the upstream port's
         // credit count plus the downstream buffer occupancy plus any flit
         // in transit allocated to that VC must equal the buffer depth.
-        let vcs = self.routers[0].config().vcs;
-        let depth = self.routers[0].config().buffer_depth;
-        for ri in 0..self.routers.len() {
+        let vcs = self.routers.vcs();
+        let depth = self.router(NodeId(0)).config().buffer_depth;
+        for ri in 0..nodes {
             for dir in Direction::MESH {
                 let li = ri * 4 + dir.index();
                 let Some(down) = self.neighbor_tbl[li] else {
                     continue;
                 };
                 let in_port = Direction::OPPOSITE_INDEX[dir.index()];
+                let link = self.links[li];
                 for vc in 0..vcs {
-                    let credits = self.routers[ri].output_credit(dir, vc);
-                    let down_router = &self.routers[down.0 as usize];
-                    let downstream = down_router.vc_len(down_router.slot(in_port, vc));
-                    let in_transit =
-                        usize::from(matches!(self.links[li], Some((_, ovc)) if ovc == vc));
+                    let credits = self.routers.credit(ri, dir.index(), vc);
+                    let downstream =
+                        self.routers.vc(down.0 as usize, in_port * vcs + vc).len as usize;
+                    let in_transit = usize::from(!link.is_empty() && usize::from(link.ovc) == vc);
                     assert_eq!(
                         credits + downstream + in_transit,
                         depth,
@@ -484,24 +547,30 @@ impl<I: PacketInspector> Network<I> {
                 }
             }
         }
-        // The incrementally maintained switch-request / VA-pending /
-        // unrouted masks must agree with a rebuild from the VC state.
-        for r in &self.routers {
-            r.debug_masks_consistent();
+        // The incrementally maintained masks and counters must agree with
+        // a rebuild from the per-VC records.
+        for r in 0..nodes {
+            self.routers.debug_consistent(r);
         }
         // Worklist consistency: the active set is exactly the routers
-        // holding flits, and the link set exactly the occupied slots.
+        // holding flits, the link set exactly the occupied slots, the
+        // injection set exactly the non-empty queues.
         let mut snap = Vec::new();
         self.active.snapshot_into(&mut snap);
-        let expect: Vec<u32> = (0..self.routers.len() as u32)
-            .filter(|&i| self.routers[i as usize].buffered_flits() > 0)
+        let expect: Vec<u32> = (0..nodes as u32)
+            .filter(|&i| self.routers.core[i as usize].buffered > 0)
             .collect();
         assert_eq!(snap, expect, "active set drifted at cycle {}", self.cycle);
         self.links_occupied.snapshot_into(&mut snap);
         let expect: Vec<u32> = (0..self.links.len() as u32)
-            .filter(|&i| self.links[i as usize].is_some())
+            .filter(|&i| !self.links[i as usize].is_empty())
             .collect();
         assert_eq!(snap, expect, "link set drifted at cycle {}", self.cycle);
+        self.inject_busy.snapshot_into(&mut snap);
+        let expect: Vec<u32> = (0..nodes as u32)
+            .filter(|&i| self.inject_q[i as usize].head != NIL)
+            .collect();
+        assert_eq!(snap, expect, "inject set drifted at cycle {}", self.cycle);
     }
 
     /// Advances the network `n` cycles.
@@ -541,10 +610,6 @@ impl<I: PacketInspector> Network<I> {
         }
         self.is_idle()
     }
-
-    fn link_index(&self, node: NodeId, dir: Direction) -> usize {
-        node.0 as usize * 4 + dir.index()
-    }
     // end of the step_n/run_until_idle driver region; the per-stage region
     // below re-opens because debug audits between them allocate freely.
     // htpb-lint: end-hot
@@ -559,158 +624,132 @@ impl<I: PacketInspector> Network<I> {
     /// When `faults_engaged`, the installed [`FaultHook`] may stall whole
     /// routers (skipped before the drop sink; their flits stay buffered and
     /// the router stays in the active set) and take links down (the output
-    /// port behaves as if the link were busy).
+    /// port skips arbitration this cycle).
     fn stage_switch_traversal(&mut self, faults_engaged: bool) {
-        // Deferred credit returns: (upstream node, upstream out dir, vc, free_vc).
+        // Credit returns are deferred to the end of the stage: a credit
+        // freed by router r this cycle must not be spendable by a router
+        // visited after r in the same cycle.
         let mut credit_returns = std::mem::take(&mut self.credit_scratch);
         credit_returns.clear();
+        let now = self.cycle;
+        let vcs = self.routers.vcs();
+        let slots = self.routers.slots();
+        let bump = 1 + usize::from(self.rr_skew);
         // Within this stage routers only *lose* flits (pushes happen in link
-        // delivery and injection), so a stage-entry snapshot of the active
-        // set visits exactly the routers the dense scan's `buffered > 0`
-        // filter would have, in the same ascending order.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.active.snapshot_into(&mut worklist);
-        for &ri in &worklist {
-            let ri = ri as usize;
-            let node = NodeId(ri as u16);
-            // A stalled router forwards (and sinks) nothing this cycle. Its
-            // flits stay buffered, so it is still a legitimate active-set
-            // member and the end-of-loop removal below is correctly skipped.
-            if faults_engaged {
-                if let Some(hook) = self.faults.as_mut() {
-                    if hook.router_stalled(node, self.cycle) {
-                        if let Some(m) = self.metrics.as_deref_mut() {
-                            m.on_router_stalled();
+        // delivery and injection) and only the router being visited leaves
+        // the active set, so walking word copies visits exactly the routers
+        // the dense scan's `buffered > 0` filter would have, in the same
+        // ascending order.
+        for w in 0..self.active.words() {
+            for b in BitsIter(self.active.word(w)) {
+                let ri = w * 64 + b;
+                let node = NodeId(ri as u16);
+                // A stalled router forwards (and sinks) nothing this cycle.
+                // Its flits stay buffered, so it is still a legitimate
+                // active-set member and the removal below is skipped.
+                if faults_engaged {
+                    if let Some(hook) = self.faults.as_mut() {
+                        if hook.router_stalled(node, now) {
+                            if let Some(m) = self.metrics.as_deref_mut() {
+                                m.on_router_stalled();
+                            }
+                            continue;
                         }
-                        continue;
                     }
                 }
-            }
-            // Sink stage for dropped packets — gated on the O(1) dropping
-            // counter; routers with nothing to sink skip the 5 × VCs scan.
-            // Ascending slot order == the historical (port, vc) nesting.
-            let vcs = self.routers[ri].config().vcs;
-            let slots = 5 * vcs;
-            if self.routers[ri].has_dropping() {
-                for slot in 0..slots {
-                    if !self.routers[ri].vc_state[slot].dropping {
+                // Sink stage for dropped packets — gated on the O(1)
+                // dropping counter; routers with nothing to sink skip the
+                // scan. Ascending slot order == the historical (port, vc)
+                // nesting.
+                if self.routers.core[ri].dropping_vcs > 0 {
+                    for slot in 0..slots {
+                        if !self.routers.vc(ri, slot).dropping {
+                            continue;
+                        }
+                        let Some(flit) = self.routers.pop_flit(ri, slot) else {
+                            continue;
+                        };
+                        if let Some(credit) = self.upstream_credit(ri, slot / vcs, slot % vcs) {
+                            credit_returns.push(credit);
+                        }
+                        if flit.kind.is_tail() {
+                            self.store.free(flit.slot);
+                            self.stats.on_packet_dropped();
+                        }
+                    }
+                }
+                for out_dir in Direction::ALL {
+                    let od = out_dir.index();
+                    if out_dir != Direction::Local {
+                        // No busy-link test: link delivery ran first this
+                        // cycle and took every occupied link, and a link is
+                        // written at most once per cycle, by its own router,
+                        // below — after this point.
+                        debug_assert!(
+                            self.links[ri * 4 + od].is_empty(),
+                            "link {ri}/{out_dir:?} still occupied after link delivery"
+                        );
+                        // A downed link simply skips arbitration this cycle.
+                        if faults_engaged {
+                            if let Some(hook) = self.faults.as_mut() {
+                                if hook.link_down(node, out_dir, now) {
+                                    continue;
+                                }
+                            }
+                        }
+                    }
+                    let req = self.routers.switch_requests(ri, od);
+                    if req == 0 {
                         continue;
                     }
-                    let Some(flit) = self.routers[ri].pop_flit(slot) else {
+                    let Some(slot) = self.routers.arbitrate(ri, od, req, now) else {
                         continue;
                     };
-                    let (in_port, vc) = (slot / vcs, slot % vcs);
-                    if let Some(up_out) = Direction::ALL[in_port].opposite() {
-                        if let Some(up) = self.neighbor_tbl[ri * 4 + in_port] {
-                            credit_returns.push((up, up_out, vc, flit.kind.is_tail()));
+                    let (flit, out_vc) = self.routers.cross_switch(ri, od, slot, bump);
+                    // Return a credit upstream for the buffer slot just freed.
+                    if let Some(credit) = self.upstream_credit(ri, slot / vcs, slot % vcs) {
+                        credit_returns.push(credit);
+                    }
+                    if out_dir == Direction::Local {
+                        self.eject(flit);
+                    } else {
+                        if flit.kind.is_head() {
+                            self.store.bump_hops(flit.slot);
                         }
-                    }
-                    if flit.kind.is_tail() {
-                        self.store.free(flit.slot);
-                        self.stats.on_packet_dropped();
-                    }
-                }
-            }
-            for out_dir in Direction::ALL {
-                let od = out_dir.index();
-                // Output link must be free this cycle (one flit per cycle).
-                if out_dir != Direction::Local
-                    && self.links[self.link_index(node, out_dir)].is_some()
-                {
-                    continue;
-                }
-                // A downed link is indistinguishable from a busy one: the
-                // port simply skips arbitration this cycle.
-                if faults_engaged && out_dir != Direction::Local {
-                    if let Some(hook) = self.faults.as_mut() {
-                        if hook.link_down(node, out_dir, self.cycle) {
-                            continue;
-                        }
+                        let li = ri * 4 + od;
+                        self.links[li] = LinkSlot {
+                            slot: flit.slot,
+                            kind: flit.kind,
+                            ovc: out_vc.expect("non-local ST requires an allocated VC"),
+                        };
+                        self.links_occupied.insert(li);
                     }
                 }
-                // Round-robin over the slots *requesting this output* only:
-                // slots >= start ascending, then the wrap-around below
-                // start — the same visit order as the dense
-                // `(start + off) % slots` scan, minus the slots it could
-                // never have granted (empty, or routed elsewhere).
-                let req = self.routers[ri].switch_requests(od);
-                if req == 0 {
-                    continue;
+                if self.routers.core[ri].buffered == 0 {
+                    self.active.remove(ri);
                 }
-                let start = self.routers[ri].sa_rr[od];
-                let low_mask = (1u64 << start) - 1;
-                let mut granted = None;
-                for slot in BitsIter(req & !low_mask).chain(BitsIter(req & low_mask)) {
-                    let r = &self.routers[ri];
-                    let st = &r.vc_state[slot];
-                    debug_assert!(st.len > 0, "occupied slot holds no flit");
-                    debug_assert_eq!(st.route, Some(out_dir), "request mask drifted");
-                    // A flit spends at least one full cycle buffered before
-                    // it may traverse the switch (two-cycle router floor).
-                    if r.vc_front_arrived_at(slot) == Some(self.cycle) {
-                        continue;
-                    }
-                    if out_dir != Direction::Local {
-                        let Some(ovc) = st.out_vc else { continue };
-                        if r.out_credits[od * vcs + ovc] == 0 {
-                            continue;
-                        }
-                    }
-                    granted = Some(slot);
-                    break;
-                }
-                let Some(slot) = granted else {
-                    continue;
-                };
-                let (in_port, vc) = (slot / vcs, slot % vcs);
-                let bump = 1 + usize::from(self.rr_skew);
-                self.routers[ri].sa_rr[od] = (slot + bump) % slots;
-                self.routers[ri].flits_forwarded += 1;
-                let out_vc = self.routers[ri].vc_state[slot].out_vc;
-                let flit = self.routers[ri]
-                    .pop_flit(slot)
-                    .expect("granted VC nonempty");
-                // Return a credit upstream for the buffer slot just freed.
-                if let Some(up_out) = Direction::ALL[in_port].opposite() {
-                    if let Some(up) = self.neighbor_tbl[ri * 4 + in_port] {
-                        credit_returns.push((up, up_out, vc, flit.kind.is_tail()));
-                    }
-                }
-                if out_dir == Direction::Local {
-                    self.eject(flit);
-                } else {
-                    let ovc = out_vc.expect("non-local ST requires an allocated VC");
-                    self.routers[ri].out_credits[od * vcs + ovc] -= 1;
-                    if flit.kind.is_tail() {
-                        // Path released: downstream VC becomes reusable once
-                        // its buffer drains; dealloc happens on downstream pop
-                        // via the credit-return channel below.
-                        self.routers[ri].out_allocated[od * vcs + ovc] = false;
-                    }
-                    if flit.kind.is_head() {
-                        self.store.bump_hops(flit.slot);
-                    }
-                    let li = self.link_index(node, out_dir);
-                    debug_assert!(self.links[li].is_none());
-                    self.links[li] = Some((flit, ovc));
-                    self.links_occupied.insert(li);
-                }
-            }
-            if self.routers[ri].buffered_flits() == 0 {
-                self.active.remove(ri);
             }
         }
-        self.scratch = worklist;
-        for &(up, up_out, vc, _tail) in &credit_returns {
-            let r = &mut self.routers[up.0 as usize];
-            let s = r.slot(up_out.index(), vc);
-            r.out_credits[s] += 1;
-            debug_assert!(
-                r.out_credits[s] <= r.config().buffer_depth,
-                "credit overflow"
-            );
+        for &credit in &credit_returns {
+            self.routers.return_credit(credit);
         }
         self.credit_scratch = credit_returns;
+    }
+
+    /// Credit-slab index to return a credit to when a flit leaves input
+    /// `(in_port, vc)` of router `ri`: the same VC behind the upstream
+    /// neighbour's facing output port. `None` for the local port, which has
+    /// no upstream router.
+    #[inline]
+    fn upstream_credit(&self, ri: usize, in_port: usize, vc: usize) -> Option<u32> {
+        if in_port == Direction::Local.index() {
+            return None;
+        }
+        let up = self.neighbor_tbl[ri * 4 + in_port]?;
+        Some(
+            self.routers
+                .credit_index(up.0 as usize, Direction::OPPOSITE_INDEX[in_port], vc),
+        )
     }
 
     /// Stage 2a: flits on links land in downstream input buffers.
@@ -718,232 +757,227 @@ impl<I: PacketInspector> Network<I> {
         if self.links_occupied.is_empty() {
             return;
         }
-        // Ascending link index == (node ascending, direction in N/S/E/W
-        // index order) — the exact order of the dense double loop.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.links_occupied.snapshot_into(&mut worklist);
         let now = self.cycle;
-        for &li in &worklist {
-            let li = li as usize;
-            let (flit, ovc) = self.links[li].take().expect("occupied link holds a flit");
-            self.links_occupied.remove(li);
-            let dst_node = self.neighbor_tbl[li].expect("link endpoints are mesh neighbours");
-            let in_port = Direction::OPPOSITE_INDEX[li % 4];
-            let di = dst_node.0 as usize;
-            let r = &mut self.routers[di];
-            let s = r.slot(in_port, ovc);
-            r.push_flit(s, flit, now);
-            let occupancy = r.vc_len(s);
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.on_flit_buffered(occupancy);
+        let vcs = self.routers.vcs();
+        // Ascending link index == (node ascending, direction in N/S/E/W
+        // index order) — the exact order of the dense double loop. Every
+        // occupied link is delivered, so each word is taken whole.
+        for w in 0..self.links_occupied.words() {
+            for b in BitsIter(self.links_occupied.take_word(w)) {
+                let li = w * 64 + b;
+                let LinkSlot { slot, kind, ovc } =
+                    std::mem::replace(&mut self.links[li], LinkSlot::EMPTY);
+                let flit = FlitHandle { slot, kind };
+                let dst = self.neighbor_tbl[li].expect("link endpoints are mesh neighbours");
+                let di = dst.0 as usize;
+                let in_port = Direction::OPPOSITE_INDEX[li % 4];
+                let occupancy =
+                    self.routers
+                        .push_flit(di, in_port * vcs + usize::from(ovc), flit, now);
+                if let Some(m) = self.metrics.as_deref_mut() {
+                    m.on_flit_buffered(occupancy);
+                }
+                self.active.insert(di);
             }
-            self.active.insert(di);
         }
-        self.scratch = worklist;
     }
 
-    /// Stage 2b: injection — at most one flit per node per cycle moves from
-    /// the injection queue into a free local-input VC.
+    /// Stage 2b: injection — at most one flit per node per cycle is cut off
+    /// the packet at the head of the node's injection FIFO and moves into a
+    /// free local-input VC.
     fn stage_injection(&mut self) {
         if self.inject_busy.is_empty() {
             return;
         }
         let now = self.cycle;
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.inject_busy.snapshot_into(&mut worklist);
-        for &ri in &worklist {
-            let ri = ri as usize;
-            let front = self.injection_queues[ri]
-                .front()
-                .expect("inject_busy tracks non-empty queues");
-            let local = Direction::Local.index();
-            let target_vc = if front.kind.is_head() {
-                // A new packet needs an idle local VC.
-                match self.routers[ri].free_injection_vc() {
-                    Some(v) => v,
-                    None => continue,
+        let local = Direction::Local.index() * self.routers.vcs();
+        for w in 0..self.inject_busy.words() {
+            for b in BitsIter(self.inject_busy.word(w)) {
+                let ri = w * 64 + b;
+                let q = self.inject_q[ri];
+                let n = self.store.packet(q.head).flit_count();
+                let kind = FlitKind::nth(usize::from(q.sent), n);
+                let target_vc = if kind.is_head() {
+                    // A new packet needs an idle local VC.
+                    match self.routers.free_injection_vc(ri) {
+                        Some(v) => v,
+                        None => continue,
+                    }
+                } else {
+                    match q.vc {
+                        Some(v) => usize::from(v),
+                        None => continue,
+                    }
+                };
+                let slot = local + target_vc;
+                if !self.routers.has_space(ri, slot) {
+                    continue;
                 }
-            } else {
-                match self.injection_vc[ri] {
-                    Some(v) => v,
-                    None => continue,
+                let flit = FlitHandle { slot: q.head, kind };
+                let q = &mut self.inject_q[ri];
+                q.flits -= 1;
+                self.queued_flits -= 1;
+                if kind.is_tail() {
+                    q.head = self.store.next_queued(q.head);
+                    q.sent = 0;
+                    q.vc = None;
+                    if q.head == NIL {
+                        self.inject_busy.remove(ri);
+                    }
+                } else {
+                    q.sent += 1;
+                    q.vc = Some(target_vc as u8);
                 }
-            };
-            let slot = self.routers[ri].slot(local, target_vc);
-            if !self.routers[ri].vc_has_space(slot) {
-                continue;
-            }
-            let flit = self.injection_queues[ri]
-                .pop_front()
-                .expect("front checked");
-            self.queued_flits -= 1;
-            if self.injection_queues[ri].is_empty() {
-                self.inject_busy.remove(ri);
-            }
-            self.injection_vc[ri] = if flit.kind.is_tail() {
-                None
-            } else {
-                Some(target_vc)
-            };
-            self.routers[ri].push_flit(slot, flit, now);
-            let occupancy = self.routers[ri].vc_len(slot);
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.on_flit_buffered(occupancy);
-            }
-            self.active.insert(ri);
-        }
-        self.scratch = worklist;
-    }
-
-    /// Stage 3: VC allocation — input VCs that know their output port
-    /// acquire a free downstream VC.
-    fn stage_vc_allocation(&mut self) {
-        // VA moves no flits, so the active snapshot equals the dense scan's
-        // `buffered > 0` filter throughout the stage.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.active.snapshot_into(&mut worklist);
-        for &ri in &worklist {
-            let ri = ri as usize;
-            // Ascending slot order == the dense (port, vc) double loop; the
-            // VA-pending mask names exactly the slots the dense scan's
-            // route/out-VC filters would have acted on.
-            for slot in BitsIter(self.routers[ri].va_pending_slots()) {
-                let st = &self.routers[ri].vc_state[slot];
-                debug_assert!(
-                    st.out_vc.is_none() && st.route.is_some_and(|r| r != Direction::Local),
-                    "VA-pending mask drifted"
-                );
-                let od = st.route.expect("VA-pending slot has a route").index();
-                if let Some(free) = self.routers[ri].free_out_vc(od) {
-                    self.routers[ri].grant_out_vc(slot, free);
+                let occupancy = self.routers.push_flit(ri, slot, flit, now);
+                if let Some(m) = self.metrics.as_deref_mut() {
+                    m.on_flit_buffered(occupancy);
                 }
+                self.active.insert(ri);
             }
         }
-        self.scratch = worklist;
     }
 
-    /// Stage 4: routing computation, preceded by the inspection hook — the
-    /// point where an implanted Trojan reads and possibly rewrites the
-    /// packet (Fig. 2b).
+    /// Stages 3 and 4 in one ascending pass over the active routers:
+    /// VC allocation, then routing computation & inspection, per router.
+    ///
+    /// `VA(r); RC(r)` for each `r` is order-identical to all-VA-then-all-RC:
+    /// VA reads and writes only its own router's state and calls no hook,
+    /// so the inspector, the fault hook and the trace still see routers —
+    /// and slots within a router — in the same ascending order. The VA
+    /// candidates are fixed before RC runs, so a route computed this cycle
+    /// is allocated next cycle, as before. Neither stage moves a flit, so
+    /// the active set is constant throughout; routers with nothing to
+    /// allocate or route are skipped after one look at their masks.
+    fn stage_allocation_and_routing(&mut self, faults_engaged: bool) {
+        for w in 0..self.active.words() {
+            for b in BitsIter(self.active.word(w)) {
+                let ri = w * 64 + b;
+                let va = self.routers.va_pending_slots(ri);
+                let rc = self.routers.unrouted_slots(ri);
+                // VC allocation: input VCs that know their output port
+                // acquire a free downstream VC. Ascending slot order == the
+                // dense (port, vc) double loop.
+                for slot in BitsIter(va) {
+                    let st = self.routers.vc(ri, slot);
+                    debug_assert!(
+                        st.out_vc.is_none() && st.route.is_some_and(|r| r != Direction::Local),
+                        "VA-pending mask drifted"
+                    );
+                    let od = st.route.expect("VA-pending slot has a route").index();
+                    if let Some(free) = self.routers.free_out_vc(ri, od) {
+                        self.routers.grant_out_vc(ri, slot, free);
+                    }
+                }
+                for slot in BitsIter(rc) {
+                    self.route_head(ri, slot, faults_engaged);
+                }
+            }
+        }
+    }
+
+    /// Routing computation for the fresh head at the front of `slot` of
+    /// router `ri`, preceded by the inspection hook — the point where an
+    /// implanted Trojan reads and possibly rewrites the packet (Fig. 2b).
+    /// The frame it rewrites is the packet store's, the one copy there is.
     ///
     /// When `faults_engaged`, the installed [`FaultHook`] runs immediately
     /// after the inspector on the same once-per-packet-per-router
     /// discipline: payload bit flips reuse the tamper bookkeeping,
     /// whole-packet drops reuse the inspector's drop-sink machinery.
-    fn stage_routing_and_inspection(&mut self, faults_engaged: bool) {
-        // RC moves no flits either (the inspector only sees the packet
-        // header), so the same snapshot argument as VA applies.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.active.snapshot_into(&mut worklist);
-        for &ri in &worklist {
-            let ri = ri as usize;
-            let node = NodeId(ri as u16);
-            let vcs = self.routers[ri].config().vcs;
-            // Ascending slot order == the dense (port, vc) double loop; the
-            // unrouted mask names exactly the occupied slots the dense
-            // scan's route/dropping filters would have reached.
-            for slot in BitsIter(self.routers[ri].unrouted_slots()) {
-                let in_port = slot / vcs;
-                {
-                    let st = &self.routers[ri].vc_state[slot];
-                    debug_assert!(st.route.is_none() && !st.dropping, "unrouted mask drifted");
-                    let needs_inspection = !st.inspected;
-                    let Some(front) = self.routers[ri].vc_front_mut(slot) else {
-                        continue;
-                    };
-                    if !front.kind.is_head() {
-                        continue;
-                    }
-                    let packet_id = front.packet_id;
-                    let meta_slot = front.slot;
-                    let packet = front.packet.as_mut().expect("head flit carries packet");
-                    if needs_inspection {
-                        let payload_before = packet.payload();
-                        let outcome = self.inspector.inspect(node, self.cycle, packet);
-                        if outcome.dropped {
-                            // The whole packet will be sunk here; no route is
-                            // ever computed for it.
-                            self.routers[ri].mark_dropping(slot);
-                            self.routers[ri].vc_state[slot].inspected = true;
-                            continue;
-                        }
-                        if outcome.modified {
-                            self.store.set_modified(meta_slot);
-                            if let Some(trace) = self.trace.as_mut() {
-                                trace.record(TraceEvent::Tampered {
-                                    packet: packet_id,
-                                    node,
-                                    payload_before,
-                                    payload_after: packet.payload(),
-                                    cycle: self.cycle,
-                                });
-                            }
-                        }
-                        let action = match self.faults.as_mut() {
-                            Some(hook) if faults_engaged => {
-                                hook.packet_fault(node, self.cycle, packet)
-                            }
-                            _ => FaultAction::none(),
-                        };
-                        if action.drop {
-                            self.routers[ri].mark_dropping(slot);
-                            self.routers[ri].vc_state[slot].inspected = true;
-                            continue;
-                        }
-                        if action.flip_mask != 0 {
-                            let before = packet.payload();
-                            packet.set_payload(before ^ action.flip_mask);
-                            self.store.set_modified(meta_slot);
-                            if let Some(trace) = self.trace.as_mut() {
-                                trace.record(TraceEvent::Tampered {
-                                    packet: packet_id,
-                                    node,
-                                    payload_before: before,
-                                    payload_after: packet.payload(),
-                                    cycle: self.cycle,
-                                });
-                            }
-                        }
-                    }
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.record(TraceEvent::Routed {
-                            packet: packet_id,
-                            node,
-                            cycle: self.cycle,
-                        });
-                    }
-                    let dst = packet.dst();
-                    let candidates =
-                        self.routing
-                            .route(self.mesh, node, dst, Direction::ALL[in_port]);
-                    debug_assert!(!candidates.is_empty());
-                    let chosen = if candidates.len() == 1 {
-                        candidates[0]
-                    } else {
-                        // Adaptive: prefer the candidate with the most free
-                        // downstream credits.
-                        *candidates
-                            .iter()
-                            .max_by_key(|d| self.routers[ri].output_credits(**d))
-                            .expect("nonempty candidates")
-                    };
-                    self.routers[ri].set_route(slot, chosen);
-                    self.routers[ri].vc_state[slot].inspected = true;
-                    self.routers[ri].packets_routed += 1;
+    #[inline]
+    fn route_head(&mut self, ri: usize, slot: usize, faults_engaged: bool) {
+        let node = NodeId(ri as u16);
+        let in_dir = Direction::ALL[slot / self.routers.vcs()];
+        let st = self.routers.vc(ri, slot);
+        debug_assert!(st.route.is_none() && !st.dropping, "unrouted mask drifted");
+        let needs_inspection = !st.inspected;
+        let Some(front) = self.routers.front(ri, slot) else {
+            return;
+        };
+        if !front.flit.kind.is_head() {
+            return;
+        }
+        let meta = front.flit.slot;
+        if needs_inspection {
+            let packet = self.store.packet_mut(meta);
+            let payload_before = packet.payload();
+            let outcome = self.inspector.inspect(node, self.cycle, packet);
+            if outcome.dropped {
+                // The whole packet will be sunk here; no route is ever
+                // computed for it.
+                self.routers.mark_dropping(ri, slot);
+                return;
+            }
+            if outcome.modified {
+                let payload_after = packet.payload();
+                self.store.set_modified(meta);
+                if let Some(trace) = self.trace.as_mut() {
+                    trace.record(TraceEvent::Tampered {
+                        packet: self.store.packet_id(meta),
+                        node,
+                        payload_before,
+                        payload_after,
+                        cycle: self.cycle,
+                    });
+                }
+            }
+            let action = match self.faults.as_mut() {
+                Some(hook) if faults_engaged => {
+                    hook.packet_fault(node, self.cycle, self.store.packet(meta))
+                }
+                _ => FaultAction::none(),
+            };
+            if action.drop {
+                self.routers.mark_dropping(ri, slot);
+                return;
+            }
+            if action.flip_mask != 0 {
+                let packet = self.store.packet_mut(meta);
+                let payload_before = packet.payload();
+                let payload_after = payload_before ^ action.flip_mask;
+                packet.set_payload(payload_after);
+                self.store.set_modified(meta);
+                if let Some(trace) = self.trace.as_mut() {
+                    trace.record(TraceEvent::Tampered {
+                        packet: self.store.packet_id(meta),
+                        node,
+                        payload_before,
+                        payload_after,
+                        cycle: self.cycle,
+                    });
                 }
             }
         }
-        self.scratch = worklist;
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(TraceEvent::Routed {
+                packet: self.store.packet_id(meta),
+                node,
+                cycle: self.cycle,
+            });
+        }
+        let dst = self.store.packet(meta).dst();
+        let candidates = self.routing.route(self.mesh, node, dst, in_dir);
+        debug_assert!(!candidates.is_empty());
+        let chosen = if candidates.len() == 1 {
+            candidates[0]
+        } else {
+            // Adaptive: prefer the candidate with the most free
+            // downstream credits.
+            *candidates
+                .iter()
+                .max_by_key(|d| self.routers.output_credits(ri, **d))
+                .expect("nonempty candidates")
+        };
+        self.routers.set_route(ri, slot, chosen);
     }
 
-    fn eject(&mut self, flit: Flit) {
+    /// A flit left through the local port. Only the tail matters: it reads
+    /// the frame (as rewritten en route) and the metadata out of the packet
+    /// store, frees the slot and delivers the packet.
+    fn eject(&mut self, flit: FlitHandle) {
         self.stats.on_flit_delivered();
-        if flit.kind.is_head() {
-            let packet = flit.packet.expect("head flit carries packet");
-            self.store.set_pending_head(flit.slot, packet);
-        }
         if flit.kind.is_tail() {
-            let (packet, injected_at, hops, modified) = self.store.finish(flit.slot);
+            let (packet, id, injected_at, hops, modified) = self.store.finish(flit.slot);
             let latency = self.cycle - injected_at;
             self.stats.on_packet_delivered(
                 latency,
@@ -953,7 +987,7 @@ impl<I: PacketInspector> Network<I> {
             );
             if let Some(trace) = self.trace.as_mut() {
                 trace.record(TraceEvent::Ejected {
-                    packet: flit.packet_id,
+                    packet: id,
                     node: packet.dst(),
                     cycle: self.cycle,
                 });
@@ -986,6 +1020,12 @@ mod tests {
 
     fn net(w: u16, h: u16) -> Network {
         Network::new(NetworkConfig::new(Mesh2d::new(w, h).unwrap()))
+    }
+
+    #[test]
+    fn link_slot_is_eight_bytes() {
+        assert!(std::mem::size_of::<LinkSlot>() <= 8);
+        assert!(std::mem::size_of::<InjectQueue>() <= 16);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-use crate::flit::{Flit, FlitKind};
+use crate::active::BitsIter;
+use crate::flit::{FlitHandle, FlitKind};
+use crate::store::{PacketStore, NIL};
 use crate::topology::{Direction, NodeId};
 use crate::vc::VcState;
 
@@ -7,6 +9,10 @@ use crate::vc::VcState;
 /// Defaults follow Table I of the paper: 4 virtual channels per input port
 /// and 5-flit buffers ("NoC buffer 5 × 5 flits" — five ports with five-flit
 /// buffers per VC).
+///
+/// Limits, asserted when a [`crate::Network`] is built: `1 <= vcs <= 12`
+/// (all 5 × `vcs` input-VC slots of a router pack into one 64-bit mask) and
+/// `1 <= buffer_depth <= 255` (ring cursors and credit counts are bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Virtual channels per input port.
@@ -49,360 +55,433 @@ pub struct VcSnapshot {
     pub dropping: bool,
 }
 
-/// One mesh router: five input ports (N/S/E/W/Local) with per-port virtual
-/// channels, plus credit state for each output port's downstream buffers.
-///
-/// The router is a passive state container; the cycle-by-cycle pipeline
-/// (buffer write → routing computation → VC/switch allocation → switch
-/// traversal) is driven by [`crate::Network::step`], which models a
-/// two-cycle router and one-cycle links (Table I).
-///
-/// # Data layout
-///
-/// All per-VC state is flattened into contiguous arrays indexed by the slot
-/// number `port * vcs + vc` (ports in N/S/E/W/Local index order): control
-/// state in [`Router::vc_state`], the flit buffers in one flat slab where
-/// slot `s` owns the fixed-capacity ring `buf[s * depth .. (s + 1) * depth]`,
-/// and output-side credit/allocation state in two parallel arrays. Ascending
-/// slot order equals the nested `(port, vc)` loops the pipeline historically
-/// ran, so iteration order — and with it RR arbitration, ejection and trace
-/// order — is bit-for-bit unchanged.
+/// `Direction::Local.index()`, the last of the five ports.
+const LOCAL: usize = 4;
+
+/// The per-router words every pipeline stage starts from: the slot masks,
+/// the round-robin pointers and the counters. At most 128 bytes, so the
+/// whole decision state of a router is two cache lines; the per-VC records,
+/// credits and rings it indexes live in the sibling slabs of [`Routers`].
 #[derive(Debug, Clone)]
-pub struct Router {
-    id: NodeId,
-    config: RouterConfig,
-    /// Control state per input-VC slot (`port * vcs + vc`); 5 × `vcs` long.
-    pub(crate) vc_state: Vec<VcState>,
-    /// Flat flit storage: slot `s` owns `buf[s * depth .. (s + 1) * depth]`
-    /// as a ring whose front sits at `vc_state[s].head`. Entries are
-    /// `(flit, arrival_cycle)`.
-    buf: Vec<(Flit, u64)>,
-    /// Flit credits per downstream VC, indexed `out_port * vcs + vc`
-    /// (starts at the buffer depth).
-    pub(crate) out_credits: Vec<usize>,
-    /// Whether each downstream VC is currently allocated to some packet,
-    /// indexed `out_port * vcs + vc`.
-    pub(crate) out_allocated: Vec<bool>,
-    /// Round-robin pointers for switch allocation, one per output port.
-    pub(crate) sa_rr: Vec<usize>,
-    /// Flits this router pushed through its crossbar (all output ports).
-    pub(crate) flits_forwarded: u64,
-    /// Packet headers that ran routing computation here (= packets that
-    /// transited or terminated at this router).
-    pub(crate) packets_routed: u64,
-    /// Total flits across all input VCs, maintained incrementally by
-    /// [`Router::push_flit`]/[`Router::pop_flit`] so
-    /// [`Router::buffered_flits`] is an O(1) read instead of a 20-VC scan.
-    buffered: usize,
-    /// Input VCs currently sinking a dropped packet, maintained by
-    /// [`Router::mark_dropping`] and [`Router::pop_flit`]; lets the switch
-    /// stage skip its drop-sink scan on the (overwhelmingly common) routers
-    /// with nothing to sink.
-    dropping_vcs: usize,
-    /// Bitmask over input-VC slots (`port * vcs + vc`) that currently hold
-    /// at least one flit, maintained by [`Router::push_flit`] and
-    /// [`Router::pop_flit`]. The pipeline stages iterate this instead of
-    /// scanning all 5 × `vcs` buffers; empty VCs can never be granted,
-    /// routed or allocated, so skipping them is invisible.
-    occupied: u64,
-    /// Per-output-direction switch requests: bit `s` is set iff
-    /// `vc_state[s].route == Some(dir)`. Set by [`Router::set_route`],
-    /// cleared when the packet's tail leaves in [`Router::pop_flit`]. Switch
-    /// allocation arbitrates over `occupied & route_req[dir]` instead of
-    /// re-reading every occupied slot's route five times per router.
-    route_req: [u64; 5],
+pub(crate) struct RouterCore {
+    /// Input-VC slots (`port * vcs + vc`) holding at least one flit. The
+    /// stages iterate this instead of scanning all 5 × `vcs` buffers; empty
+    /// VCs can never be granted, routed or allocated.
+    pub occupied: u64,
+    /// Per-output-direction switch requests: bit `s` is set iff slot `s` is
+    /// routed towards `dir`. Set by [`Routers::set_route`], cleared when
+    /// the packet's tail leaves in [`Routers::pop_flit`].
+    pub route_req: [u64; 5],
     /// Slots whose packet has a non-local route but no downstream VC yet —
-    /// exactly the candidates VC allocation must consider. Set by
-    /// [`Router::set_route`], cleared by [`Router::grant_out_vc`] and the
-    /// tail pop.
-    va_pending: u64,
+    /// exactly the candidates VC allocation must consider, and exactly the
+    /// routed slots switch allocation must *not*.
+    pub va_pending: u64,
     /// Slots whose resident packet is past routing computation (route
     /// chosen, or being sunk by a drop order). Routing computation scans
     /// `occupied & !pipeline_done` — only freshly arrived heads.
-    pipeline_done: u64,
+    pub pipeline_done: u64,
+    /// Downstream VCs (`out_port * vcs + vc`) currently allocated to a
+    /// packet.
+    pub out_allocated: u64,
+    /// Flits this router pushed through its crossbar (all output ports).
+    pub flits_forwarded: u64,
+    /// Packet headers that ran routing computation here.
+    pub packets_routed: u64,
+    /// Total flits across all input VCs.
+    pub buffered: u32,
+    /// Round-robin pointers for switch allocation, one per output port.
+    pub sa_rr: [u8; 5],
+    /// Input VCs currently sinking a dropped packet; gates the switch
+    /// stage's drop-sink scan.
+    pub dropping_vcs: u8,
 }
 
-impl Router {
-    /// Creates an idle router with full credits.
+/// One buffered flit: its handle and the cycle it entered the buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RingEntry {
+    pub flit: FlitHandle,
+    pub arrived_at: u64,
+}
+
+/// The state of every router of the mesh, one allocation per field.
+///
+/// # Data layout
+///
+/// With `slots = 5 * vcs` and `depth = buffer_depth` (both runtime values
+/// from the [`RouterConfig`]), for router `r`, input port `p`, VC `v`,
+/// slot `s = p * vcs + v`:
+///
+/// * `core[r]` — masks, RR pointers, counters ([`RouterCore`]);
+/// * `vc[r * slots + s]` — the per-VC control record ([`VcState`]);
+/// * `credits[r * slots + o * vcs + v]` — flit credits for VC `v` behind
+///   output port `o` (starts at `depth`);
+/// * `ring[(r * slots + s) * depth + i]` — slot `s`'s fixed-capacity ring,
+///   front at `i = vc[..].head`.
+///
+/// Ports are in N/S/E/W/Local index order, so ascending slot order equals
+/// the nested `(port, vc)` loops the pipeline historically ran, and
+/// ascending router order is the mesh's node order: iteration order — and
+/// with it RR arbitration, ejection and trace order — does not depend on
+/// where the bytes live.
+#[derive(Debug, Clone)]
+pub(crate) struct Routers {
+    config: RouterConfig,
+    /// `5 * config.vcs`, the stride of the per-VC and credit slabs.
+    slots: usize,
+    pub core: Vec<RouterCore>,
+    vc: Vec<VcState>,
+    credits: Vec<u8>,
+    ring: Vec<RingEntry>,
+}
+
+impl Routers {
+    /// `nodes` idle routers with full credits.
     ///
     /// # Panics
     ///
-    /// Panics if `config.vcs > 12`: the occupancy bitmask packs all
-    /// 5 × `vcs` input-VC slots into one 64-bit word (Table I uses 4).
-    #[must_use]
-    pub fn new(id: NodeId, config: RouterConfig) -> Self {
+    /// Panics if `config` is outside the limits documented on
+    /// [`RouterConfig`].
+    pub(crate) fn new(nodes: usize, config: RouterConfig) -> Self {
         assert!(
-            config.vcs * 5 <= 64,
-            "at most 12 VCs per port supported (got {})",
+            (1..=12).contains(&config.vcs),
+            "between 1 and 12 VCs per port supported (got {})",
             config.vcs
         );
-        let slots = 5 * config.vcs;
-        // Placeholder entries fill the slab so the ring indices are always
-        // in bounds without unsafe; a slot's live region is exactly
-        // `head .. head + len` (mod depth).
-        let placeholder = (
-            Flit {
-                kind: FlitKind::Body,
-                packet_id: 0,
-                dst: NodeId(0),
-                packet: None,
-                injected_at: 0,
-                slot: Flit::NO_SLOT,
-            },
-            0u64,
+        assert!(
+            (1..=255).contains(&config.buffer_depth),
+            "buffer depth must be between 1 and 255 flits (got {})",
+            config.buffer_depth
         );
-        Router {
-            id,
-            config,
-            vc_state: (0..slots).map(|_| VcState::new()).collect(),
-            buf: vec![placeholder; slots * config.buffer_depth],
-            out_credits: vec![config.buffer_depth; slots],
-            out_allocated: vec![false; slots],
-            sa_rr: vec![0; 5],
-            flits_forwarded: 0,
-            packets_routed: 0,
-            buffered: 0,
-            dropping_vcs: 0,
+        let slots = 5 * config.vcs;
+        let idle = RouterCore {
             occupied: 0,
             route_req: [0; 5],
             va_pending: 0,
             pipeline_done: 0,
+            out_allocated: 0,
+            flits_forwarded: 0,
+            packets_routed: 0,
+            buffered: 0,
+            sa_rr: [0; 5],
+            dropping_vcs: 0,
+        };
+        // Placeholder entries fill the ring slab so indices are always in
+        // bounds; a slot's live region is `head .. head + len` (mod depth).
+        let placeholder = RingEntry {
+            flit: FlitHandle {
+                slot: NIL,
+                kind: FlitKind::Body,
+            },
+            arrived_at: 0,
+        };
+        Routers {
+            config,
+            slots,
+            core: vec![idle; nodes],
+            vc: vec![VcState::IDLE; nodes * slots],
+            credits: vec![config.buffer_depth as u8; nodes * slots],
+            ring: vec![placeholder; nodes * slots * config.buffer_depth],
         }
     }
 
-    /// This router's node id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The router's configuration.
-    #[must_use]
-    pub fn config(&self) -> &RouterConfig {
-        &self.config
-    }
-
-    /// Flat index of input-VC (or output-VC) `vc` of `port`.
+    /// Virtual channels per port.
     #[inline]
-    pub(crate) fn slot(&self, port: usize, vc: usize) -> usize {
-        port * self.config.vcs + vc
+    pub(crate) fn vcs(&self) -> usize {
+        self.config.vcs
     }
 
-    /// Whether an input VC has room for one more flit.
-    #[must_use]
-    pub fn can_accept(&self, dir: Direction, vc: usize) -> bool {
-        self.vc_has_space(self.slot(dir.index(), vc))
-    }
-
-    /// Whether input-VC slot `s` has room for one more flit.
+    /// Input-VC slots per router (`5 * vcs`).
     #[inline]
-    pub(crate) fn vc_has_space(&self, s: usize) -> bool {
-        (self.vc_state[s].len as usize) < self.config.buffer_depth
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
     }
 
-    /// Buffered flit count of input-VC slot `s`. Only the debug-build
-    /// invariant auditor reads it; release builds compile it out.
+    /// Control record of slot `s` of router `r`.
     #[inline]
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub(crate) fn vc_len(&self, s: usize) -> usize {
-        self.vc_state[s].len as usize
+    pub(crate) fn vc(&self, r: usize, s: usize) -> &VcState {
+        &self.vc[r * self.slots + s]
     }
 
-    /// The flit at the front of input-VC slot `s`, if any.
+    /// Whether slot `s` of router `r` has room for one more flit.
     #[inline]
-    pub(crate) fn vc_front(&self, s: usize) -> Option<&Flit> {
-        let st = &self.vc_state[s];
-        if st.len == 0 {
-            return None;
-        }
-        let depth = self.config.buffer_depth;
-        Some(&self.buf[s * depth + st.head as usize].0)
+    pub(crate) fn has_space(&self, r: usize, s: usize) -> bool {
+        (self.vc(r, s).len as usize) < self.config.buffer_depth
     }
 
-    /// Mutable front flit of input-VC slot `s` (the inspection hook
-    /// rewrites packet headers in place).
+    /// The ring entry at the front of slot `s` of router `r`, if any.
     #[inline]
-    pub(crate) fn vc_front_mut(&mut self, s: usize) -> Option<&mut Flit> {
-        let st = &self.vc_state[s];
-        if st.len == 0 {
-            return None;
-        }
-        let depth = self.config.buffer_depth;
-        Some(&mut self.buf[s * depth + st.head as usize].0)
+    pub(crate) fn front(&self, r: usize, s: usize) -> Option<&RingEntry> {
+        let vi = r * self.slots + s;
+        let st = &self.vc[vi];
+        (st.len > 0).then(|| &self.ring[vi * self.config.buffer_depth + st.head as usize])
     }
 
-    /// Cycle at which the front flit of input-VC slot `s` entered its
-    /// buffer.
+    /// Index into the credit slab of downstream VC `vc` behind output port
+    /// `od` of router `r` — what a deferred credit return carries.
     #[inline]
-    pub(crate) fn vc_front_arrived_at(&self, s: usize) -> Option<u64> {
-        let st = &self.vc_state[s];
-        if st.len == 0 {
-            return None;
-        }
-        let depth = self.config.buffer_depth;
-        Some(self.buf[s * depth + st.head as usize].1)
+    pub(crate) fn credit_index(&self, r: usize, od: usize, vc: usize) -> u32 {
+        (r * self.slots + od * self.config.vcs + vc) as u32
     }
 
-    /// Total buffered flits across all input VCs (used by congestion-aware
-    /// diagnostics, the network's active-set bookkeeping and tests).
-    ///
-    /// An O(1) counter read; debug builds cross-check it against a full
-    /// rescan of all 5 × `vcs` buffers so any drift in the incremental
-    /// accounting fails loudly.
-    #[must_use]
-    pub fn buffered_flits(&self) -> usize {
-        debug_assert_eq!(
-            self.buffered,
-            self.vc_state
-                .iter()
-                .map(|st| st.len as usize)
-                .sum::<usize>(),
-            "incremental flit counter drifted from buffer contents"
-        );
-        self.buffered
-    }
-
-    /// Whether the router holds no flits at all. O(1).
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.buffered_flits() == 0
-    }
-
-    /// Pushes an arriving flit into input-VC slot `s`, keeping the
-    /// incremental flit counter in sync. All buffer writes must go through
-    /// here (or the counter drifts).
+    /// Returns one credit to the downstream VC named by
+    /// [`Routers::credit_index`].
     #[inline]
-    pub(crate) fn push_flit(&mut self, s: usize, flit: Flit, now: u64) {
-        let depth = self.config.buffer_depth;
-        let st = &mut self.vc_state[s];
+    pub(crate) fn return_credit(&mut self, index: u32) {
+        let c = &mut self.credits[index as usize];
+        *c += 1;
+        debug_assert!(*c as usize <= self.config.buffer_depth, "credit overflow");
+    }
+
+    /// Free credits router `r` holds for downstream VC `vc` behind `od`.
+    #[inline]
+    pub(crate) fn credit(&self, r: usize, od: usize, vc: usize) -> usize {
+        usize::from(self.credits[r * self.slots + od * self.config.vcs + vc])
+    }
+
+    /// Pushes an arriving flit into slot `s` of router `r` and returns the
+    /// slot's new occupancy. All buffer writes go through here (or the
+    /// counter and the occupancy mask drift).
+    #[inline]
+    pub(crate) fn push_flit(&mut self, r: usize, s: usize, flit: FlitHandle, now: u64) -> usize {
+        let vi = r * self.slots + s;
+        let st = &mut self.vc[vi];
         debug_assert!(
-            (st.len as usize) < depth,
+            (st.len as usize) < self.config.buffer_depth,
             "credit protocol violated: VC overrun"
         );
-        let idx = s * depth + (st.head as usize + st.len as usize) % depth;
+        let mut at = st.head as usize + st.len as usize;
+        if at >= self.config.buffer_depth {
+            at -= self.config.buffer_depth;
+        }
         st.len += 1;
-        self.buf[idx] = (flit, now);
-        self.buffered += 1;
-        self.occupied |= 1 << s;
+        let occupancy = st.len as usize;
+        self.ring[vi * self.config.buffer_depth + at] = RingEntry {
+            flit,
+            arrived_at: now,
+        };
+        let core = &mut self.core[r];
+        core.buffered += 1;
+        core.occupied |= 1 << s;
+        occupancy
     }
 
-    /// Pops the head flit of input-VC slot `s`, keeping the incremental
-    /// flit and dropping-VC counters in sync. A tail pop clears the VC's
-    /// per-packet pipeline state (route, out VC, inspected, dropping).
+    /// Pops the front flit of slot `s` of router `r`. A tail pop clears the
+    /// VC's per-packet pipeline state (route, out VC, inspected, dropping)
+    /// and retires the slot from every request mask.
     #[inline]
-    pub(crate) fn pop_flit(&mut self, s: usize) -> Option<Flit> {
-        let depth = self.config.buffer_depth;
-        let st = &mut self.vc_state[s];
+    pub(crate) fn pop_flit(&mut self, r: usize, s: usize) -> Option<FlitHandle> {
+        let vi = r * self.slots + s;
+        let st = &mut self.vc[vi];
         if st.len == 0 {
             return None;
         }
-        let (flit, _) = self.buf[s * depth + st.head as usize];
-        st.head = (st.head + 1) % depth as u32;
+        let flit = self.ring[vi * self.config.buffer_depth + st.head as usize].flit;
+        st.head = if st.head as usize + 1 == self.config.buffer_depth {
+            0
+        } else {
+            st.head + 1
+        };
         st.len -= 1;
+        let core = &mut self.core[r];
+        let bit = 1u64 << s;
         if st.len == 0 {
-            self.occupied &= !(1 << s);
+            core.occupied &= !bit;
         }
         if flit.kind.is_tail() {
-            let was_dropping = st.dropping;
             if let Some(dir) = st.route {
-                self.route_req[dir.index()] &= !(1 << s);
+                core.route_req[dir.index()] &= !bit;
             }
-            self.va_pending &= !(1 << s);
-            self.pipeline_done &= !(1 << s);
+            core.va_pending &= !bit;
+            core.pipeline_done &= !bit;
+            if st.dropping {
+                core.dropping_vcs -= 1;
+            }
             st.clear_packet_state();
-            if was_dropping {
-                self.dropping_vcs -= 1;
-            }
         }
-        self.buffered -= 1;
+        core.buffered -= 1;
         Some(flit)
     }
 
-    /// Bitmask of input-VC slots (`port * vcs + vc`) holding flits; debug
-    /// builds cross-check it against the buffers.
+    /// Marks slot `s` of router `r` as sinking a dropped packet (its head
+    /// was inspected; no route is ever computed for it). Idempotent.
     #[inline]
-    pub(crate) fn occupied_slots(&self) -> u64 {
-        #[cfg(debug_assertions)]
-        {
-            let mut rescan = 0u64;
-            for (s, st) in self.vc_state.iter().enumerate() {
-                if st.len > 0 {
-                    rescan |= 1 << s;
-                }
-            }
-            debug_assert_eq!(self.occupied, rescan, "occupancy mask drifted");
-        }
-        self.occupied
-    }
-
-    /// Marks input-VC slot `s` as sinking a dropped packet. Idempotent.
-    #[inline]
-    pub(crate) fn mark_dropping(&mut self, s: usize) {
-        let st = &mut self.vc_state[s];
+    pub(crate) fn mark_dropping(&mut self, r: usize, s: usize) {
+        let st = &mut self.vc[r * self.slots + s];
+        st.inspected = true;
+        let core = &mut self.core[r];
         if !st.dropping {
             st.dropping = true;
-            self.dropping_vcs += 1;
+            core.dropping_vcs += 1;
         }
-        self.pipeline_done |= 1 << s;
+        core.pipeline_done |= 1 << s;
     }
 
-    /// Records routing computation's decision for the packet in slot `s`,
-    /// keeping the switch-request / VC-allocation masks in sync. All route
-    /// assignments must go through here (or the masks drift).
+    /// Records routing computation's decision for the (inspected) packet in
+    /// slot `s` of router `r`, keeping the switch-request / VC-allocation
+    /// masks in sync. All route assignments go through here.
     #[inline]
-    pub(crate) fn set_route(&mut self, s: usize, dir: Direction) {
-        self.vc_state[s].route = Some(dir);
+    pub(crate) fn set_route(&mut self, r: usize, s: usize, dir: Direction) {
+        let st = &mut self.vc[r * self.slots + s];
+        st.route = Some(dir);
+        st.inspected = true;
+        let core = &mut self.core[r];
         let bit = 1u64 << s;
-        self.route_req[dir.index()] |= bit;
-        self.pipeline_done |= bit;
+        core.route_req[dir.index()] |= bit;
+        core.pipeline_done |= bit;
         if dir != Direction::Local {
-            self.va_pending |= bit;
+            core.va_pending |= bit;
         }
+        core.packets_routed += 1;
     }
 
     /// Records VC allocation's grant of downstream VC `out_vc` to the packet
-    /// in slot `s`, marking the downstream VC allocated and retiring the
-    /// slot from the VA-pending mask.
+    /// in slot `s` of router `r`.
     #[inline]
-    pub(crate) fn grant_out_vc(&mut self, s: usize, out_vc: usize) {
-        let od = self.vc_state[s]
+    pub(crate) fn grant_out_vc(&mut self, r: usize, s: usize, out_vc: usize) {
+        let st = &mut self.vc[r * self.slots + s];
+        let od = st
             .route
             .expect("VA grant requires a computed route")
             .index();
-        self.out_allocated[od * self.config.vcs + out_vc] = true;
-        self.vc_state[s].out_vc = Some(out_vc);
-        self.va_pending &= !(1u64 << s);
+        st.out_vc = Some(out_vc as u8);
+        let core = &mut self.core[r];
+        core.out_allocated |= 1 << (od * self.config.vcs + out_vc);
+        core.va_pending &= !(1u64 << s);
     }
 
-    /// Occupied slots requesting output port `od` — switch allocation's
-    /// candidate set for that port.
+    /// Occupied slots of router `r` that may cross the switch towards
+    /// output port `od`: routed there and, for a mesh port, already holding
+    /// a downstream VC (a VA-pending slot can never be granted).
     #[inline]
-    pub(crate) fn switch_requests(&self, od: usize) -> u64 {
-        self.occupied_slots() & self.route_req[od]
+    pub(crate) fn switch_requests(&self, r: usize, od: usize) -> u64 {
+        let core = &self.core[r];
+        core.occupied & core.route_req[od] & !core.va_pending
     }
 
     /// Occupied slots with a non-local route still awaiting a downstream
     /// VC — VC allocation's candidate set.
     #[inline]
-    pub(crate) fn va_pending_slots(&self) -> u64 {
-        self.occupied_slots() & self.va_pending
+    pub(crate) fn va_pending_slots(&self, r: usize) -> u64 {
+        let core = &self.core[r];
+        core.occupied & core.va_pending
     }
 
     /// Occupied slots whose front packet still needs routing computation
     /// (no route yet, not being sunk).
     #[inline]
-    pub(crate) fn unrouted_slots(&self) -> u64 {
-        self.occupied_slots() & !self.pipeline_done
+    pub(crate) fn unrouted_slots(&self, r: usize) -> u64 {
+        let core = &self.core[r];
+        core.occupied & !core.pipeline_done
     }
 
-    /// Rebuilds the pipeline-stage masks from `vc_state` and asserts they
-    /// match the incrementally maintained ones (debug-build audit).
-    #[cfg(debug_assertions)]
-    pub(crate) fn debug_masks_consistent(&self) {
+    /// Switch allocation for output port `od` of router `r`: round-robin
+    /// over the requesting slots `req` — slots `>= sa_rr[od]` ascending,
+    /// then the wrap-around below it, the same visit order as the dense
+    /// `(start + off) % slots` scan minus the slots it could never have
+    /// granted. A candidate is skipped while its downstream VC has no
+    /// credit (checked first: one byte next to the masks) or its front flit
+    /// arrived this very cycle (a flit spends at least one full cycle
+    /// buffered — the two-cycle router floor).
+    #[inline]
+    pub(crate) fn arbitrate(&self, r: usize, od: usize, req: u64, now: u64) -> Option<usize> {
+        let base = r * self.slots;
+        let low = (1u64 << self.core[r].sa_rr[od]) - 1;
+        BitsIter(req & !low).chain(BitsIter(req & low)).find(|&s| {
+            let st = &self.vc[base + s];
+            debug_assert!(st.len > 0, "occupied slot holds no flit");
+            debug_assert_eq!(
+                st.route.map(Direction::index),
+                Some(od),
+                "request mask drifted"
+            );
+            if od != LOCAL {
+                let ovc = st.out_vc.expect("switch requests exclude VA-pending slots");
+                if self.credits[base + od * self.config.vcs + usize::from(ovc)] == 0 {
+                    return false;
+                }
+            }
+            self.ring[(base + s) * self.config.buffer_depth + st.head as usize].arrived_at != now
+        })
+    }
+
+    /// Crosses the flit at the front of the granted slot `s` of router `r`
+    /// over the switch to output port `od`: advances the RR pointer past
+    /// `s` by `bump`, pops the flit and, for a mesh port, spends one credit
+    /// of the packet's downstream VC (released for reallocation when the
+    /// tail leaves). Returns the flit and that downstream VC.
+    #[inline]
+    pub(crate) fn cross_switch(
+        &mut self,
+        r: usize,
+        od: usize,
+        s: usize,
+        bump: usize,
+    ) -> (FlitHandle, Option<u8>) {
+        let out_vc = self.vc[r * self.slots + s].out_vc;
+        let flit = self.pop_flit(r, s).expect("granted VC nonempty");
+        let core = &mut self.core[r];
+        core.sa_rr[od] = ((s + bump) % self.slots) as u8;
+        core.flits_forwarded += 1;
+        if od != LOCAL {
+            let o = od * self.config.vcs
+                + usize::from(out_vc.expect("non-local ST requires an allocated VC"));
+            self.credits[r * self.slots + o] -= 1;
+            if flit.kind.is_tail() {
+                core.out_allocated &= !(1u64 << o);
+            }
+        }
+        (flit, out_vc)
+    }
+
+    /// Lowest-index idle local-input VC of router `r` (empty, with no
+    /// residual route) — the injection stage's VC selection for a new
+    /// packet's head flit.
+    #[inline]
+    pub(crate) fn free_injection_vc(&self, r: usize) -> Option<usize> {
+        let base = r * self.slots + LOCAL * self.config.vcs;
+        self.vc[base..base + self.config.vcs]
+            .iter()
+            .position(|st| st.len == 0 && st.route.is_none())
+    }
+
+    /// Finds a free downstream VC on output port `od` of router `r`,
+    /// preferring lower indices.
+    #[inline]
+    pub(crate) fn free_out_vc(&self, r: usize, od: usize) -> Option<usize> {
+        let free = !(self.core[r].out_allocated >> (od * self.config.vcs))
+            & ((1u64 << self.config.vcs) - 1);
+        (free != 0).then(|| free.trailing_zeros() as usize)
+    }
+
+    /// Free credit count on an output port of router `r`, summed over VCs.
+    /// Adaptive routing uses this as its congestion estimate.
+    #[inline]
+    pub(crate) fn output_credits(&self, r: usize, dir: Direction) -> usize {
+        let base = r * self.slots + dir.index() * self.config.vcs;
+        self.credits[base..base + self.config.vcs]
+            .iter()
+            .map(|&c| usize::from(c))
+            .sum()
+    }
+
+    /// Debug-build audit of router `r`: rebuilds every incrementally
+    /// maintained mask and counter from the per-VC records and asserts they
+    /// match.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn debug_consistent(&self, r: usize) {
+        let core = &self.core[r];
+        let mut occupied = 0u64;
         let mut req = [0u64; 5];
         let mut va = 0u64;
         let mut done = 0u64;
-        for (s, st) in self.vc_state.iter().enumerate() {
+        let mut buffered = 0u32;
+        let mut dropping = 0u8;
+        for s in 0..self.slots {
+            let st = self.vc(r, s);
+            buffered += u32::from(st.len);
+            if st.len > 0 {
+                occupied |= 1 << s;
+            }
             if let Some(dir) = st.route {
                 req[dir.index()] |= 1 << s;
                 done |= 1 << s;
@@ -412,45 +491,78 @@ impl Router {
             }
             if st.dropping {
                 done |= 1 << s;
+                dropping += 1;
             }
         }
-        assert_eq!(self.route_req, req, "switch-request masks drifted");
-        assert_eq!(self.va_pending, va, "VA-pending mask drifted");
-        assert_eq!(self.pipeline_done, done, "pipeline-done mask drifted");
+        assert_eq!(core.occupied, occupied, "occupancy mask drifted");
+        assert_eq!(core.route_req, req, "switch-request masks drifted");
+        assert_eq!(core.va_pending, va, "VA-pending mask drifted");
+        assert_eq!(core.pipeline_done, done, "pipeline-done mask drifted");
+        assert_eq!(core.buffered, buffered, "flit counter drifted");
+        assert_eq!(core.dropping_vcs, dropping, "dropping-VC counter drifted");
+    }
+}
+
+/// Read-only view of one mesh router: five input ports (N/S/E/W/Local)
+/// with per-port virtual channels, plus credit state for each output
+/// port's downstream buffers.
+///
+/// A router is a passive state container; the cycle-by-cycle pipeline
+/// (buffer write → routing computation → VC/switch allocation → switch
+/// traversal) is driven by [`crate::Network::step`], which models a
+/// two-cycle router and one-cycle links (Table I). The state itself lives
+/// in mesh-wide slabs owned by the network; [`crate::Network::router`]
+/// hands out this view for diagnostics and tests.
+#[derive(Clone, Copy)]
+pub struct Router<'a> {
+    routers: &'a Routers,
+    store: &'a PacketStore,
+    index: usize,
+}
+
+impl<'a> Router<'a> {
+    pub(crate) fn new(routers: &'a Routers, store: &'a PacketStore, index: usize) -> Self {
+        assert!(
+            index < routers.core.len(),
+            "router {index} outside the mesh"
+        );
+        Router {
+            routers,
+            store,
+            index,
+        }
     }
 
-    /// Whether any input VC is currently sinking a dropped packet. Gates
-    /// the switch stage's drop-sink scan.
-    #[inline]
-    pub(crate) fn has_dropping(&self) -> bool {
-        self.dropping_vcs > 0
-    }
-
-    /// Lowest-index idle local-input VC (empty, with no residual route) —
-    /// the injection stage's VC selection for a new packet's head flit.
-    #[inline]
-    pub(crate) fn free_injection_vc(&self) -> Option<usize> {
-        let base = Direction::Local.index() * self.config.vcs;
-        (0..self.config.vcs).find(|&v| {
-            let st = &self.vc_state[base + v];
-            st.len == 0 && st.route.is_none()
-        })
-    }
-
-    /// Finds a free downstream VC on output port `od`, preferring lower
-    /// indices.
-    #[inline]
-    pub(crate) fn free_out_vc(&self, od: usize) -> Option<usize> {
-        let base = od * self.config.vcs;
-        (0..self.config.vcs).find(|&v| !self.out_allocated[base + v])
-    }
-
-    /// Free credit count on an output port, summed over VCs. Adaptive
-    /// routing uses this as its congestion estimate.
+    /// This router's node id.
     #[must_use]
-    pub(crate) fn output_credits(&self, dir: Direction) -> usize {
-        let base = dir.index() * self.config.vcs;
-        self.out_credits[base..base + self.config.vcs].iter().sum()
+    pub fn id(&self) -> NodeId {
+        NodeId(self.index as u16)
+    }
+
+    /// The router's configuration.
+    #[must_use]
+    pub fn config(&self) -> &RouterConfig {
+        &self.routers.config
+    }
+
+    /// Whether an input VC has room for one more flit.
+    #[must_use]
+    pub fn can_accept(&self, dir: Direction, vc: usize) -> bool {
+        assert!(vc < self.routers.config.vcs);
+        self.routers
+            .has_space(self.index, dir.index() * self.routers.config.vcs + vc)
+    }
+
+    /// Total buffered flits across all input VCs. O(1).
+    #[must_use]
+    pub fn buffered_flits(&self) -> usize {
+        self.routers.core[self.index].buffered as usize
+    }
+
+    /// Whether the router holds no flits at all. O(1).
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.buffered_flits() == 0
     }
 
     /// Snapshot of one input VC's observable state (diagnostics; see
@@ -461,15 +573,16 @@ impl Router {
     /// Panics if `in_port >= 5` or `vc >= config.vcs`.
     #[must_use]
     pub fn vc_snapshot(&self, in_port: usize, vc: usize) -> VcSnapshot {
-        assert!(in_port < 5 && vc < self.config.vcs);
-        let s = self.slot(in_port, vc);
-        let st = &self.vc_state[s];
+        assert!(in_port < 5 && vc < self.routers.config.vcs);
+        let s = in_port * self.routers.config.vcs + vc;
+        let st = self.routers.vc(self.index, s);
+        let front = self.routers.front(self.index, s);
         VcSnapshot {
             occupancy: st.len as usize,
-            front_packet: self.vc_front(s).map(|f| f.packet_id),
-            front_arrived_at: self.vc_front_arrived_at(s),
+            front_packet: front.map(|e| self.store.packet_id(e.flit.slot)),
+            front_arrived_at: front.map(|e| e.arrived_at),
             route: st.route,
-            out_vc: st.out_vc,
+            out_vc: st.out_vc.map(usize::from),
             inspected: st.inspected,
             dropping: st.dropping,
         }
@@ -478,27 +591,41 @@ impl Router {
     /// Free credits this router holds for one downstream VC (diagnostics).
     #[must_use]
     pub fn output_credit(&self, dir: Direction, vc: usize) -> usize {
-        self.out_credits[self.slot(dir.index(), vc)]
+        assert!(vc < self.routers.config.vcs);
+        self.routers.credit(self.index, dir.index(), vc)
     }
 
     /// Whether a downstream VC is currently allocated to a packet
     /// (diagnostics).
     #[must_use]
     pub fn output_allocated(&self, dir: Direction, vc: usize) -> bool {
-        self.out_allocated[self.slot(dir.index(), vc)]
+        assert!(vc < self.routers.config.vcs);
+        self.routers.core[self.index].out_allocated >> (dir.index() * self.routers.config.vcs + vc)
+            & 1
+            == 1
     }
 
     /// Flits this router has pushed through its crossbar so far — a
     /// utilization measure for congestion heatmaps.
     #[must_use]
     pub fn flits_forwarded(&self) -> u64 {
-        self.flits_forwarded
+        self.routers.core[self.index].flits_forwarded
     }
 
-    /// Packet headers that ran routing computation here.
+    /// Packet headers that ran routing computation here (= packets that
+    /// transited or terminated at this router).
     #[must_use]
     pub fn packets_routed(&self) -> u64 {
-        self.packets_routed
+        self.routers.core[self.index].packets_routed
+    }
+}
+
+impl std::fmt::Debug for Router<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Router")
+            .field("id", &self.id())
+            .field("core", &self.routers.core[self.index])
+            .finish_non_exhaustive()
     }
 }
 
@@ -507,49 +634,63 @@ mod tests {
     use super::*;
     use crate::packet::{Packet, PacketKind};
 
-    fn data_flits() -> Vec<Flit> {
-        Flit::packetize(Packet::new(NodeId(0), NodeId(1), PacketKind::Data, 7), 1, 0)
+    /// A one-router slab plus a store holding one 5-flit data packet.
+    fn rig(config: RouterConfig) -> (Routers, PacketStore, Vec<FlitHandle>) {
+        let mut store = PacketStore::new();
+        let p = Packet::new(NodeId(0), NodeId(1), PacketKind::Data, 7);
+        let slot = store.alloc(p, 1, 0);
+        let n = p.flit_count();
+        let flits = (0..n)
+            .map(|i| FlitHandle {
+                slot,
+                kind: FlitKind::nth(i, n),
+            })
+            .collect();
+        (Routers::new(1, config), store, flits)
+    }
+
+    fn slot(r: &Routers, dir: Direction, vc: usize) -> usize {
+        dir.index() * r.vcs() + vc
     }
 
     #[test]
     fn flit_counter_tracks_push_and_pop() {
-        let mut r = Router::new(NodeId(0), RouterConfig::default());
-        let s = r.slot(Direction::North.index(), 2);
-        let flits = data_flits();
+        let (mut r, store, flits) = rig(RouterConfig::default());
+        let s = slot(&r, Direction::North, 2);
         let n = flits.len();
         for (i, f) in flits.into_iter().enumerate() {
-            r.push_flit(s, f, i as u64);
-            assert_eq!(r.buffered_flits(), i + 1);
+            assert_eq!(r.push_flit(0, s, f, i as u64), i + 1);
+            assert_eq!(Router::new(&r, &store, 0).buffered_flits(), i + 1);
         }
-        assert!(!r.is_idle());
+        assert!(!Router::new(&r, &store, 0).is_idle());
         for i in (0..n).rev() {
-            assert!(r.pop_flit(s).is_some());
-            assert_eq!(r.buffered_flits(), i);
+            assert!(r.pop_flit(0, s).is_some());
+            assert_eq!(Router::new(&r, &store, 0).buffered_flits(), i);
+            r.debug_consistent(0);
         }
-        assert!(r.is_idle());
-        assert!(r.pop_flit(s).is_none());
-        assert_eq!(r.buffered_flits(), 0);
+        assert!(Router::new(&r, &store, 0).is_idle());
+        assert!(r.pop_flit(0, s).is_none());
+        assert_eq!(Router::new(&r, &store, 0).buffered_flits(), 0);
     }
 
     #[test]
     fn ring_preserves_fifo_order_and_arrival_stamps() {
-        let mut r = Router::new(NodeId(0), RouterConfig::default());
-        let s = r.slot(Direction::East.index(), 1);
+        let (mut r, _store, flits) = rig(RouterConfig::default());
+        let s = slot(&r, Direction::East, 1);
         // Fill, drain two, refill: the ring wraps across the slice edge.
-        for (i, f) in data_flits().into_iter().enumerate() {
-            assert!(r.vc_has_space(s));
-            r.push_flit(s, f, 10 + i as u64);
+        for (i, f) in flits.iter().enumerate() {
+            assert!(r.has_space(0, s));
+            r.push_flit(0, s, *f, 10 + i as u64);
         }
-        assert!(!r.vc_has_space(s));
-        assert_eq!(r.vc_front_arrived_at(s), Some(10));
-        assert_eq!(r.vc_front(s).map(|f| f.kind), Some(FlitKind::Head));
-        assert!(r.pop_flit(s).is_some());
-        assert_eq!(r.vc_front_arrived_at(s), Some(11));
-        assert!(r.pop_flit(s).is_some());
-        let refill = data_flits();
-        r.push_flit(s, refill[0], 20);
-        r.push_flit(s, refill[1], 21);
-        let kinds: Vec<FlitKind> = std::iter::from_fn(|| r.pop_flit(s))
+        assert!(!r.has_space(0, s));
+        assert_eq!(r.front(0, s).map(|e| e.arrived_at), Some(10));
+        assert_eq!(r.front(0, s).map(|e| e.flit.kind), Some(FlitKind::Head));
+        assert!(r.pop_flit(0, s).is_some());
+        assert_eq!(r.front(0, s).map(|e| e.arrived_at), Some(11));
+        assert!(r.pop_flit(0, s).is_some());
+        r.push_flit(0, s, flits[0], 20);
+        r.push_flit(0, s, flits[1], 21);
+        let kinds: Vec<FlitKind> = std::iter::from_fn(|| r.pop_flit(0, s))
             .map(|f| f.kind)
             .collect();
         assert_eq!(
@@ -566,64 +707,98 @@ mod tests {
 
     #[test]
     fn tail_pop_clears_route_state() {
-        let mut r = Router::new(NodeId(0), RouterConfig::default());
-        let s = r.slot(Direction::North.index(), 0);
-        for f in data_flits() {
-            r.push_flit(s, f, 0);
+        let (mut r, _store, flits) = rig(RouterConfig::default());
+        let s = slot(&r, Direction::North, 0);
+        for f in flits {
+            r.push_flit(0, s, f, 0);
         }
-        r.vc_state[s].route = Some(Direction::East);
-        r.vc_state[s].out_vc = Some(2);
-        r.vc_state[s].inspected = true;
+        r.set_route(0, s, Direction::East);
+        assert_eq!(r.va_pending_slots(0), 1 << s);
+        assert_eq!(r.switch_requests(0, Direction::East.index()), 0);
+        r.grant_out_vc(0, s, 2);
+        assert_eq!(r.switch_requests(0, Direction::East.index()), 1 << s);
         for _ in 0..4 {
-            r.pop_flit(s);
-            assert_eq!(r.vc_state[s].route, Some(Direction::East));
+            r.pop_flit(0, s);
+            assert_eq!(r.vc(0, s).route, Some(Direction::East));
         }
-        let tail = r.pop_flit(s).unwrap();
+        let tail = r.pop_flit(0, s).unwrap();
         assert_eq!(tail.kind, FlitKind::Tail);
-        assert_eq!(r.vc_state[s].route, None);
-        assert_eq!(r.vc_state[s].out_vc, None);
-        assert!(!r.vc_state[s].inspected);
+        assert_eq!(r.vc(0, s).route, None);
+        assert_eq!(r.vc(0, s).out_vc, None);
+        assert!(!r.vc(0, s).inspected);
+        assert_eq!(r.core[0].route_req, [0; 5]);
+        r.debug_consistent(0);
     }
 
     #[test]
     fn dropping_counter_clears_on_tail_pop() {
-        let mut r = Router::new(NodeId(0), RouterConfig::default());
-        let s = r.slot(Direction::East.index(), 0);
-        let flits = data_flits();
+        let (mut r, store, flits) = rig(RouterConfig::default());
+        let s = slot(&r, Direction::East, 0);
         let n = flits.len();
         for f in flits {
-            r.push_flit(s, f, 0);
+            r.push_flit(0, s, f, 0);
         }
-        assert!(!r.has_dropping());
-        r.mark_dropping(s);
-        r.mark_dropping(s); // idempotent
-        assert!(r.has_dropping());
+        assert_eq!(r.core[0].dropping_vcs, 0);
+        r.mark_dropping(0, s);
+        r.mark_dropping(0, s); // idempotent
+        assert_eq!(r.core[0].dropping_vcs, 1);
+        assert_eq!(r.unrouted_slots(0), 0);
         for _ in 0..n - 1 {
-            r.pop_flit(s);
-            assert!(r.has_dropping());
+            r.pop_flit(0, s);
+            assert_eq!(r.core[0].dropping_vcs, 1);
         }
-        r.pop_flit(s); // tail clears the flag
-        assert!(!r.has_dropping());
-        assert!(r.is_idle());
+        r.pop_flit(0, s); // tail clears the flag
+        assert_eq!(r.core[0].dropping_vcs, 0);
+        assert!(Router::new(&r, &store, 0).is_idle());
     }
 
     #[test]
     fn output_port_free_vc_prefers_lowest() {
-        let mut r = Router::new(NodeId(0), RouterConfig::default());
+        let (mut r, store, flits) = rig(RouterConfig::default());
         let od = Direction::South.index();
-        assert_eq!(r.free_out_vc(od), Some(0));
-        for vc in [0, 1] {
-            let s = r.slot(od, vc);
-            r.out_allocated[s] = true;
-        }
-        assert_eq!(r.free_out_vc(od), Some(2));
+        assert_eq!(r.free_out_vc(0, od), Some(0));
+        // Four packets routed south, one per local VC, granted in turn.
         for vc in 0..4 {
-            let s = r.slot(od, vc);
-            r.out_allocated[s] = true;
+            let s = slot(&r, Direction::Local, vc);
+            r.push_flit(0, s, flits[0], 0);
+            r.set_route(0, s, Direction::South);
+            let free = r.free_out_vc(0, od);
+            assert_eq!(free, Some(vc));
+            r.grant_out_vc(0, s, vc);
+            assert!(Router::new(&r, &store, 0).output_allocated(Direction::South, vc));
         }
-        assert_eq!(r.free_out_vc(od), None);
+        assert_eq!(r.free_out_vc(0, od), None);
         // Other ports are unaffected by this port's allocations.
-        assert_eq!(r.free_out_vc(Direction::North.index()), Some(0));
+        assert_eq!(r.free_out_vc(0, Direction::North.index()), Some(0));
+        assert_eq!(r.free_out_vc(0, Direction::Local.index()), Some(0));
+    }
+
+    #[test]
+    fn arbitration_is_round_robin_and_honours_credits_and_arrival() {
+        let (mut r, _store, flits) = rig(RouterConfig::default());
+        let od = Direction::East.index();
+        let (a, b) = (slot(&r, Direction::North, 1), slot(&r, Direction::West, 3));
+        for (s, ovc) in [(a, 0), (b, 1)] {
+            r.push_flit(0, s, flits[0], 5);
+            r.set_route(0, s, Direction::East);
+            r.grant_out_vc(0, s, ovc);
+        }
+        let req = r.switch_requests(0, od);
+        assert_eq!(req, (1 << a) | (1 << b));
+        assert_eq!(r.arbitrate(0, od, req, 5), None, "arrived this cycle");
+        assert_eq!(r.arbitrate(0, od, req, 6), Some(a));
+        let (flit, out_vc) = r.cross_switch(0, od, a, 1);
+        assert_eq!((flit.kind, out_vc), (FlitKind::Head, Some(0)));
+        assert_eq!(r.credit(0, od, 0), 4);
+        assert_eq!(r.core[0].sa_rr[od] as usize, a + 1);
+        // Starve b's downstream VC of credits: it can no longer win.
+        let req = r.switch_requests(0, od);
+        for _ in 0..5 {
+            r.credits[od * 4 + 1] -= 1;
+        }
+        assert_eq!(r.arbitrate(0, od, req, 6), None);
+        r.return_credit(r.credit_index(0, od, 1));
+        assert_eq!(r.arbitrate(0, od, req, 6), Some(b));
     }
 
     #[test]
@@ -635,16 +810,38 @@ mod tests {
 
     #[test]
     fn new_router_is_idle_with_full_credits() {
-        let r = Router::new(NodeId(3), RouterConfig::default());
-        assert!(r.is_idle());
-        assert_eq!(r.buffered_flits(), 0);
-        assert_eq!(r.flits_forwarded(), 0);
-        assert_eq!(r.packets_routed(), 0);
+        let (r, store, _) = rig(RouterConfig::default());
+        let view = Router::new(&r, &store, 0);
+        assert!(view.is_idle());
+        assert_eq!(view.buffered_flits(), 0);
+        assert_eq!(view.flits_forwarded(), 0);
+        assert_eq!(view.packets_routed(), 0);
         for dir in Direction::ALL {
-            assert_eq!(r.output_credits(dir), 4 * 5);
+            assert_eq!(r.output_credits(0, dir), 4 * 5);
             for vc in 0..4 {
-                assert!(r.can_accept(dir, vc));
+                assert!(view.can_accept(dir, vc));
+                assert_eq!(view.output_credit(dir, vc), 5);
+                assert!(!view.output_allocated(dir, vc));
             }
         }
+    }
+
+    #[test]
+    fn hot_state_sizes_stay_within_budget() {
+        assert!(std::mem::size_of::<RouterCore>() <= 128);
+        assert!(std::mem::size_of::<RingEntry>() <= 16);
+    }
+
+    #[test]
+    fn geometry_limits_are_asserted_at_construction() {
+        let build = |vcs, buffer_depth| {
+            std::panic::catch_unwind(|| Routers::new(1, RouterConfig { vcs, buffer_depth })).is_ok()
+        };
+        assert!(build(1, 1));
+        assert!(build(12, 255));
+        assert!(!build(13, 5));
+        assert!(!build(0, 5));
+        assert!(!build(4, 256));
+        assert!(!build(4, 0));
     }
 }

@@ -16,7 +16,7 @@
 #![cfg(not(debug_assertions))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use htpb_noc::{Mesh2d, Network, NetworkConfig, PacketKind, TrafficPattern, UniformTraffic};
 
@@ -25,11 +25,26 @@ use htpb_noc::{Mesh2d, Network, NetworkConfig, PacketKind, TrafficPattern, Unifo
 /// either, but the lock is specifically on *acquiring* heap memory).
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread, because the harness runs the tests of this file on
+    /// concurrent threads: a process-wide counter would charge one test's
+    /// warm-up allocations to the other's measured `step()`. Const-
+    /// initialised and without a destructor, so touching it from inside the
+    /// allocator never allocates and is valid for the thread's whole life.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
+
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,12 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -94,9 +109,9 @@ fn run_zero_alloc_scenario(metrics: bool) {
         for p in traffic.generate(cycle) {
             let _ = net.inject(p);
         }
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = alloc_calls();
         net.step();
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = alloc_calls();
         assert_eq!(
             after - before,
             0,

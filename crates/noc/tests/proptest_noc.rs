@@ -151,40 +151,161 @@ proptest! {
     }
 
     /// [`PacketStore`] recycling never aliases a live packet: under an
-    /// arbitrary interleaving of allocations and frees, `alloc` never hands
-    /// out a slot that a live packet still occupies, and every live slot
-    /// keeps the packet id it was allocated with.
+    /// arbitrary interleaving of allocations, frees and in-place rewrites,
+    /// `alloc` never hands out a slot that a live packet still occupies,
+    /// every live slot keeps the id, frame, hop count and tamper flag its
+    /// own packet accumulated, and a recycled slot starts from the new
+    /// packet's frame with zero hops and a clear tamper flag — never the
+    /// previous tenant's.
     #[test]
     fn packet_store_recycling_never_aliases_live_packets(
-        ops in proptest::collection::vec((any::<bool>(), any::<u32>()), 1..256),
+        ops in proptest::collection::vec((0u8..4, any::<u32>()), 1..256),
     ) {
+        // Model of one live packet: (slot, id, payload, hops, modified).
         let mut store = PacketStore::new();
-        let mut live: Vec<(u32, u64)> = Vec::new();
+        let mut live: Vec<(u32, u64, u32, u32, bool)> = Vec::new();
         let mut next_id = 0u64;
-        for (do_free, pick) in ops {
-            if do_free && !live.is_empty() {
-                let idx = pick as usize % live.len();
-                let (slot, id) = live.swap_remove(idx);
-                prop_assert_eq!(store.packet_id(slot), id);
-                store.free(slot);
-                prop_assert!(!store.is_live(slot));
-            } else {
-                let id = next_id;
-                next_id += 1;
-                let slot = store.alloc(id, id);
-                prop_assert!(
-                    live.iter().all(|&(s, _)| s != slot),
-                    "alloc returned slot {} which is still live", slot
-                );
-                prop_assert!(store.is_live(slot));
-                live.push((slot, id));
+        for (op, pick) in ops {
+            match op {
+                0 if !live.is_empty() => {
+                    let (slot, id, ..) = live.swap_remove(pick as usize % live.len());
+                    prop_assert_eq!(store.packet_id(slot), id);
+                    store.free(slot);
+                    prop_assert!(!store.is_live(slot));
+                }
+                1 if !live.is_empty() => {
+                    // An inspector rewrites the frame in place at some hop.
+                    let i = pick as usize % live.len();
+                    let entry = &mut live[i];
+                    entry.2 ^= pick | 1;
+                    entry.4 = true;
+                    store.packet_mut(entry.0).set_payload(entry.2);
+                    store.set_modified(entry.0);
+                }
+                2 if !live.is_empty() => {
+                    let i = pick as usize % live.len();
+                    let entry = &mut live[i];
+                    entry.3 += 1;
+                    store.bump_hops(entry.0);
+                }
+                _ => {
+                    let id = next_id;
+                    next_id += 1;
+                    let frame = Packet::new(NodeId(0), NodeId(1), PacketKind::Data, pick);
+                    let slot = store.alloc(frame, id, id);
+                    prop_assert!(
+                        live.iter().all(|e| e.0 != slot),
+                        "alloc returned slot {} which is still live", slot
+                    );
+                    prop_assert!(store.is_live(slot));
+                    prop_assert_eq!(*store.packet(slot), frame);
+                    prop_assert_eq!(store.hops(slot), 0);
+                    prop_assert!(!store.modified(slot));
+                    live.push((slot, id, pick, 0, false));
+                }
             }
         }
         prop_assert_eq!(store.live(), live.len());
-        for &(slot, id) in &live {
+        for &(slot, id, payload, hops, modified) in &live {
             prop_assert_eq!(store.packet_id(slot), id);
             prop_assert_eq!(store.injected_at(slot), id);
+            prop_assert_eq!(store.packet(slot).payload(), payload);
+            prop_assert_eq!(store.hops(slot), hops);
+            prop_assert_eq!(store.modified(slot), modified);
         }
+    }
+
+    /// The frame lives once, in the packet store: a payload rewritten at
+    /// hop `k` is what `DeliveredPacket.packet` carries; a packet dropped
+    /// at hop `j` is never delivered and frees its frame (the network goes
+    /// idle); and a second wave through the recycled slots is delivered
+    /// clean — right payload, right hop count, no stale tamper flag.
+    #[test]
+    fn rewritten_frames_are_delivered_and_dropped_frames_are_freed(
+        len in 3u16..=10,
+        rewrite_at in any::<u16>(),
+        drop_at in any::<u16>(),
+        mask in 1u32..=u32::MAX,
+        sends in proptest::collection::vec((any::<u16>(), arb_kind(), any::<u32>()), 1..30),
+    ) {
+        /// XORs `mask` into every payload at `rewrite_at`; drops odd
+        /// payloads at `drop_at`. Switched off for the second wave.
+        #[derive(Debug)]
+        struct RewriteAndDrop { rewrite_at: NodeId, drop_at: NodeId, mask: u32, armed: bool }
+        impl PacketInspector for RewriteAndDrop {
+            fn inspect(&mut self, router: NodeId, _cycle: u64, packet: &mut Packet) -> InspectOutcome {
+                if !self.armed {
+                    return InspectOutcome::untouched();
+                }
+                if router == self.drop_at && packet.payload() & 1 == 1 {
+                    return InspectOutcome::dropped();
+                }
+                if router == self.rewrite_at {
+                    packet.set_payload(packet.payload() ^ self.mask);
+                    return InspectOutcome::tampered();
+                }
+                InspectOutcome::untouched()
+            }
+        }
+        // A line: every packet travels west to node 0, so hop k is node
+        // `src - k` and the path is unambiguous.
+        let mesh = Mesh2d::new(len, 1).expect("valid dims");
+        let rewrite_at = NodeId(rewrite_at % len);
+        let drop_at = NodeId(drop_at % len);
+        let inspector = RewriteAndDrop { rewrite_at, drop_at, mask, armed: true };
+        let mut net = Network::with_inspector(NetworkConfig::new(mesh), inspector);
+        let mut delivered_expect = Vec::new();
+        let mut dropped_expect = 0u64;
+        for &(s, kind, payload) in &sends {
+            let src = NodeId(s % len);
+            net.inject(Packet::new(src, NodeId(0), kind, payload)).expect("inject");
+            // Walk the path the way the routers will see the packet.
+            let (mut p, mut modified, mut dropped) = (payload, false, false);
+            for node in (0..=src.0).rev().map(NodeId) {
+                if node == drop_at && p & 1 == 1 {
+                    dropped = true;
+                    break;
+                }
+                if node == rewrite_at {
+                    p ^= mask;
+                    modified = true;
+                }
+            }
+            if dropped {
+                dropped_expect += 1;
+            } else {
+                delivered_expect.push((src, p, u32::from(src.0), modified));
+            }
+        }
+        prop_assert!(net.run_until_idle(1_000_000), "a frame leaked: network never went idle");
+        prop_assert_eq!(net.stats().dropped_packets(), dropped_expect);
+        let mut got: Vec<_> = net
+            .drain_ejected()
+            .iter()
+            .map(|d| (d.packet.src(), d.packet.payload(), d.hops, d.modified))
+            .collect();
+        got.sort_unstable();
+        delivered_expect.sort_unstable();
+        prop_assert_eq!(got, delivered_expect);
+
+        // Second wave through the recycled slots, inspector disarmed.
+        net.inspector_mut().armed = false;
+        for &(s, kind, payload) in &sends {
+            net.inject(Packet::new(NodeId(s % len), NodeId(0), kind, !payload)).expect("inject");
+        }
+        prop_assert!(net.run_until_idle(1_000_000));
+        let mut got: Vec<_> = net
+            .drain_ejected()
+            .iter()
+            .map(|d| (d.packet.src(), d.packet.payload(), d.hops, d.modified))
+            .collect();
+        got.sort_unstable();
+        let mut expect: Vec<_> = sends
+            .iter()
+            .map(|&(s, _, payload)| (NodeId(s % len), !payload, u32::from(s % len), false))
+            .collect();
+        expect.sort_unstable();
+        prop_assert_eq!(got, expect);
     }
 
     /// Packet wire encoding round-trips for every representable frame.

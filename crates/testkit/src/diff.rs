@@ -4,7 +4,7 @@
 //! packets after every cycle, and localizing the first divergence down to a
 //! (cycle, router, input port, VC) tuple by diffing per-VC snapshots.
 
-use htpb_noc::{Direction, Network, NodeId, VcSnapshot};
+use htpb_noc::{Direction, Network, NetworkConfig, NodeId, RouterConfig, VcSnapshot};
 use htpb_trojan::TrojanFleet;
 
 use crate::reference::ReferenceNet;
@@ -22,6 +22,10 @@ pub struct DiffConfig {
     /// Extra lock-step cycles granted after traffic generation stops for
     /// both networks to drain in-flight packets.
     pub drain_cycles: u64,
+    /// Router geometry both networks are built with (Table I by default).
+    /// Every index into the optimized network's slabs is computed from
+    /// these two runtime values, so the conformance suite sweeps them.
+    pub router: RouterConfig,
 }
 
 impl Default for DiffConfig {
@@ -29,7 +33,15 @@ impl Default for DiffConfig {
         DiffConfig {
             rr_skew: false,
             drain_cycles: 2_000,
+            router: RouterConfig::default(),
         }
+    }
+}
+
+impl DiffConfig {
+    /// The network both sides of a run of `scenario` are built from.
+    fn network_config(&self, scenario: &Scenario) -> NetworkConfig {
+        scenario.network_config().with_router(self.router)
     }
 }
 
@@ -78,10 +90,9 @@ fn delivered_eq(a: &htpb_noc::DeliveredPacket, b: &htpb_noc::DeliveredPacket) ->
 fn localize(
     optimized: &Network<TrojanFleet>,
     reference: &ReferenceNet,
-    scenario: &Scenario,
 ) -> Option<(NodeId, usize, usize)> {
-    let vcs = scenario.network_config().router.vcs;
-    for node in scenario.mesh().iter_nodes() {
+    let vcs = optimized.router(NodeId(0)).config().vcs;
+    for node in optimized.mesh().iter_nodes() {
         for port in 0..5 {
             for vc in 0..vcs {
                 let opt: VcSnapshot = optimized.router(node).vc_snapshot(port, vc);
@@ -100,14 +111,13 @@ fn localize(
 fn compare(
     optimized: &mut Network<TrojanFleet>,
     reference: &mut ReferenceNet,
-    scenario: &Scenario,
 ) -> Option<Divergence> {
     let cycle = optimized.cycle();
     let fail = |what: String, optimized: &Network<TrojanFleet>, reference: &ReferenceNet| {
         Some(Divergence {
             cycle,
             what,
-            location: localize(optimized, reference, scenario),
+            location: localize(optimized, reference),
         })
     };
     if optimized.cycle() != reference.cycle() {
@@ -170,7 +180,7 @@ fn compare(
 /// (traffic phase plus drain), or the first [`Divergence`] otherwise.
 #[must_use]
 pub fn run_differential(scenario: &Scenario, config: &DiffConfig) -> Option<Divergence> {
-    let net_cfg = scenario.network_config();
+    let net_cfg = config.network_config(scenario);
     let mut optimized = Network::with_inspector(net_cfg.clone(), build_fleet(scenario));
     let mut reference = ReferenceNet::new(&net_cfg, Box::new(build_fleet(scenario)));
     if config.rr_skew {
@@ -194,13 +204,13 @@ pub fn run_differential(scenario: &Scenario, config: &DiffConfig) -> Option<Dive
                 return Some(Divergence {
                     cycle: optimized.cycle(),
                     what: format!("inject results differ: optimized {a:?} vs reference {b:?}"),
-                    location: localize(&optimized, &reference, scenario),
+                    location: localize(&optimized, &reference),
                 });
             }
         }
         optimized.step();
         reference.step();
-        if let Some(d) = compare(&mut optimized, &mut reference, scenario) {
+        if let Some(d) = compare(&mut optimized, &mut reference) {
             return Some(d);
         }
     }
@@ -210,7 +220,7 @@ pub fn run_differential(scenario: &Scenario, config: &DiffConfig) -> Option<Dive
         }
         optimized.step();
         reference.step();
-        if let Some(d) = compare(&mut optimized, &mut reference, scenario) {
+        if let Some(d) = compare(&mut optimized, &mut reference) {
             return Some(d);
         }
     }
@@ -223,7 +233,7 @@ pub fn run_differential(scenario: &Scenario, config: &DiffConfig) -> Option<Dive
                 optimized.is_idle(),
                 reference.is_idle()
             ),
-            location: localize(&optimized, &reference, scenario),
+            location: localize(&optimized, &reference),
         });
     }
     None
@@ -253,7 +263,7 @@ fn observe_optimized(
     config: &DiffConfig,
     metrics: bool,
 ) -> (RunObservables, u64) {
-    let mut net = Network::with_inspector(scenario.network_config(), build_fleet(scenario));
+    let mut net = Network::with_inspector(config.network_config(scenario), build_fleet(scenario));
     if metrics {
         net.enable_metrics();
     }

@@ -7,6 +7,7 @@
 //! `Cargo.toml`); lives at the repository root next to the other
 //! cross-crate suites.
 
+use htpb_noc::{RouterConfig, RoutingKind};
 use htpb_testkit::{
     run_batch, run_differential, run_metrics_identity, shrink, DiffConfig, Scenario,
 };
@@ -56,6 +57,43 @@ fn random_scenarios_agree() {
         report.failures[0].0,
         report.failures[0].1,
     );
+}
+
+/// Geometry sweep: the optimized network computes every slab index from the
+/// runtime `slots = 5 * vcs` and `buffer_depth`, so the oracle runs random
+/// scenarios at the corners of the supported range — one VC (a single mask
+/// bit per port, no VC to spare), twelve (slot 59, the top of the 64-bit
+/// masks), depth one (a ring that wraps on every push) — and in between.
+/// Single-VC cells run XY only: see docs/TESTING.md.
+#[test]
+fn geometry_sweep_agrees() {
+    // Debug steps both pipelines with every invariant audit armed; the
+    // release CI step runs the acceptance-scale grid.
+    let per_cell = if cfg!(debug_assertions) { 3 } else { 60 };
+    for (cell, (vcs, buffer_depth)) in [1, 2, 12]
+        .into_iter()
+        .flat_map(|vcs| [1, 3, 8].into_iter().map(move |depth| (vcs, depth)))
+        .enumerate()
+    {
+        let config = DiffConfig {
+            router: RouterConfig { vcs, buffer_depth },
+            // One-flit buffers move a flit every third cycle at best.
+            drain_cycles: 20_000,
+            ..DiffConfig::default()
+        };
+        for i in 0..per_cell {
+            let mut scenario = Scenario::random(0x6E0_0000 + cell as u64 * 1_000 + i);
+            if vcs == 1 {
+                scenario.routing = RoutingKind::Xy;
+            }
+            if let Some(d) = run_differential(&scenario, &config) {
+                panic!(
+                    "vcs {vcs} depth {buffer_depth}: scenario diverged: {}\n  {d}",
+                    scenario.to_spec()
+                );
+            }
+        }
+    }
 }
 
 /// Metamorphic property (PR 7's defining constraint): enabling live NoC
