@@ -41,6 +41,7 @@ use std::process::{Command, ExitCode, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use htpb_harness::cli::flag_value;
 use htpb_harness::hash::fnv1a64_parts;
 use htpb_harness::json::Value;
 use htpb_harness::{
@@ -68,41 +69,24 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<ChaosArgs, Strin
         keep: false,
     };
     let mut it = args.into_iter();
-    let number = |flag: &str, text: &str| -> Result<u64, String> {
-        text.parse()
-            .map_err(|_| format!("{flag}: invalid number `{text}`"))
-    };
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trials" => {
-                let n = it.next().ok_or("--trials requires a number")?;
-                parsed.trials = number("--trials", &n)?;
+        if let Some(v) = flag_value("--trials", &arg, &mut it) {
+            parsed.trials = v?;
+        } else if let Some(v) = flag_value("--fs-trials", &arg, &mut it) {
+            parsed.fs_trials = v?;
+        } else if let Some(v) = flag_value("--seed", &arg, &mut it) {
+            parsed.seed = v?;
+        } else {
+            match arg.as_str() {
+                "--smoke" => {
+                    parsed.trials = 8;
+                    parsed.fs_trials = 4;
+                }
+                "--tiny" => parsed.scale = ReproScale::Tiny,
+                "--quick" => parsed.scale = ReproScale::Quick,
+                "--keep" => parsed.keep = true,
+                other => return Err(format!("unknown flag `{other}`")),
             }
-            _ if arg.starts_with("--trials=") => {
-                parsed.trials = number("--trials", &arg["--trials=".len()..])?;
-            }
-            "--fs-trials" => {
-                let n = it.next().ok_or("--fs-trials requires a number")?;
-                parsed.fs_trials = number("--fs-trials", &n)?;
-            }
-            _ if arg.starts_with("--fs-trials=") => {
-                parsed.fs_trials = number("--fs-trials", &arg["--fs-trials=".len()..])?;
-            }
-            "--seed" => {
-                let n = it.next().ok_or("--seed requires a number")?;
-                parsed.seed = number("--seed", &n)?;
-            }
-            _ if arg.starts_with("--seed=") => {
-                parsed.seed = number("--seed", &arg["--seed=".len()..])?;
-            }
-            "--smoke" => {
-                parsed.trials = 8;
-                parsed.fs_trials = 4;
-            }
-            "--tiny" => parsed.scale = ReproScale::Tiny,
-            "--quick" => parsed.scale = ReproScale::Quick,
-            "--keep" => parsed.keep = true,
-            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(parsed)
@@ -219,10 +203,7 @@ fn scale_flag(scale: ReproScale) -> &'static str {
 fn recomputed_committed_jobs(events: &[Value]) -> Vec<String> {
     let mut committed: Vec<(String, i64)> = Vec::new();
     for e in events {
-        let done = matches!(
-            e.get("event").and_then(Value::as_str),
-            Some("job_done" | "job")
-        );
+        let done = e.get("event").and_then(Value::as_str) == Some("job_done");
         let ok = matches!(e.get("ok"), Some(Value::Bool(true)));
         let cached = matches!(e.get("cached"), Some(Value::Bool(true)));
         if done && ok && cached {

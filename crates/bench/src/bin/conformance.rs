@@ -11,6 +11,7 @@
 //! parallelism machinery as every other experiment job.
 //!
 //! Usage: `conformance [--smoke] [--scenarios N] [--seed S] [--jobs N] [--out DIR] [--metrics]`
+//! (valued flags also as `--flag=V`; an unknown flag is a usage error)
 //!   --smoke        200 scenarios (CI budget, well under a minute in release)
 //!   --scenarios N  explicit scenario count (default 1000)
 //!   --seed S       master seed (default 0x5EED)
@@ -27,36 +28,43 @@
 
 use std::path::PathBuf;
 
+use htpb_harness::cli::flag_value;
 use htpb_harness::{run_jobs, JobOutput, JobSpec, Journal, RunOptions};
 use htpb_testkit::{run_differential, run_metrics_identity, DiffConfig, Scenario};
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+fn usage(e: String) -> ! {
+    eprintln!("conformance: {e}");
+    std::process::exit(1)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let metrics = args.iter().any(|a| a == "--metrics");
+    let (mut smoke, mut metrics, mut scenarios) = (false, false, None);
+    let (mut seed, mut workers, mut outdir) = (0x5EED_u64, 1usize, PathBuf::from("results"));
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if let Some(v) = flag_value::<u64>("--scenarios", &arg, &mut args) {
+            scenarios = Some(v.unwrap_or_else(|e| usage(e)));
+        } else if let Some(v) = flag_value::<String>("--seed", &arg, &mut args) {
+            let text = v.unwrap_or_else(|e| usage(e));
+            let digits = text.strip_prefix("0x").unwrap_or(&text);
+            seed = u64::from_str_radix(digits, 16)
+                .or_else(|_| digits.parse())
+                .unwrap_or_else(|_| usage(format!("--seed: invalid value `{text}`")));
+        } else if let Some(v) = flag_value("--jobs", &arg, &mut args) {
+            workers = v.unwrap_or_else(|e| usage(e));
+        } else if let Some(v) = flag_value("--out", &arg, &mut args) {
+            outdir = v.unwrap_or_else(|e| usage(e));
+        } else {
+            match arg.as_str() {
+                "--smoke" => smoke = true,
+                "--metrics" => metrics = true,
+                other => usage(format!("unknown flag `{other}`")),
+            }
+        }
+    }
     htpb_obs::set_enabled(metrics);
-    let count: u64 = parse_flag(&args, "--scenarios")
-        .map(|v| v.parse().expect("--scenarios wants a number"))
-        .unwrap_or(if smoke { 200 } else { 1000 });
-    let seed: u64 = parse_flag(&args, "--seed")
-        .map(|v| {
-            let v = v.strip_prefix("0x").unwrap_or(&v);
-            u64::from_str_radix(v, 16)
-                .or_else(|_| v.parse())
-                .expect("--seed wants a number")
-        })
-        .unwrap_or(0x5EED);
-    let workers: usize = parse_flag(&args, "--jobs")
-        .map(|v| v.parse().expect("--jobs wants a number"))
-        .unwrap_or(1)
-        .max(1);
-    let outdir = PathBuf::from(parse_flag(&args, "--out").unwrap_or_else(|| "results".into()));
+    let count = scenarios.unwrap_or(if smoke { 200 } else { 1000 });
+    let workers = workers.max(1);
 
     let config = DiffConfig::default();
     let mut failures: Vec<(String, String)> = Vec::new();

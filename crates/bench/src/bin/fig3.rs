@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use htpb_bench::{banner, timed_stage};
 use htpb_core::{fig3_label, ManagerLocation, Series};
-use htpb_harness::{cache_for, std_fs, Campaign, HarnessArgs, JobOutput, JobSpec, RunOptions};
+use htpb_harness::{std_fs, Campaign, HarnessArgs, JobOutput, JobSpec};
 
 fn counts_for(nodes: u32) -> Vec<usize> {
     // Paper: 0..30 HTs for 64 nodes, 0..60 for 512.
@@ -43,22 +43,12 @@ fn main() -> ExitCode {
         "infection rate vs. #HTs, manager at center vs. corner",
     );
     let outdir = Path::new("results");
-    let opts = RunOptions {
-        workers: args.workers(),
-        cache: match cache_for(outdir, args.use_cache) {
-            Ok(cache) => cache,
-            Err(e) => {
-                eprintln!("fig3: opening cache: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // Fig. 3 points have no campaign baseline to share.
-        baselines: None,
-        progress: true,
-        job_timeout: args.job_timeout(),
-        retries: args.retries,
-        retry_seed: args.retry_seed,
-        retry_base_ms: args.retry_base_ms,
+    let opts = match args.run_options(outdir) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("fig3: opening cache: {e}");
+            return ExitCode::FAILURE;
+        }
     };
 
     let seeds: Vec<u64> = (0..8).collect();

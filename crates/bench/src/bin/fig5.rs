@@ -17,9 +17,7 @@ use std::process::ExitCode;
 
 use htpb_bench::{banner, timed_stage};
 use htpb_core::{Mix, Series};
-use htpb_harness::{
-    cache_for, std_fs, Campaign, CampaignScale, HarnessArgs, JobOutput, JobSpec, RunOptions,
-};
+use htpb_harness::{std_fs, Campaign, CampaignScale, HarnessArgs, JobOutput, JobSpec};
 
 fn main() -> ExitCode {
     let args = match HarnessArgs::parse(std::env::args().skip(1)) {
@@ -35,27 +33,12 @@ fn main() -> ExitCode {
     };
     banner("Fig. 5", "attack effect Q vs. infection rate per mix");
     let outdir = Path::new("results");
-    let opts = RunOptions {
-        workers: args.workers(),
-        cache: match cache_for(outdir, args.use_cache) {
-            Ok(cache) => cache,
-            Err(e) => {
-                eprintln!("fig5: opening cache: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // All duty points of one mix share a single clean baseline; the
-        // cache computes it once per mix (and persists it with --cache).
-        baselines: Some(std::sync::Arc::new(if args.use_cache {
-            htpb_harness::BaselineCache::with_dir(outdir.join(".cache"))
-        } else {
-            htpb_harness::BaselineCache::in_memory()
-        })),
-        progress: true,
-        job_timeout: args.job_timeout(),
-        retries: args.retries,
-        retry_seed: args.retry_seed,
-        retry_base_ms: args.retry_base_ms,
+    let opts = match args.run_options(outdir) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("fig5: opening cache: {e}");
+            return ExitCode::FAILURE;
+        }
     };
 
     // One job per (mix, duty): a full campaign, its clean baseline shared

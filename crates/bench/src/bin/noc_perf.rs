@@ -31,6 +31,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use htpb_harness::cli::flag_value;
 use htpb_harness::json::{self, Value};
 use htpb_noc::{
     HotspotTraffic, Mesh2d, Network, NetworkConfig, NodeId, Packet, TrafficPattern, UniformTraffic,
@@ -291,27 +292,26 @@ fn main() -> ExitCode {
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--metrics" => metrics = true,
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(p),
-                None => {
-                    eprintln!("noc_perf: --json needs a file path");
-                    return ExitCode::FAILURE;
+        let parsed = if let Some(v) = flag_value("--json", &a, &mut args) {
+            v.map(|path| json_path = Some(path))
+        } else if let Some(v) = flag_value("--check", &a, &mut args) {
+            v.map(|path| check_path = Some(path))
+        } else {
+            match a.as_str() {
+                "--smoke" => {
+                    smoke = true;
+                    Ok(())
                 }
-            },
-            "--check" => match args.next() {
-                Some(p) => check_path = Some(p),
-                None => {
-                    eprintln!("noc_perf: --check needs a committed BENCH_noc.json path");
-                    return ExitCode::FAILURE;
+                "--metrics" => {
+                    metrics = true;
+                    Ok(())
                 }
-            },
-            other => {
-                eprintln!("noc_perf: unknown flag `{other}`");
-                return ExitCode::FAILURE;
+                other => Err(format!("unknown flag `{other}`")),
             }
+        };
+        if let Err(e) = parsed {
+            eprintln!("noc_perf: {e}");
+            return ExitCode::FAILURE;
         }
     }
 

@@ -22,7 +22,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use htpb_harness::{cache_for, run_resilience_sweep, HarnessArgs, ReproScale, RunOptions};
+use htpb_harness::{run_resilience_sweep, HarnessArgs, ReproScale};
 
 fn main() -> ExitCode {
     let args = match HarnessArgs::parse(std::env::args().skip(1)) {
@@ -47,25 +47,9 @@ fn main() -> ExitCode {
     }
 
     let outdir = Path::new("results");
-    let opts = RunOptions {
-        workers: args.workers(),
-        cache: match cache_for(outdir, args.use_cache) {
-            Ok(cache) => cache,
-            Err(e) => {
-                eprintln!("resilience: opening cache: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // Resilience baselines are fault-laden and per-cell; nothing to
-        // share across jobs.
-        baselines: None,
-        progress: true,
-        job_timeout: args.job_timeout(),
-        retries: args.retries,
-        retry_seed: args.retry_seed,
-        retry_base_ms: args.retry_base_ms,
-    };
-    let result = run_resilience_sweep(scale, outdir, &opts);
+    let result = args
+        .run_options(outdir)
+        .and_then(|opts| run_resilience_sweep(scale, outdir, &opts));
     if args.metrics {
         eprint!("{}", htpb_harness::obs::summary_text());
     }

@@ -529,21 +529,11 @@ pub struct AttackSweepPoint {
     pub outcome: AttackOutcome,
 }
 
-/// One point of the Fig. 5 / Fig. 6 sweep, self-contained: computes its
-/// own clean baseline, so independent points can run in any order or in
-/// parallel. Because the baseline is deterministic in `cfg`, the result is
-/// bit-identical to the corresponding [`attack_sweep`] entry (which shares
-/// one baseline across the sweep as a sequential optimisation).
-#[must_use]
-pub fn attack_sweep_point(cfg: &CampaignConfig, duty: f64) -> AttackSweepPoint {
-    let clean = run_clean_baseline(cfg);
-    attack_sweep_point_with_baseline(cfg, duty, &clean)
-}
-
-/// Like [`attack_sweep_point`] but against a caller-provided clean
-/// baseline. Because the baseline is a pure function of `cfg`, substituting
-/// a memoized copy (e.g. from a cross-job baseline cache) yields the
-/// bit-identical point.
+/// One point of the Fig. 5 / Fig. 6 sweep against a caller-provided clean
+/// baseline. Because the baseline is a pure function of `cfg`, independent
+/// points can run in any order or in parallel, and substituting a memoized
+/// copy (e.g. from a cross-job baseline cache) yields the bit-identical
+/// point.
 #[must_use]
 pub fn attack_sweep_point_with_baseline(
     cfg: &CampaignConfig,
@@ -952,7 +942,7 @@ mod tests {
         let cfg = CampaignConfig::tiny(Mix::Mix4);
         let clean = run_clean_baseline(&cfg);
 
-        let inline_point = attack_sweep_point(&cfg, 0.5);
+        let inline_point = &attack_sweep(&cfg, &[0.5])[0];
         let shared_point = attack_sweep_point_with_baseline(&cfg, 0.5, &clean);
         assert_eq!(
             inline_point.infection.to_bits(),

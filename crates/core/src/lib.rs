@@ -38,8 +38,8 @@ pub mod platform;
 mod series;
 
 pub use experiments::{
-    attack_sweep, attack_sweep_point, fig3_label, fig3_point, fig3_series, fig4_point, fig4_series,
-    optimal_vs_random, regression_dataset, regression_placements, resilience_point, run_campaign,
+    attack_sweep, fig3_label, fig3_point, fig3_series, fig4_point, fig4_series, optimal_vs_random,
+    regression_dataset, regression_placements, resilience_point, run_campaign,
     run_campaign_with_baseline, run_clean_baseline, run_resilient_campaign, AttackSweepPoint,
     CampaignConfig, CampaignResult, InfectionExperiment, ManagerLocation, OptComparison,
     ResilienceConfig, ResiliencePoint, ResilienceResult,

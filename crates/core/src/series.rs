@@ -1,10 +1,7 @@
-use serde::{Deserialize, Serialize};
-
-/// A labelled (x, y) data series — one line of a paper figure.
-///
-/// Serialisable so bench harnesses can dump figure data as JSON, and
-/// printable as aligned text columns for terminal output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A labelled (x, y) data series — one line of a paper figure, printable
+/// as aligned text columns ([`Series::to_table`]) for terminal output and
+/// the `results/*.tsv` artefacts.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (e.g. "GM in the center").
     pub label: String,

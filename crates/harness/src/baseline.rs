@@ -3,10 +3,9 @@
 //! The duty-cycle sweep, the optimal-vs-random placement comparison and the
 //! regression dataset all need the *same* clean baseline per campaign
 //! configuration: the attack side varies per job, the clean side does not.
-//! Run sequentially, those drivers naturally compute each baseline once; cut
-//! into per-point jobs for the worker pool, every job used to recompute it.
-//! On the `--quick` scale that is 40+ redundant clean campaigns — the whole
-//! measured gap between `--jobs 1` and the legacy sequential path.
+//! A whole-series driver naturally computes each baseline once; cut into
+//! per-point jobs for the worker pool, every job would recompute it — on
+//! the `--quick` scale that is 40+ redundant clean campaigns.
 //!
 //! [`BaselineCache`] closes the gap with two layers keyed by
 //! [`CampaignConfig::baseline_id`] (which covers exactly the
@@ -34,10 +33,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use htpb_core::experiments::{run_clean_baseline, CampaignConfig};
 use htpb_manycore::{AppId, AppPerformance, AppRole, Benchmark, PerformanceReport};
 
-use crate::cache::SCHEMA_VERSION;
-use crate::fs::{commit_file, std_fs, Fs};
-use crate::hash::{fnv1a64, fnv1a64_parts};
-use crate::json::{self, Value};
+use crate::cache::{read_entry, write_entry, SCHEMA_VERSION};
+use crate::fs::{std_fs, Fs};
+use crate::hash::fnv1a64_parts;
+use crate::json::Value;
 
 /// Memoizes clean baseline reports across jobs, with an optional on-disk
 /// layer for warm re-runs.
@@ -154,38 +153,30 @@ impl BaselineCache {
     }
 
     fn load(&self, key: u64, cfg: &CampaignConfig) -> Option<PerformanceReport> {
-        let bytes = self.fs.read(&self.entry_path(key)?).ok()?;
-        let text = String::from_utf8(bytes).ok()?;
-        let value = json::parse(&text).ok()?;
-        // Stored id must match — hash-collision guard, same as ResultCache.
-        if value.get("id")?.as_str()? != cfg.baseline_id() {
-            return None;
-        }
-        let payload = value.get("report")?;
-        let stored = value.get("fnv")?.as_str()?;
-        if stored != format!("{:016x}", fnv1a64(payload.render().as_bytes())) {
-            return None;
-        }
-        report_from_json(payload)
+        read_entry(
+            self.fs.as_ref(),
+            &self.entry_path(key)?,
+            &cfg.baseline_id(),
+            "report",
+            report_from_json,
+        )
     }
 
     fn store(&self, key: u64, cfg: &CampaignConfig, report: &PerformanceReport) {
         let Some(path) = self.entry_path(key) else {
             return;
         };
-        let payload = report_to_json(report);
-        let digest = format!("{:016x}", fnv1a64(payload.render().as_bytes()));
-        let body = Value::obj(vec![
-            ("schema", Value::Int(i64::from(SCHEMA_VERSION))),
-            ("id", Value::Str(cfg.baseline_id())),
-            ("fnv", Value::Str(digest)),
-            ("report", payload),
-        ]);
         // Committed with a per-process unique temp name, so two processes
         // racing on the same entry each rename a complete file — last
         // writer wins with identical bytes. Persistence stays an
         // optimization; failures just cost a recompute.
-        let _ = commit_file(self.fs.as_ref(), &path, (body.render() + "\n").as_bytes());
+        let _ = write_entry(
+            self.fs.as_ref(),
+            &path,
+            cfg.baseline_id(),
+            "report",
+            report_to_json(report),
+        );
     }
 }
 
@@ -316,11 +307,33 @@ mod tests {
     fn report_json_roundtrip_is_bit_exact() {
         let r = report();
         let text = report_to_json(&r).render();
-        let back = report_from_json(&json::parse(&text).unwrap()).unwrap();
+        let back = report_from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
         for (a, b) in r.apps.iter().zip(&back.apps) {
             assert_eq!(a.theta.to_bits(), b.theta.to_bits());
         }
+    }
+
+    /// The on-disk entry, byte for byte — same envelope as the result
+    /// cache's, with the report under its own key.
+    #[test]
+    fn stored_entry_bytes_are_pinned() {
+        let dir = tmpdir("pin");
+        let cache = BaselineCache::with_dir(&dir);
+        let cfg = CampaignConfig::tiny(Mix::Mix1);
+        cache.store(BaselineCache::key(&cfg), &cfg, &report());
+        assert_eq!(
+            fs::read_to_string(dir.join("baseline-a937b50873aa3176.json")).unwrap(),
+            "{\"schema\":2,\"id\":\"baseline-n32-mix-1-center-fair-share-xy-e400-\
+             b3fe3333333333333-w1-m5-mem1-dc0-sa77ac\",\"fnv\":\"dd8b8117a4e85769\",\
+             \"report\":{\"window_cycles\":123456,\"apps\":[{\"id\":0,\
+             \"benchmark\":\"barnes\",\"role\":\"malicious\",\"threads\":4,\
+             \"theta\":0.3333333333333333,\"starved_cores\":0},{\"id\":1,\
+             \"benchmark\":\"raytrace\",\"role\":\"legit\",\"threads\":8,\
+             \"theta\":6.8912345678e-12,\"starved_cores\":3}],\"delivered\":10,\
+             \"modified\":4,\"timed_out\":1,\"rejected\":2,\"clamped\":3}}\n"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

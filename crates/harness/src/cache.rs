@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::fs::{commit_file, std_fs, Fs};
 use crate::hash::{fnv1a64, fnv1a64_parts};
 use crate::job::{JobOutput, JobSpec};
-use crate::json;
+use crate::json::{self, Value};
 
 /// Bump when the meaning or encoding of any cached result changes; every
 /// existing entry then misses and is recomputed. v2: entries are
@@ -72,37 +72,23 @@ impl ResultCache {
     /// (bad JSON, checksum mismatch, or an id that doesn't match).
     #[must_use]
     pub fn load(&self, spec: &JobSpec) -> Option<JobOutput> {
-        let bytes = self.fs.read(&self.entry_path(spec)).ok()?;
-        let text = String::from_utf8(bytes).ok()?;
-        let value = json::parse(&text).ok()?;
-        // The stored id must match, both as a hash-collision guard and so
-        // a hand-edited file for the wrong job can't be served.
-        if value.get("id")?.as_str()? != spec.id() {
-            return None;
-        }
-        let payload = value.get("output")?;
-        let stored = value.get("fnv")?.as_str()?;
-        if stored != format!("{:016x}", fnv1a64(payload.render().as_bytes())) {
-            return None;
-        }
-        JobOutput::from_json(payload)
-    }
-
-    /// Stores a result durably via the commit protocol. The entry embeds
-    /// an FNV-1a-64 checksum of the rendered output payload.
-    pub fn store(&self, spec: &JobSpec, output: &JobOutput) -> io::Result<()> {
-        let payload = output.to_json();
-        let digest = format!("{:016x}", fnv1a64(payload.render().as_bytes()));
-        let body = json::Value::obj(vec![
-            ("schema", json::Value::Int(i64::from(SCHEMA_VERSION))),
-            ("id", json::Value::Str(spec.id())),
-            ("fnv", json::Value::Str(digest)),
-            ("output", payload),
-        ]);
-        commit_file(
+        read_entry(
             self.fs.as_ref(),
             &self.entry_path(spec),
-            (body.render() + "\n").as_bytes(),
+            &spec.id(),
+            "output",
+            JobOutput::from_json,
+        )
+    }
+
+    /// Stores a result durably via the commit protocol.
+    pub fn store(&self, spec: &JobSpec, output: &JobOutput) -> io::Result<()> {
+        write_entry(
+            self.fs.as_ref(),
+            &self.entry_path(spec),
+            spec.id(),
+            "output",
+            output.to_json(),
         )
     }
 
@@ -113,6 +99,50 @@ impl ResultCache {
     pub fn invalidate(&self, spec: &JobSpec) -> io::Result<()> {
         self.fs.remove_file(&self.entry_path(spec))
     }
+}
+
+/// Reads the cache entry at `path` and decodes the payload stored under
+/// `payload_key` — the one entry codec both cache layers share. `None` on
+/// a missing, unparsable or doctored entry: the stored id must equal `id`
+/// (hash-collision guard, and a hand-edited file for the wrong job can't
+/// be served) and the stored FNV-1a-64 must match the rendered payload.
+pub(crate) fn read_entry<T>(
+    fs: &dyn Fs,
+    path: &Path,
+    id: &str,
+    payload_key: &str,
+    decode: impl FnOnce(&Value) -> Option<T>,
+) -> Option<T> {
+    let text = String::from_utf8(fs.read(path).ok()?).ok()?;
+    let entry = json::parse(&text).ok()?;
+    if entry.get("id")?.as_str()? != id {
+        return None;
+    }
+    let payload = entry.get(payload_key)?;
+    let stored = entry.get("fnv")?.as_str()?;
+    if stored != format!("{:016x}", fnv1a64(payload.render().as_bytes())) {
+        return None;
+    }
+    decode(payload)
+}
+
+/// Commits `{schema, id, fnv, <payload_key>}` to `path` through
+/// [`commit_file`], `fnv` being the FNV-1a-64 of the rendered payload.
+pub(crate) fn write_entry(
+    fs: &dyn Fs,
+    path: &Path,
+    id: String,
+    payload_key: &str,
+    payload: Value,
+) -> io::Result<()> {
+    let digest = format!("{:016x}", fnv1a64(payload.render().as_bytes()));
+    let body = Value::obj(vec![
+        ("schema", Value::Int(i64::from(SCHEMA_VERSION))),
+        ("id", Value::Str(id)),
+        ("fnv", Value::Str(digest)),
+        (payload_key, payload),
+    ]);
+    commit_file(fs, path, (body.render() + "\n").as_bytes())
 }
 
 #[cfg(test)]
@@ -172,6 +202,24 @@ mod tests {
         assert!(text.contains("0.25"));
         fs::write(&path, text.replace("0.25", "0.26")).unwrap();
         assert_eq!(cache.load(&s), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The entry format, byte for byte: what every `results/.cache/`
+    /// written since schema 2 holds and what the codec must keep writing.
+    #[test]
+    fn stored_entry_bytes_are_pinned() {
+        let dir = tmpdir("pin");
+        let cache = ResultCache::open(&dir).unwrap();
+        let s = spec(5);
+        cache.store(&s, &JobOutput::Rate(0.25)).unwrap();
+        assert_eq!(cache.entry_path(&s), dir.join("fig3-dcd7f5cf8ac36c4e.json"));
+        assert_eq!(
+            fs::read_to_string(cache.entry_path(&s)).unwrap(),
+            "{\"schema\":2,\"id\":\"fig3-n64-center-ht5-s0.1.2\",\
+             \"fnv\":\"d70c9b4a6f8646db\",\
+             \"output\":{\"kind\":\"rate\",\"value\":0.25}}\n"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

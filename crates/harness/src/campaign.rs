@@ -2,9 +2,9 @@
 //! resume, durable artefact emission and post-run verification.
 //!
 //! [`Campaign::start`] is the single entry point every bench bin goes
-//! through. It opens the journal (computing this run's epoch), replays the
-//! job history and applies the **recovery state machine** before any job
-//! runs:
+//! through. It parses the journal once — for this run's epoch and for the
+//! job history — and applies the **recovery state machine** before any
+//! job runs:
 //!
 //! 1. jobs with a committed `job_done` → served from the result cache,
 //!    never re-executed;
@@ -73,7 +73,7 @@ impl Campaign {
         let history = Journal::read_events(&journal_path)?;
         let completed = crate::journal::completed_in(&history);
         let interrupted = crate::journal::interrupted_in(&history);
-        let journal = Journal::open_with_fs(&journal_path, Arc::clone(&fs))?;
+        let journal = Journal::open_with_history(&journal_path, Arc::clone(&fs), &history)?;
 
         let mut recovered = 0;
         if let Some(cache) = &opts.cache {

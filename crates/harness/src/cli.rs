@@ -1,7 +1,8 @@
 //! Shared command-line flag parsing for the harness-driven binaries.
 //!
 //! Every binary that runs campaigns through the pool accepts the same
-//! trio of flags:
+//! flags; a valued flag is spelled `--flag V` or `--flag=V`
+//! ([`flag_value`], the one grammar every bin in the workspace uses):
 //!
 //! - `--jobs N` — worker threads (default: one per core; `0` also means
 //!   one per core);
@@ -20,9 +21,38 @@
 //!
 //! Binary-specific flags are returned untouched in [`HarnessArgs::rest`].
 
+use std::io;
+use std::path::Path;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
+use crate::baseline::BaselineCache;
+use crate::cache::ResultCache;
 use crate::runner::RunOptions;
+
+/// Matches `arg` against the valued flag `flag` in either spelling:
+/// `--flag V` (the value is taken from `rest`) or `--flag=V`. `None` when
+/// `arg` is a different flag; otherwise the parsed value, or a usage
+/// message for a missing or unparsable one.
+pub fn flag_value<T: FromStr>(
+    flag: &str,
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<Result<T, String>> {
+    let text = if arg == flag {
+        match rest.next() {
+            Some(text) => text,
+            None => return Some(Err(format!("{flag} requires a value"))),
+        }
+    } else {
+        arg.strip_prefix(flag)?.strip_prefix('=')?.to_string()
+    };
+    Some(
+        text.parse()
+            .map_err(|_| format!("{flag}: invalid value `{text}`")),
+    )
+}
 
 /// Parsed harness flags plus the arguments the binary handles itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,63 +90,24 @@ impl HarnessArgs {
             rest: Vec::new(),
         };
         let mut it = args.into_iter();
-        let number = |flag: &str, text: &str| -> Result<u64, String> {
-            text.parse()
-                .map_err(|_| format!("{flag}: invalid number `{text}`"))
-        };
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--jobs" => {
-                    let n = it
-                        .next()
-                        .ok_or_else(|| "--jobs requires a number".to_string())?;
-                    parsed.jobs = Some(number("--jobs", &n)? as usize);
+            if let Some(v) = flag_value("--jobs", &arg, &mut it) {
+                parsed.jobs = Some(v?);
+            } else if let Some(v) = flag_value("--job-timeout", &arg, &mut it) {
+                parsed.job_timeout_secs = Some(v?);
+            } else if let Some(v) = flag_value("--retries", &arg, &mut it) {
+                parsed.retries = v?;
+            } else if let Some(v) = flag_value("--retry-base-ms", &arg, &mut it) {
+                parsed.retry_base_ms = v?;
+            } else if let Some(v) = flag_value("--retry-seed", &arg, &mut it) {
+                parsed.retry_seed = v?;
+            } else {
+                match arg.as_str() {
+                    "--no-cache" => parsed.use_cache = false,
+                    "--resume" => parsed.use_cache = true,
+                    "--metrics" => parsed.metrics = true,
+                    _ => parsed.rest.push(arg),
                 }
-                _ if arg.starts_with("--jobs=") => {
-                    parsed.jobs = Some(number("--jobs", &arg["--jobs=".len()..])? as usize);
-                }
-                "--job-timeout" => {
-                    let n = it
-                        .next()
-                        .ok_or_else(|| "--job-timeout requires seconds".to_string())?;
-                    parsed.job_timeout_secs = Some(number("--job-timeout", &n)?);
-                }
-                _ if arg.starts_with("--job-timeout=") => {
-                    parsed.job_timeout_secs =
-                        Some(number("--job-timeout", &arg["--job-timeout=".len()..])?);
-                }
-                "--retries" => {
-                    let n = it
-                        .next()
-                        .ok_or_else(|| "--retries requires a number".to_string())?;
-                    parsed.retries = number("--retries", &n)? as u32;
-                }
-                _ if arg.starts_with("--retries=") => {
-                    parsed.retries = number("--retries", &arg["--retries=".len()..])? as u32;
-                }
-                "--retry-base-ms" => {
-                    let n = it
-                        .next()
-                        .ok_or_else(|| "--retry-base-ms requires a number".to_string())?;
-                    parsed.retry_base_ms = number("--retry-base-ms", &n)?;
-                }
-                _ if arg.starts_with("--retry-base-ms=") => {
-                    parsed.retry_base_ms =
-                        number("--retry-base-ms", &arg["--retry-base-ms=".len()..])?;
-                }
-                "--retry-seed" => {
-                    let n = it
-                        .next()
-                        .ok_or_else(|| "--retry-seed requires a number".to_string())?;
-                    parsed.retry_seed = number("--retry-seed", &n)?;
-                }
-                _ if arg.starts_with("--retry-seed=") => {
-                    parsed.retry_seed = number("--retry-seed", &arg["--retry-seed=".len()..])?;
-                }
-                "--no-cache" => parsed.use_cache = false,
-                "--resume" => parsed.use_cache = true,
-                "--metrics" => parsed.metrics = true,
-                _ => parsed.rest.push(arg),
             }
         }
         Ok(parsed)
@@ -139,6 +130,30 @@ impl HarnessArgs {
             Some(0) | None => RunOptions::default_workers(),
             Some(n) => n,
         }
+    }
+
+    /// The pool configuration this invocation resolves to for a campaign
+    /// writing into `outdir`: with the cache on, results and clean
+    /// baselines persist under `<outdir>/.cache`; with `--no-cache`
+    /// nothing is read or written there and baselines are shared in memory
+    /// only.
+    pub fn run_options(&self, outdir: &Path) -> io::Result<RunOptions> {
+        let (cache, baselines) = if self.use_cache {
+            let dir = outdir.join(".cache");
+            (Some(ResultCache::open(&dir)?), BaselineCache::with_dir(dir))
+        } else {
+            (None, BaselineCache::in_memory())
+        };
+        Ok(RunOptions {
+            workers: self.workers(),
+            cache,
+            baselines: Some(Arc::new(baselines)),
+            progress: true,
+            job_timeout: self.job_timeout(),
+            retries: self.retries,
+            retry_seed: self.retry_seed,
+            retry_base_ms: self.retry_base_ms,
+        })
     }
 }
 
@@ -199,6 +214,53 @@ mod tests {
         let a = parse(&["--retry-base-ms=0"]);
         assert_eq!(a.retry_base_ms, 0, "0 disables backoff");
         assert!(HarnessArgs::parse(vec!["--retry-seed".to_string()]).is_err());
+    }
+
+    /// The one flag grammar, over every valued flag of the workspace's
+    /// bins: both spellings, a missing value, a non-number. (The tests
+    /// around this one drive the same cases through `HarnessArgs::parse`.)
+    #[test]
+    fn flag_value_grammar_for_every_valued_flag() {
+        let harness = [
+            "--jobs",
+            "--job-timeout",
+            "--retries",
+            "--retry-base-ms",
+            "--retry-seed",
+        ];
+        let chaos = ["--trials", "--fs-trials", "--seed"];
+        let conformance = ["--scenarios", "--seed", "--jobs", "--out"];
+        for flag in harness.iter().chain(&chaos).chain(&conformance) {
+            let value = |args: &[&str]| {
+                let mut it = args.iter().map(ToString::to_string);
+                let arg = it.next().unwrap();
+                (flag_value::<u64>(flag, &arg, &mut it), it.next())
+            };
+            let next = Some("next".to_string());
+            assert_eq!(value(&[flag, "7", "next"]), (Some(Ok(7)), next.clone()));
+            assert_eq!(
+                value(&[&format!("{flag}=7"), "next"]),
+                (Some(Ok(7)), next.clone())
+            );
+            assert!(matches!(value(&[flag]), (Some(Err(_)), None)));
+            assert!(matches!(value(&[flag, "x"]), (Some(Err(_)), None)));
+            assert!(matches!(
+                value(&[&format!("{flag}=x")]),
+                (Some(Err(_)), None)
+            ));
+            // A longer flag sharing the prefix is a different flag.
+            assert_eq!(
+                value(&[&format!("{flag}-more=7"), "next"]),
+                (None, next.clone())
+            );
+            assert_eq!(value(&["--metrics", "next"]), (None, next));
+        }
+        // A path-valued flag takes any text.
+        let mut none = std::iter::empty();
+        assert_eq!(
+            flag_value::<String>("--out", "--out=results/x", &mut none),
+            Some(Ok("results/x".to_string()))
+        );
     }
 
     #[test]

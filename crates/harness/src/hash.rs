@@ -4,36 +4,31 @@
 //! versions, so it cannot use `std::hash` (whose `Hasher` values are not
 //! specified to be stable). FNV-1a over a canonical parameter string is
 //! trivially portable and collision-resistant enough for the few thousand
-//! distinct jobs a paper-scale campaign enumerates.
+//! distinct jobs a paper-scale campaign enumerates. The loop and constants
+//! are [`htpb_noc::FnvHasher`]'s — the workspace's one FNV-1a.
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use std::hash::Hasher as _;
+
+use htpb_noc::FnvHasher;
 
 /// FNV-1a over `bytes`.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = FnvHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// FNV-1a over several segments with a separator folded in between, so
 /// `("ab", "c")` and `("a", "bc")` hash differently.
 #[must_use]
 pub fn fnv1a64_parts(parts: &[&str]) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = FnvHasher::default();
     for part in parts {
-        for &b in part.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h ^= 0x1F; // unit separator
-        h = h.wrapping_mul(FNV_PRIME);
+        h.write(part.as_bytes());
+        h.write(&[0x1F]); // unit separator
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -4,15 +4,16 @@
 //! kind, platform parameters and RNG seeds — so that executing the same spec
 //! twice (on any worker, in any order) produces the same [`JobOutput`] bit
 //! for bit. That determinism is what makes both the parallel pool and the
-//! on-disk cache sound: parallel campaigns reassemble the exact sequential
-//! artefacts, and cached results never go stale except through a schema
-//! bump.
+//! on-disk cache sound: any worker count reassembles the same artefacts,
+//! and cached results never go stale except through a schema bump.
 
 use htpb_attack::{AttackSample, Mix, PlacementStrategy};
+use std::sync::Arc;
+
 use htpb_core::experiments::{
-    attack_sweep_point, attack_sweep_point_with_baseline, fig3_point, fig4_point,
-    optimal_vs_random, optimal_vs_random_with, regression_dataset, regression_dataset_with,
-    regression_placements, resilience_point, CampaignConfig, ManagerLocation,
+    attack_sweep_point_with_baseline, fig3_point, fig4_point, optimal_vs_random_with,
+    regression_dataset_with, regression_placements, resilience_point, run_clean_baseline,
+    CampaignConfig, ManagerLocation,
 };
 use htpb_core::AllocatorKind;
 
@@ -65,7 +66,7 @@ pub enum Fig4Strategy {
 }
 
 impl Fig4Strategy {
-    /// The legend label the sequential driver uses for this curve.
+    /// The legend label of this curve.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -124,8 +125,8 @@ pub enum JobSpec {
         seeds: Vec<u64>,
     },
     /// One point of the Fig. 5 / Fig. 6 sweep: a full attack campaign at
-    /// one Trojan duty cycle (including its own clean baseline, which is
-    /// deterministic in the configuration).
+    /// one Trojan duty cycle, against the configuration's (deterministic)
+    /// clean baseline.
     SweepPoint {
         /// Benchmark mix.
         mix: Mix,
@@ -282,7 +283,31 @@ impl JobSpec {
     /// are part of the spec, so the output is a pure function of `self`.
     #[must_use]
     pub fn execute(&self) -> JobOutput {
-        match self {
+        self.execute_with(None).0
+    }
+
+    /// Runs the job, resolving clean baselines through `baselines` when one
+    /// is supplied and computing them inline otherwise. The second element
+    /// reports baseline-cache use: `None` for jobs that have no shared
+    /// clean baseline (or when no cache was given), `Some(hit)` otherwise.
+    ///
+    /// Cached and inline baselines are bit-identical (the clean system is
+    /// seeded independently of the attack side), so the [`JobOutput`] never
+    /// depends on whether a cache was supplied.
+    #[must_use]
+    pub fn execute_with(&self, baselines: Option<&BaselineCache>) -> (JobOutput, Option<bool>) {
+        // A job is a baseline "hit" only if every baseline it asked for
+        // was served from the cache.
+        let mut used: Option<bool> = None;
+        let mut clean_for = |cfg: &CampaignConfig| match baselines {
+            Some(cache) => {
+                let (clean, hit) = cache.get_or_compute(cfg);
+                used = Some(used.unwrap_or(true) && hit);
+                clean
+            }
+            None => Arc::new(run_clean_baseline(cfg)),
+        };
+        let output = match self {
             JobSpec::Fig3Point {
                 nodes,
                 corner,
@@ -313,10 +338,8 @@ impl JobSpec {
                 duty_tenths,
             } => {
                 let cfg = scale.config(*mix);
-                // Same expression as the sequential sweep (`i / 10.0`), so
-                // the f64 duty is bit-identical.
                 let duty = f64::from(*duty_tenths) / 10.0;
-                let p = attack_sweep_point(&cfg, duty);
+                let p = attack_sweep_point_with_baseline(&cfg, duty, &clean_for(&cfg));
                 JobOutput::Sweep {
                     duty: p.duty,
                     infection: p.infection,
@@ -330,7 +353,8 @@ impl JobSpec {
                 m,
                 seeds,
             } => {
-                let cmp = optimal_vs_random(&scale.config(*mix), *m, seeds);
+                let cfg = scale.config(*mix);
+                let cmp = optimal_vs_random_with(&cfg, *m, seeds, &clean_for(&cfg));
                 JobOutput::Opt {
                     q_optimal: cmp.q_optimal,
                     q_random: cmp.q_random,
@@ -343,7 +367,12 @@ impl JobSpec {
                 let mesh = base.mesh();
                 let manager = base.manager.resolve(mesh);
                 let placements = regression_placements(mesh, manager);
-                JobOutput::Samples(regression_dataset(&base, &[*mix], &placements))
+                JobOutput::Samples(regression_dataset_with(
+                    &base,
+                    &[*mix],
+                    &placements,
+                    &mut clean_for,
+                ))
             }
             JobSpec::Resilience {
                 mix,
@@ -392,86 +421,15 @@ impl JobSpec {
             }
             JobSpec::FlakyProbe { marker } => {
                 let path = std::path::Path::new(marker);
-                if path.exists() {
-                    return JobOutput::Rate(1.0);
+                if !path.exists() {
+                    crate::fs::commit_file(crate::fs::std_fs().as_ref(), path, b"attempted\n")
+                        .expect("write flaky-probe marker");
+                    panic!("flaky probe: first attempt always fails");
                 }
-                crate::fs::commit_file(crate::fs::std_fs().as_ref(), path, b"attempted\n")
-                    .expect("write flaky-probe marker");
-                panic!("flaky probe: first attempt always fails");
+                JobOutput::Rate(1.0)
             }
-        }
-    }
-
-    /// Runs the job, resolving clean baselines through `baselines` when one
-    /// is supplied. The second element reports baseline-cache use: `None`
-    /// for jobs that have no shared clean baseline (or when no cache was
-    /// given — the baseline is then computed inline, exactly as
-    /// [`execute`](Self::execute) does), `Some(hit)` otherwise.
-    ///
-    /// Cached and inline baselines are bit-identical (the clean system is
-    /// seeded independently of the attack side), so the [`JobOutput`] never
-    /// depends on whether a cache was supplied.
-    #[must_use]
-    pub fn execute_with(&self, baselines: Option<&BaselineCache>) -> (JobOutput, Option<bool>) {
-        let Some(cache) = baselines else {
-            return (self.execute(), None);
         };
-        match self {
-            JobSpec::SweepPoint {
-                mix,
-                scale,
-                duty_tenths,
-            } => {
-                let cfg = scale.config(*mix);
-                let duty = f64::from(*duty_tenths) / 10.0;
-                let (clean, hit) = cache.get_or_compute(&cfg);
-                let p = attack_sweep_point_with_baseline(&cfg, duty, &clean);
-                (
-                    JobOutput::Sweep {
-                        duty: p.duty,
-                        infection: p.infection,
-                        q: p.q_value,
-                        changes: p.outcome.changes.iter().map(|(_, _, c)| *c).collect(),
-                    },
-                    Some(hit),
-                )
-            }
-            JobSpec::OptCompare {
-                mix,
-                scale,
-                m,
-                seeds,
-            } => {
-                let cfg = scale.config(*mix);
-                let (clean, hit) = cache.get_or_compute(&cfg);
-                let cmp = optimal_vs_random_with(&cfg, *m, seeds, &clean);
-                (
-                    JobOutput::Opt {
-                        q_optimal: cmp.q_optimal,
-                        q_random: cmp.q_random,
-                        improvement: cmp.improvement,
-                    },
-                    Some(hit),
-                )
-            }
-            JobSpec::RegressionMix { mix, scale, nodes } => {
-                let mut base = scale.config(Mix::Mix1);
-                base.nodes = *nodes;
-                let mesh = base.mesh();
-                let manager = base.manager.resolve(mesh);
-                let placements = regression_placements(mesh, manager);
-                // One baseline per mix; a job is a "hit" only if every one
-                // of its baselines was served from the cache.
-                let mut used: Option<bool> = None;
-                let samples = regression_dataset_with(&base, &[*mix], &placements, |cfg| {
-                    let (clean, hit) = cache.get_or_compute(cfg);
-                    used = Some(used.unwrap_or(true) && hit);
-                    clean
-                });
-                (JobOutput::Samples(samples), used)
-            }
-            _ => (self.execute(), None),
-        }
+        (output, used)
     }
 }
 

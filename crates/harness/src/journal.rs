@@ -1,10 +1,10 @@
-//! Machine-readable run journal: framed, checksummed records (v2), one per
-//! line, readable back tolerantly — including v1 journals from older runs.
+//! Machine-readable run journal: framed, checksummed records, one per
+//! line, readable back tolerantly.
 //!
 //! ## Record format
 //!
-//! **v2** (written by this version) frames each JSON payload so torn or
-//! bit-rotted records are *detected*, not guessed at:
+//! Each JSON payload is framed so torn or bit-rotted records are
+//! *detected*, not guessed at:
 //!
 //! ```text
 //! v2|<len>|<fnv16>|<payload-json>\n
@@ -13,9 +13,8 @@
 //! `len` is the payload's byte length in decimal; `fnv16` is the
 //! 16-hex-digit FNV-1a-64 of the payload bytes. A record whose length or
 //! checksum does not match is corrupt (typically the torn tail a SIGKILL
-//! mid-append leaves) and is skipped with a warning. **v1** records — bare
-//! JSON lines written before the framing existed — are still parsed, so
-//! old journals replay.
+//! mid-append leaves) and is skipped with a warning. So is a line without
+//! the frame, even one that is valid JSON: nothing vouches for its bytes.
 //!
 //! ## Events
 //!
@@ -88,12 +87,24 @@ impl Journal {
     /// The new writer's run epoch is computed from the readable prefix of
     /// the existing file: 1 + the number of `run_start` records.
     pub fn open_with_fs(path: &Path, fs: Arc<dyn Fs>) -> io::Result<Journal> {
+        let history = Journal::read_events(path)?;
+        Journal::open_with_history(path, fs, &history)
+    }
+
+    /// [`Journal::open_with_fs`] for a caller that has already parsed the
+    /// file ([`crate::Campaign::start`] folds the same `history` for
+    /// recovery), so a resume scans the journal once.
+    pub(crate) fn open_with_history(
+        path: &Path,
+        fs: Arc<dyn Fs>,
+        history: &[Value],
+    ) -> io::Result<Journal> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 fs.create_dir_all(parent)?;
             }
         }
-        let epoch = 1 + Journal::read_events(path)?
+        let epoch = 1 + history
             .iter()
             .filter(|e| e.get("event").and_then(Value::as_str) == Some("run_start"))
             .count() as i64;
@@ -212,31 +223,28 @@ impl Journal {
         );
     }
 
-    /// Parses one journal line: a framed v2 record (length and checksum
-    /// verified) or a bare v1 JSON line. `None` for corrupt lines.
+    /// Parses one journal line: a framed record whose length and checksum
+    /// verify. `None` for anything else — torn, bit-rotted or unframed.
     #[must_use]
     pub fn parse_line(line: &str) -> Option<Value> {
-        if let Some(rest) = line.strip_prefix("v2|") {
-            let (len, rest) = rest.split_once('|')?;
-            let (check, payload) = rest.split_once('|')?;
-            let len: usize = len.parse().ok()?;
-            if payload.len() != len {
-                return None;
-            }
-            let digest = format!("{:016x}", fnv1a64(payload.as_bytes()));
-            if digest != check {
-                return None;
-            }
-            crate::json::parse(payload).ok()
-        } else {
-            crate::json::parse(line).ok()
+        let rest = line.strip_prefix("v2|")?;
+        let (len, rest) = rest.split_once('|')?;
+        let (check, payload) = rest.split_once('|')?;
+        let len: usize = len.parse().ok()?;
+        if payload.len() != len {
+            return None;
         }
+        let digest = format!("{:016x}", fnv1a64(payload.as_bytes()));
+        if digest != check {
+            return None;
+        }
+        crate::json::parse(payload).ok()
     }
 
     /// Reads a journal file back as parsed events, in order. A missing
     /// file is an empty journal. Corrupt records — a torn trailing line
-    /// left by a killed writer, or a v2 frame whose checksum fails — are
-    /// skipped with a warning rather than failing the resume.
+    /// left by a killed writer, a frame whose checksum fails, an unframed
+    /// line — are skipped with a warning rather than failing the resume.
     pub fn read_events(path: &Path) -> io::Result<Vec<Value>> {
         Journal::read_events_stats(path).map(|(events, _)| events)
     }
@@ -272,35 +280,6 @@ impl Journal {
         Ok((events, corrupt))
     }
 
-    /// The ids of jobs a prior (possibly interrupted) run already
-    /// completed successfully, according to its journal. Accepts both the
-    /// v2 `job_done` event and the v1 `job` event. Tolerates corrupt lines
-    /// like [`Journal::read_events`].
-    pub fn completed_job_ids(path: &Path) -> io::Result<Vec<String>> {
-        let events = Journal::read_events(path)?;
-        Ok(completed_in(&events))
-    }
-
-    /// The ids of jobs some run *started but never finished*: a
-    /// `job_start` with no later `job_done` for the same id. These jobs
-    /// died mid-execution — recovery must distrust any state they left
-    /// (cache entries included) and re-run them.
-    pub fn interrupted_job_ids(path: &Path) -> io::Result<Vec<String>> {
-        let events = Journal::read_events(path)?;
-        Ok(interrupted_in(&events))
-    }
-
-    /// Per-kind execution tallies aggregated from every `job_done` record
-    /// across **all** epochs of the journal: `(kind, jobs, executed,
-    /// secs)`, sorted by kind. `executed` excludes cache hits, and `secs`
-    /// sums the recorded wall times — the per-stage timing detail a
-    /// resumed campaign would otherwise lose (its own epoch sees only
-    /// cache hits).
-    pub fn stage_tallies(path: &Path) -> io::Result<Vec<StageTally>> {
-        let events = Journal::read_events(path)?;
-        Ok(stage_tallies_in(&events))
-    }
-
     /// The most recent recorded digest per artefact path: `(path, bytes,
     /// fnv16)` — what `--verify` checks the files on disk against.
     pub fn artefact_digests(path: &Path) -> io::Result<Vec<(String, i64, String)>> {
@@ -327,8 +306,10 @@ impl Journal {
     }
 }
 
-/// [`Journal::interrupted_job_ids`] over already-parsed events: ids with a
-/// `job_start` but no later `job_done`.
+/// The ids of jobs some run *started but never finished*: a `job_start`
+/// with no later `job_done` for the same id. These jobs died
+/// mid-execution — recovery must distrust any state they left (cache
+/// entries included) and re-run them.
 #[must_use]
 pub fn interrupted_in(events: &[Value]) -> Vec<String> {
     let mut open: Vec<String> = Vec::new();
@@ -340,7 +321,7 @@ pub fn interrupted_in(events: &[Value]) -> Vec<String> {
             Some("job_start") if !open.iter().any(|o| o == id) => {
                 open.push(id.to_string());
             }
-            Some("job_done" | "job") => open.retain(|o| o != id),
+            Some("job_done") => open.retain(|o| o != id),
             _ => {}
         }
     }
@@ -360,17 +341,15 @@ pub struct StageTally {
     pub secs: f64,
 }
 
-/// [`Journal::stage_tallies`] over already-parsed events. Accepts both the
-/// v2 `job_done` event and the v1 `job` event; records without a `kind`
-/// field are skipped.
+/// Per-kind execution tallies aggregated from every `job_done` record
+/// across **all** epochs of the journal, sorted by kind — the per-stage
+/// timing detail a resumed campaign would otherwise lose (its own epoch
+/// sees only cache hits). Records without a `kind` field are skipped.
 #[must_use]
 pub fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
     let mut tallies: Vec<StageTally> = Vec::new();
     for e in events {
-        if !matches!(
-            e.get("event").and_then(Value::as_str),
-            Some("job" | "job_done")
-        ) {
+        if e.get("event").and_then(Value::as_str) != Some("job_done") {
             continue;
         }
         let Some(kind) = e.get("kind").and_then(Value::as_str) else {
@@ -400,18 +379,13 @@ pub fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
     tallies
 }
 
-/// Completed job ids from already-parsed events (v1 `job` or v2
-/// `job_done`, `"ok":true`).
+/// The ids of jobs a prior (possibly interrupted) run already completed
+/// successfully: `job_done` records with `"ok":true`.
 #[must_use]
 pub fn completed_in(events: &[Value]) -> Vec<String> {
     events
         .iter()
-        .filter(|e| {
-            matches!(
-                e.get("event").and_then(Value::as_str),
-                Some("job" | "job_done")
-            )
-        })
+        .filter(|e| e.get("event").and_then(Value::as_str) == Some("job_done"))
         .filter(|e| e.get("ok") == Some(&Value::Bool(true)))
         .filter_map(|e| e.get("id")?.as_str().map(ToString::to_string))
         .collect()
@@ -497,8 +471,12 @@ mod tests {
             assert_eq!(j.epoch(), 2, "second run is epoch 2");
             j.record("run_start", vec![("run", Value::Str("x".into()))]);
         }
-        let j = Journal::open(&path).unwrap();
+        // The history-taking constructor (Campaign::start's single parse)
+        // and a plain open agree on the third epoch.
+        let history = Journal::read_events(&path).unwrap();
+        let j = Journal::open_with_history(&path, std_fs(), &history).unwrap();
         assert_eq!(j.epoch(), 3);
+        assert_eq!(Journal::open(&path).unwrap().epoch(), 3);
         let _ = fs::remove_file(&path);
     }
 
@@ -518,15 +496,14 @@ mod tests {
         assert_eq!(events.len(), 2, "the corrupt tail is skipped, not fatal");
         assert_eq!(corrupt, 1);
         assert_eq!(
-            Journal::completed_job_ids(&path).unwrap(),
+            completed_in(&events),
             vec!["fig3-a".to_string()],
             "only ok jobs count as completed"
         );
         let _ = fs::remove_file(&path);
     }
 
-    /// A checksum mismatch (bit rot, not just truncation) is also caught —
-    /// the v1 format would have parsed a bit-flipped-but-valid-JSON line.
+    /// A checksum mismatch (bit rot, not just truncation) is also caught.
     #[test]
     fn checksum_mismatch_is_detected() {
         let path = tmpfile("bitrot");
@@ -565,51 +542,34 @@ mod tests {
         let events = Journal::read_events(&path).unwrap();
         assert_eq!(events.len(), 3, "valid lines on both sides are kept");
         assert_eq!(
-            Journal::completed_job_ids(&path).unwrap(),
+            completed_in(&events),
             vec!["fig3-a".to_string(), "fig3-b".to_string()],
             "completions after the corrupt line are not lost"
         );
         let _ = fs::remove_file(&path);
     }
 
+    /// The journal has one format: a line without the frame is corrupt
+    /// even when it is valid JSON, and the records around it still replay.
     #[test]
-    fn v1_journals_still_replay() {
-        let path = tmpfile("v1");
-        // Exactly what the pre-framing Journal wrote: bare JSON lines with
-        // `job` completion events and no epoch field.
-        fs::write(
-            &path,
-            concat!(
-                "{\"event\":\"run_start\",\"ts_ms\":1,\"run\":\"repro_all\",\"jobs\":2}\n",
-                "{\"event\":\"job\",\"ts_ms\":2,\"id\":\"fig3-a\",\"kind\":\"fig3\",\
-                 \"worker\":0,\"cache_hit\":false,\"ok\":true,\"secs\":0.1}\n",
-                "{\"event\":\"job\",\"ts_ms\":3,\"id\":\"fig3-b\",\"kind\":\"fig3\",\
-                 \"worker\":0,\"cache_hit\":false,\"ok\":false,\"secs\":0.1,\
-                 \"error\":\"boom\"}\n",
-                "{\"event\":\"run_end\",\"ts_ms\":4,\"ok\":false}\n",
-            ),
-        )
-        .unwrap();
-        let events = Journal::read_events(&path).unwrap();
-        assert_eq!(events.len(), 4, "every v1 line parses");
-        assert_eq!(
-            Journal::completed_job_ids(&path).unwrap(),
-            vec!["fig3-a".to_string()],
-            "v1 `job` events count as completions"
-        );
-        assert!(
-            Journal::interrupted_job_ids(&path).unwrap().is_empty(),
-            "v1 journals have no job_start, so nothing reads as interrupted"
-        );
-        // A v2 writer appends to the same file and the mix reads back.
+    fn unframed_json_line_is_corrupt() {
+        let path = tmpfile("unframed");
         let j = Journal::open(&path).unwrap();
-        assert_eq!(j.epoch(), 2, "the v1 run counts toward the epoch");
+        j.record("run_start", vec![("run", Value::Str("x".into()))]);
+        drop(j);
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str("{\"event\":\"job_done\",\"id\":\"fig3-a\",\"ok\":true}\n");
+        text.push_str("{\"event\":\"run_start\",\"run\":\"x\"}\n");
+        fs::write(&path, text).unwrap();
+        let (events, corrupt) = Journal::read_events_stats(&path).unwrap();
+        assert_eq!((events.len(), corrupt), (1, 2));
+        assert!(completed_in(&events).is_empty());
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.epoch(), 2, "an unframed run_start does not count");
         j.job_done("fig3-b", "fig3", 0, false, true, true, 0.1, None);
         drop(j);
-        assert_eq!(
-            Journal::completed_job_ids(&path).unwrap(),
-            vec!["fig3-a".to_string(), "fig3-b".to_string()]
-        );
+        let events = Journal::read_events(&path).unwrap();
+        assert_eq!(completed_in(&events), vec!["fig3-b".to_string()]);
         let _ = fs::remove_file(&path);
     }
 
@@ -623,7 +583,7 @@ mod tests {
         j.job_start("job-c", "fig3", 0, 1);
         drop(j); // killed here: b and c never finished
         assert_eq!(
-            Journal::interrupted_job_ids(&path).unwrap(),
+            interrupted_in(&Journal::read_events(&path).unwrap()),
             vec!["job-b".to_string(), "job-c".to_string()]
         );
         // The resumed epoch re-runs b; c stays interrupted until done.
@@ -632,7 +592,7 @@ mod tests {
         j.job_done("job-b", "fig3", 0, false, true, true, 0.1, None);
         drop(j);
         assert_eq!(
-            Journal::interrupted_job_ids(&path).unwrap(),
+            interrupted_in(&Journal::read_events(&path).unwrap()),
             vec!["job-c".to_string()]
         );
         let _ = fs::remove_file(&path);
@@ -664,7 +624,7 @@ mod tests {
             j.job_done("fig3-b", "fig3", 0, true, true, true, 0.0, None);
             j.job_done("fig3-c", "fig3", 0, false, true, true, 3.0, None);
         }
-        let tallies = Journal::stage_tallies(&path).unwrap();
+        let tallies = stage_tallies_in(&Journal::read_events(&path).unwrap());
         assert_eq!(tallies.len(), 2, "{tallies:?}");
         assert_eq!(tallies[0].kind, "fig3");
         assert_eq!(tallies[0].jobs, 5, "hits and executions both count");

@@ -7,8 +7,8 @@
 //! - [`JobSpec`] / [`JobOutput`] — one experiment point as a pure function
 //!   of its parameters and seeds ([`job`]);
 //! - [`run_jobs`] — a fixed-size worker pool with per-job
-//!   `catch_unwind` isolation; results return in job order, so parallel
-//!   campaigns are byte-identical to sequential ones ([`runner`]);
+//!   `catch_unwind` isolation; results return in job order, so a campaign
+//!   emits the same bytes at any worker count ([`runner`]);
 //! - [`ResultCache`] — a content-addressed on-disk cache under
 //!   `<outdir>/.cache/`; re-runs skip completed points and interrupted
 //!   campaigns resume ([`cache`]);
@@ -25,14 +25,16 @@
 //! - [`Campaign`] — crash-safe campaign lifecycle: journal-driven
 //!   recovery of interrupted jobs, checkpointed resume, durable artefact
 //!   emission and post-run verification ([`campaign`]);
-//! - [`run_repro`] / [`run_repro_sequential`] — the whole `repro_all`
-//!   campaign planned as jobs, plus the legacy sequential reference path
-//!   ([`repro`]);
+//! - [`run_repro`] — the whole `repro_all` campaign planned as jobs; its
+//!   reference is the committed artefact manifest
+//!   `tests/fixtures/repro_tiny.manifest` ([`repro`]);
 //! - [`run_resilience_sweep`] — the fault-injection campaign: attack
 //!   effect and graceful degradation across *fault rate × allocator ×
 //!   hardening* ([`resilience`]);
 //! - [`HarnessArgs`] — the shared `--jobs` / `--no-cache` / `--resume` /
-//!   `--job-timeout` / `--retries` / `--metrics` flag parser ([`cli`]);
+//!   `--job-timeout` / `--retries` / `--metrics` flag parser, resolved to
+//!   [`RunOptions`] by [`HarnessArgs::run_options`]; [`cli::flag_value`]
+//!   is the one `--flag V | --flag=V` grammar every bin uses ([`cli`]);
 //! - [`obs`] — pool-level metrics (job latency, queue depth, cache hit
 //!   rates) and the `metrics.prom` / `run_end` JSON / stderr expositions
 //!   of the `htpb-obs` registry (see `docs/OBSERVABILITY.md`).
@@ -64,8 +66,6 @@ pub use cli::HarnessArgs;
 pub use fs::{commit_append, commit_file, std_fs, FaultyFs, Fs, FsFault, StdFs};
 pub use job::{CampaignScale, Fig4Strategy, JobOutput, JobSpec};
 pub use journal::{Journal, StageTally};
-pub use repro::{
-    cache_for, ensure_outdir, run_repro, run_repro_sequential, ReproOutcome, ReproPlan, ReproScale,
-};
+pub use repro::{run_repro, ReproOutcome, ReproPlan, ReproScale};
 pub use resilience::{run_resilience_plan, run_resilience_sweep, ResiliencePlan};
 pub use runner::{retry_delay_ms, run_jobs, JobReport, RunOptions};

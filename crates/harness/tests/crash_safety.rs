@@ -5,9 +5,9 @@
 //! must survive an injected filesystem fault (ENOSPC, torn short write,
 //! failed rename) at *any* operation index in the **old state or the new
 //! state, never a torn one**. Property tests drive [`FaultyFs`] over each
-//! write path; a two-process test exercises the baseline-cache store race
-//! the commit protocol exists to fix; a fixture test locks the v1-journal
-//! replay path so pre-framing journals keep resuming.
+//! write path and arbitrary bytes into the journal's frame reader; a
+//! two-process test exercises the baseline-cache store race the commit
+//! protocol exists to fix.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -18,6 +18,7 @@ use proptest::prelude::*;
 
 use htpb_core::Mix;
 use htpb_harness::baseline::report_to_json;
+use htpb_harness::hash::fnv1a64;
 use htpb_harness::json::Value;
 use htpb_harness::{
     commit_file, std_fs, BaselineCache, Campaign, CampaignScale, FaultyFs, Fs, FsFault, JobOutput,
@@ -171,6 +172,49 @@ proptest! {
         prop_assert!(probes.len() as i64 >= total - 2);
         prop_assert!(probes.windows(2).all(|w| w[0] < w[1]), "replay out of order");
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The frame reader is total: arbitrary bytes (with and without the
+    /// frame prefix) read back as a record or as `None`, never a panic.
+    #[test]
+    fn journal_parse_line_is_total_on_arbitrary_bytes(
+        framed in any::<bool>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        let mut line = if framed { b"v2|".to_vec() } else { Vec::new() };
+        line.extend(bytes);
+        let _ = Journal::parse_line(&String::from_utf8_lossy(&line));
+    }
+
+    /// Any single-byte edit of a framed record — prefix, length, checksum,
+    /// separators or payload — is detected: the record reads as corrupt.
+    #[test]
+    fn any_single_byte_edit_of_a_framed_record_is_detected(
+        id in proptest::collection::vec(0x20u8..0x7f, 0..24),
+        secs in 0u32..100_000,
+        at in 0usize..4096,
+        byte in any::<u8>(),
+    ) {
+        let payload = Value::obj(vec![
+            ("event", Value::Str("job_done".into())),
+            ("id", Value::Str(String::from_utf8(id).unwrap())),
+            ("secs", Value::Num(f64::from(secs) / 8.0)),
+        ])
+        .render();
+        let line = format!("v2|{}|{:016x}|{payload}", payload.len(), fnv1a64(payload.as_bytes()));
+        prop_assert_eq!(
+            Journal::parse_line(&line).and_then(|v| v.get("secs").and_then(Value::as_f64)),
+            Some(f64::from(secs) / 8.0)
+        );
+        let mut edited = line.into_bytes();
+        let at = at % edited.len();
+        prop_assume!(edited[at] != byte);
+        edited[at] = byte;
+        prop_assert_eq!(Journal::parse_line(&String::from_utf8_lossy(&edited)), None);
     }
 }
 
@@ -341,46 +385,6 @@ fn baseline_cache_survives_a_two_process_store_race() {
         report_to_json(&expected).render()
     );
     assert_eq!(tmp_litter(&dir), Vec::<String>::new());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// Journals written before the v2 framing (bare JSONL, `job` events, no
-/// epochs) must keep replaying: completed jobs are recognised, nothing is
-/// reported interrupted, and a reopened journal continues at epoch 2 with
-/// framed records coexisting with the v1 lines.
-#[test]
-fn v1_journal_fixture_replays_and_resumes() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal_v1.jsonl");
-    let (events, corrupt) = Journal::read_events_stats(&fixture).unwrap();
-    assert_eq!(corrupt, 0, "fixture must parse cleanly");
-    assert_eq!(events.len(), 6);
-
-    let completed = Journal::completed_job_ids(&fixture).unwrap();
-    assert!(completed.iter().any(|id| id == "fig3-n16-center-m2-s8"));
-    assert!(completed.iter().any(|id| id == "fig3-n16-corner-m2-s8"));
-    assert!(
-        !completed.iter().any(|id| id == "fig3-n0-center-m2-s8"),
-        "a failed v1 job must not count as completed"
-    );
-    assert_eq!(
-        Journal::interrupted_job_ids(&fixture).unwrap(),
-        Vec::<String>::new()
-    );
-
-    // Resume on top of the v1 history: epoch counts the v1 run, new
-    // records are framed, old ones still parse.
-    let dir = tmpdir("v1-resume");
-    let path = dir.join("journal.jsonl");
-    fs::copy(&fixture, &path).unwrap();
-    let journal = Journal::open(&path).unwrap();
-    assert_eq!(journal.epoch(), 2);
-    journal.record("probe", vec![("i", Value::Int(7))]);
-    let (events, corrupt) = Journal::read_events_stats(&path).unwrap();
-    assert_eq!(corrupt, 0);
-    assert_eq!(events.len(), 7);
-    let text = fs::read_to_string(&path).unwrap();
-    assert!(text.lines().last().unwrap().starts_with("v2|"));
-    assert_eq!(Journal::completed_job_ids(&path).unwrap().len(), 2);
     let _ = fs::remove_dir_all(&dir);
 }
 

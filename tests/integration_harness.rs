@@ -1,13 +1,14 @@
 //! End-to-end tests of the `htpb-harness` orchestration subsystem: the
-//! parallel, cached reproduction must be **byte-identical** to the legacy
-//! sequential drivers, interrupted runs must resume from the cache, and a
-//! panicking job must not take the campaign down.
+//! reproduction must emit the committed artefact manifest **byte for byte**
+//! at any worker count, cold or warm; interrupted runs must resume from the
+//! cache; and a panicking job must not take the campaign down.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use htpb_harness::{
-    run_jobs, run_repro, run_repro_sequential, JobSpec, Journal, ReproPlan, ReproScale,
+    run_jobs, run_repro, verify_artefacts, BaselineCache, JobSpec, Journal, ReproPlan, ReproScale,
     ResultCache, RunOptions,
 };
 
@@ -18,55 +19,57 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn artefact_files(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".tsv") || n == "SUMMARY.txt" || n == "plot.gp")
-        .collect();
-    names.sort();
-    names
-}
+/// `tests/fixtures/repro_tiny.manifest`: one `name:bytes:fnv16` line per
+/// artefact of the tiny reproduction, in emission order, recorded from the
+/// whole-series sequential drivers before they were removed. Never
+/// re-record it to make this test pass: a diff means the artefact bytes
+/// changed.
+const MANIFEST: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/repro_tiny.manifest"
+));
 
 #[test]
-fn parallel_cached_repro_is_byte_identical_to_sequential() {
-    let seq_dir = tmpdir("seq");
-    let par_dir = tmpdir("par");
+fn repro_tiny_matches_committed_manifest() {
+    let one = tmpdir("manifest-1");
+    let four = tmpdir("manifest-4");
+    // 1 worker cold, 4 workers cold (baselines shared on disk, as the bins
+    // run), then the same directory again, warm.
+    for (dir, workers, warm) in [(&one, 1, false), (&four, 4, false), (&four, 4, true)] {
+        let opts = RunOptions {
+            workers,
+            cache: Some(ResultCache::for_outdir(dir).unwrap()),
+            baselines: (workers > 1).then(|| Arc::new(BaselineCache::with_dir(dir.join(".cache")))),
+            ..RunOptions::sequential()
+        };
+        let outcome = run_repro(ReproScale::Tiny, dir, &opts).expect("harness repro");
+        assert_eq!(outcome.failed, 0);
+        assert_eq!(outcome.cache_hits, if warm { outcome.jobs } else { 0 });
 
-    run_repro_sequential(ReproScale::Tiny, &seq_dir).expect("sequential repro");
-    let opts = RunOptions {
-        workers: 4,
-        cache: Some(ResultCache::for_outdir(&par_dir).unwrap()),
-        ..RunOptions::sequential()
-    };
-    let outcome = run_repro(ReproScale::Tiny, &par_dir, &opts).expect("harness repro");
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.cache_hits, 0, "cold cache");
+        let mut manifest = String::new();
+        for (name, bytes, fnv) in Journal::artefact_digests(&dir.join("journal.jsonl")).unwrap() {
+            manifest.push_str(&format!("{name}:{bytes}:{fnv}\n"));
+        }
+        assert_eq!(manifest, MANIFEST, "{workers} worker(s), warm = {warm}");
+        // The digests are the journal's; the files on disk must match them.
+        let verify = verify_artefacts(dir).unwrap();
+        assert!(verify.ok(), "{:?}", verify.mismatches);
+        assert_eq!(verify.verified, MANIFEST.lines().count());
 
-    let names = artefact_files(&seq_dir);
-    assert!(
-        names.iter().any(|n| n.starts_with("fig3_")),
-        "artefacts missing: {names:?}"
-    );
-    assert_eq!(names, artefact_files(&par_dir), "artefact sets differ");
-    for name in &names {
-        let a = fs::read(seq_dir.join(name)).unwrap();
-        let b = fs::read(par_dir.join(name)).unwrap();
-        assert_eq!(a, b, "{name} differs between sequential and parallel runs");
+        if !warm {
+            // The journal recorded every job plus run bookkeeping.
+            let journal = fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+            let job_lines = journal
+                .lines()
+                .filter(|l| l.contains("\"event\":\"job_done\""))
+                .count();
+            assert_eq!(job_lines, outcome.jobs);
+            assert!(journal.contains("\"event\":\"run_start\""));
+            assert!(journal.contains("\"event\":\"run_end\""));
+        }
     }
-
-    // The journal recorded every job plus run bookkeeping.
-    let journal = fs::read_to_string(par_dir.join("journal.jsonl")).unwrap();
-    let job_lines = journal
-        .lines()
-        .filter(|l| l.contains("\"event\":\"job_done\""))
-        .count();
-    assert_eq!(job_lines, outcome.jobs);
-    assert!(journal.contains("\"event\":\"run_start\""));
-    assert!(journal.contains("\"event\":\"run_end\""));
-
-    let _ = fs::remove_dir_all(&seq_dir);
-    let _ = fs::remove_dir_all(&par_dir);
+    let _ = fs::remove_dir_all(&one);
+    let _ = fs::remove_dir_all(&four);
 }
 
 #[test]
