@@ -11,7 +11,6 @@
 
 #![forbid(unsafe_code)]
 
-use htpb_bench::banner;
 use htpb_core::{Mesh2d, Network, NetworkConfig, PacketKind, RoutingKind};
 use htpb_noc::{TrafficPattern, UniformTraffic};
 
@@ -43,7 +42,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    banner("NoC validation", "load vs. latency under uniform traffic");
+    println!("==========================================================");
+    println!("  NoC validation — load vs. latency under uniform traffic");
+    println!("  (reproduction; expect paper-like shapes, not numbers)");
+    println!("==========================================================");
     let mesh = Mesh2d::with_nodes(nodes).expect("valid node count");
     println!(
         "mesh {}x{}, 4 VCs x 5-flit buffers, 1-flit packets, 3000 warm cycles\n",

@@ -1,8 +1,7 @@
 //! Cycles-per-second meter for the NoC hot path.
 //!
-//! Unlike the Criterion benches (statistical, slow), this binary times a
-//! handful of fixed scenarios once and prints one JSON line per scenario —
-//! cheap enough to run in CI for trend-spotting and to capture the
+//! Times a handful of fixed scenarios once and prints one JSON line per
+//! scenario — cheap enough to run in CI for trend-spotting and to capture the
 //! before/after numbers of `results/BENCH_noc.json`. Scenarios cover the
 //! regimes the active-set stepping is designed around: low uniform-random
 //! injection on the paper's 16×16 platform, bursty hotspot (`POWER_REQ`)

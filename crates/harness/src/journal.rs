@@ -199,7 +199,7 @@ impl Journal {
     }
 
     /// Records a named pipeline stage's wall time (used by
-    /// `htpb_bench::timed_stage`).
+    /// `Campaign::stage`).
     pub fn stage(&self, label: &str, secs: f64) {
         self.record(
             "stage",

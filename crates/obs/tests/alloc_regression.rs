@@ -5,18 +5,37 @@
 //! `crates/noc/tests/alloc_regression.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use htpb_obs::span::{SpanTimer, SPAN_BOUNDS_US};
 use htpb_obs::{Class, Registry};
 
+/// Same body as the `CountingAlloc` of `crates/noc/tests/alloc_regression.rs`
+/// and `crates/manycore/tests/alloc_regression.rs`: a `#[global_allocator]`
+/// must be defined in the test crate that installs it, so the three copies
+/// are kept identical rather than shared.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread, because libtest's main thread allocates while the test
+    /// thread is inside the measured loop: a process-wide counter would
+    /// charge those allocations to the loop. Const-initialised and without
+    /// a destructor, so touching it from inside the allocator never
+    /// allocates and is valid for the thread's whole life.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
+
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,12 +44,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -54,7 +73,7 @@ fn hot_path_operations_do_not_allocate() {
         let _s = SpanTimer::start(&h);
     }
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for i in 0..100_000u64 {
         c.inc();
         c.add(3);
@@ -64,7 +83,7 @@ fn hot_path_operations_do_not_allocate() {
         h.observe_n(i % 17, 2);
         let _span = SpanTimer::start(&h);
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = alloc_calls();
     assert_eq!(
         after - before,
         0,

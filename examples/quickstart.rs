@@ -73,7 +73,6 @@ fn main() {
     let report = AreaReport::new(5, cfg.nodes as usize);
     println!("\nstealth: {report}");
     println!("\nNext steps:");
-    println!("  cargo run --release -p htpb-bench --bin fig3   # infection vs #HTs");
-    println!("  cargo run --release -p htpb-bench --bin fig5   # Q vs infection per mix");
+    println!("  cargo run --release -p htpb-bench --bin repro_all -- --quick   # every figure, to results/");
     println!("  cargo run --release --example optimal_placement");
 }

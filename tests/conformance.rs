@@ -47,8 +47,8 @@ fn random_scenarios_agree() {
     // Debug builds step both pipelines with every invariant assertion armed,
     // so keep the batch modest there; release CI covers the acceptance-scale
     // batch (see `conformance_bin_scale` and the `conformance --smoke` CI
-    // step).
-    let count = if cfg!(debug_assertions) { 60 } else { 1000 };
+    // step, 200 scenarios of the same generator).
+    let count = if cfg!(debug_assertions) { 24 } else { 1000 };
     let report = run_batch(0x5EED_0001, count);
     assert!(
         report.all_passed(),
@@ -143,7 +143,9 @@ fn metamorphic_duty_zero_trojan_is_harmless() {
 /// with no fault hook at all.
 #[test]
 fn metamorphic_empty_fault_plan_is_identity() {
-    for seed in 0..20u64 {
+    // Two differential runs per seed; sized like `random_scenarios_agree`.
+    let seeds = if cfg!(debug_assertions) { 8 } else { 20 };
+    for seed in 0..seeds {
         let mut with_plan = Scenario::random(seed);
         with_plan.link_ppm = 0;
         with_plan.stall_ppm = 0;

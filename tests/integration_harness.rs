@@ -66,6 +66,8 @@ fn repro_tiny_matches_committed_manifest() {
             assert_eq!(job_lines, outcome.jobs);
             assert!(journal.contains("\"event\":\"run_start\""));
             assert!(journal.contains("\"event\":\"run_end\""));
+            let stage = journal.lines().find(|l| l.contains("\"event\":\"stage\""));
+            assert!(stage.is_some_and(|l| l.contains("\"label\":\"assemble\"")));
         }
     }
     let _ = fs::remove_dir_all(&one);

@@ -2,9 +2,9 @@
 //! and the Definitions 1–8 metrics computed over real simulation output.
 
 use htpb_core::{
-    density_eta, distance_rho, run_campaign, sensitivity_phi, virtual_center, AppRole, Benchmark,
-    CampaignConfig, DvfsTable, ManagerLocation, Mesh2d, Mix, NodeId, Placement, PlacementStrategy,
-    RoutingKind, SystemBuilder, Workload,
+    density_eta, distance_rho, run_campaign, sensitivity_phi, virtual_center, AllocatorKind,
+    AppRole, Benchmark, CampaignConfig, DvfsTable, ManagerLocation, Mesh2d, Mix, NodeId, Placement,
+    PlacementStrategy, RoutingKind, SystemBuilder, Workload,
 };
 
 #[test]
@@ -176,6 +176,16 @@ fn attack_works_under_every_routing_algorithm() {
         cfg.routing = routing;
         let q = run_campaign(&cfg, 1.0).outcome.q_value;
         assert!(q > 1.5, "{routing:?}: q = {q}");
+    }
+}
+
+#[test]
+fn attack_works_under_every_allocator() {
+    for kind in AllocatorKind::ALL {
+        let mut cfg = CampaignConfig::small(Mix::Mix1);
+        cfg.allocator = kind;
+        let q = run_campaign(&cfg, 1.0).outcome.q_value;
+        assert!(q > 1.0, "{}: q = {q}", kind.name());
     }
 }
 
