@@ -110,12 +110,45 @@ impl InfectionExperiment {
     /// Runs the rig and returns the measured infection rate.
     #[must_use]
     pub fn measure(&self, placement: &Placement) -> f64 {
+        self.measure_on(&mut None, placement)
+    }
+
+    /// Averages [`InfectionExperiment::measure`] over random placements,
+    /// draining every placement on one network.
+    #[must_use]
+    pub fn measure_random_avg(&self, m: usize, seeds: &[u64]) -> f64 {
+        if seeds.is_empty() {
+            return 0.0;
+        }
+        let mut net = None;
+        let sum: f64 = seeds
+            .iter()
+            .map(|&seed| {
+                self.measure_on(
+                    &mut net,
+                    &self.placement(m, &PlacementStrategy::Random { seed }),
+                )
+            })
+            .sum();
+        sum / seeds.len() as f64
+    }
+
+    /// [`InfectionExperiment::measure`] on `net`: builds the network on
+    /// first use and [`Network::reset`]s it for every later placement, which
+    /// observes exactly what a new network would.
+    fn measure_on(&self, net: &mut Option<Network<TrojanFleet>>, placement: &Placement) -> f64 {
         let mut fleet = TrojanFleet::new(placement.nodes(), TamperRule::Zero);
         fleet.configure_all(&[], self.manager, true);
-        let mut net = Network::with_inspector(
-            NetworkConfig::new(self.mesh).with_routing(self.routing),
-            fleet,
-        );
+        let net = match net {
+            Some(net) => {
+                net.reset(fleet);
+                net
+            }
+            None => net.insert(Network::with_inspector(
+                NetworkConfig::new(self.mesh).with_routing(self.routing),
+                fleet,
+            )),
+        };
         for round in 0..self.rounds {
             for src in self.mesh.iter_nodes() {
                 if src == self.manager {
@@ -131,19 +164,6 @@ impl InfectionExperiment {
             );
         }
         net.stats().infection_rate()
-    }
-
-    /// Averages [`InfectionExperiment::measure`] over random placements.
-    #[must_use]
-    pub fn measure_random_avg(&self, m: usize, seeds: &[u64]) -> f64 {
-        if seeds.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = seeds
-            .iter()
-            .map(|&seed| self.measure(&self.placement(m, &PlacementStrategy::Random { seed })))
-            .sum();
-        sum / seeds.len() as f64
     }
 }
 

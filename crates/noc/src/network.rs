@@ -9,7 +9,7 @@ use crate::router::{Router, RouterConfig, Routers};
 use crate::routing::{RoutingAlgorithm, RoutingKind};
 use crate::stats::NetworkStats;
 use crate::store::{PacketStore, NIL};
-use crate::topology::{Direction, Mesh2d, NodeId};
+use crate::topology::{Coord, Direction, Mesh2d, NodeId};
 use crate::trace::{TraceBuffer, TraceEvent};
 
 /// Construction parameters of a [`Network`].
@@ -206,6 +206,9 @@ pub struct Network<I: PacketInspector = NullInspector> {
     /// `neighbor_tbl[node * 4 + dir]`: the node across that link, flattened
     /// once at construction so the hot loops never recompute coordinates.
     neighbor_tbl: Vec<Option<NodeId>>,
+    /// `coords[node]`: the node's mesh coordinate, flattened once so
+    /// routing computation never divides a node id by the mesh width.
+    coords: Vec<Coord>,
     /// Reusable buffer for deferred credit returns in switch traversal:
     /// indices into the routers' credit slab.
     credit_scratch: Vec<u32>,
@@ -254,9 +257,45 @@ impl<I: PacketInspector> Network<I> {
             inject_busy: ActiveSet::new(nodes),
             queued_flits: 0,
             neighbor_tbl: config.mesh.neighbor_table(),
+            coords: config
+                .mesh
+                .iter_nodes()
+                .map(|n| config.mesh.coord(n))
+                .collect(),
             credit_scratch: Vec::new(),
             rr_skew: false,
         }
+    }
+
+    /// Returns an idle network to exactly the state
+    /// [`Network::with_inspector`] builds from the same configuration, with
+    /// `inspector` installed: cycle 0, packet ids from 0, empty statistics
+    /// and trace, idle routers with full credits and round-robin pointers
+    /// at 0, and no fault hook or metrics. Reusing one network across
+    /// back-to-back runs skips rebuilding its slabs; what the runs observe
+    /// is the same as with a new network each time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network is not [`Network::is_idle`].
+    pub fn reset(&mut self, inspector: I) {
+        assert!(self.is_idle(), "reset called on a busy network");
+        // Idle means no flit is buffered, queued or on a link, so every
+        // worklist is already empty and every link slot already EMPTY.
+        self.routers.reset();
+        self.inject_q.fill(InjectQueue::EMPTY);
+        self.store.clear();
+        self.ejected.clear();
+        self.inspector = inspector;
+        self.faults = None;
+        self.metrics = None;
+        self.stats = NetworkStats::default();
+        if let Some(trace) = self.trace.as_mut() {
+            trace.clear();
+        }
+        self.cycle = 0;
+        self.next_packet_id = 0;
+        self.rr_skew = false;
     }
 
     /// Seeds a deliberate arbitration bug: after every switch grant the
@@ -643,6 +682,13 @@ impl<I: PacketInspector> Network<I> {
         for w in 0..self.active.words() {
             for b in BitsIter(self.active.word(w)) {
                 let ri = w * 64 + b;
+                // Nothing to grant and nothing to sink: every output port
+                // would find an empty request mask. Faulted cycles still
+                // visit every active router, so the hook is asked about the
+                // same routers and links in the same order.
+                if !faults_engaged && !self.routers.has_switch_work(ri) {
+                    continue;
+                }
                 let node = NodeId(ri as u16);
                 // A stalled router forwards (and sinks) nothing this cycle.
                 // Its flits stay buffered, so it is still a legitimate
@@ -956,7 +1002,9 @@ impl<I: PacketInspector> Network<I> {
             });
         }
         let dst = self.store.packet(meta).dst();
-        let candidates = self.routing.route(self.mesh, node, dst, in_dir);
+        let candidates =
+            self.routing
+                .route(self.coords[ri], self.coords[usize::from(dst.0)], in_dir);
         debug_assert!(!candidates.is_empty());
         let chosen = if candidates.len() == 1 {
             candidates[0]
@@ -1526,6 +1574,43 @@ mod tests {
         assert_eq!(n.stats().dropped_packets(), 4);
         assert_eq!(n.stats().delivered_packets(), 0);
         assert!(n.router(NodeId(2)).is_idle());
+    }
+
+    #[test]
+    #[should_panic(expected = "reset called on a busy network")]
+    fn reset_on_a_busy_network_panics() {
+        let mut n = net(4, 4);
+        n.inject(Packet::power_request(NodeId(0), NodeId(15), 1))
+            .unwrap();
+        n.step();
+        n.reset(NullInspector);
+    }
+
+    #[test]
+    fn reset_drops_fault_hook_metrics_trace_and_undrained_deliveries() {
+        let mesh = Mesh2d::new(4, 1).unwrap();
+        let mut n = Network::new(NetworkConfig::new(mesh).with_tracing(64));
+        n.set_fault_hook(Box::new(ScriptedFaults::default()));
+        n.enable_metrics();
+        n.inject(Packet::power_request(NodeId(3), NodeId(0), 1))
+            .unwrap();
+        assert!(n.run_until_idle(1_000));
+        n.reset(NullInspector);
+        assert!(!n.has_fault_hook());
+        assert!(n.metrics().is_none());
+        assert_eq!(n.cycle(), 0);
+        assert_eq!(
+            n.stats().fingerprint(),
+            NetworkStats::default().fingerprint()
+        );
+        assert_eq!(n.trace().map(|t| t.events().count()), Some(0));
+        assert!(n.drain_ejected().is_empty());
+        assert_eq!(n.utilization_map(), vec![0; 4]);
+        assert_eq!(
+            n.inject(Packet::power_request(NodeId(3), NodeId(0), 1)),
+            Ok(0),
+            "packet ids restart at 0"
+        );
     }
 
     #[test]

@@ -96,6 +96,21 @@ pub(crate) struct RouterCore {
     pub dropping_vcs: u8,
 }
 
+impl RouterCore {
+    const IDLE: RouterCore = RouterCore {
+        occupied: 0,
+        route_req: [0; 5],
+        va_pending: 0,
+        pipeline_done: 0,
+        out_allocated: 0,
+        flits_forwarded: 0,
+        packets_routed: 0,
+        buffered: 0,
+        sa_rr: [0; 5],
+        dropping_vcs: 0,
+    };
+}
+
 /// One buffered flit: its handle and the cycle it entered the buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RingEntry {
@@ -153,18 +168,6 @@ impl Routers {
             config.buffer_depth
         );
         let slots = 5 * config.vcs;
-        let idle = RouterCore {
-            occupied: 0,
-            route_req: [0; 5],
-            va_pending: 0,
-            pipeline_done: 0,
-            out_allocated: 0,
-            flits_forwarded: 0,
-            packets_routed: 0,
-            buffered: 0,
-            sa_rr: [0; 5],
-            dropping_vcs: 0,
-        };
         // Placeholder entries fill the ring slab so indices are always in
         // bounds; a slot's live region is `head .. head + len` (mod depth).
         let placeholder = RingEntry {
@@ -174,14 +177,35 @@ impl Routers {
             },
             arrived_at: 0,
         };
+        // The ring slab, by far the largest (819 KB at 512 nodes), is
+        // allocated first, so that it takes the front of the region a
+        // dropped network freed before the small slabs can split it.
+        // Allocated after them, a network built right after another one
+        // was dropped can miss that region and touch fresh pages, raising
+        // peak RSS by one ring slab.
         Routers {
+            ring: vec![placeholder; nodes * slots * config.buffer_depth],
             config,
             slots,
-            core: vec![idle; nodes],
+            core: vec![RouterCore::IDLE; nodes],
             vc: vec![VcState::IDLE; nodes * slots],
             credits: vec![config.buffer_depth as u8; nodes * slots],
-            ring: vec![placeholder; nodes * slots * config.buffer_depth],
         }
+    }
+
+    /// Returns idle routers to the state [`Routers::new`] builds: cores
+    /// with zeroed masks, counters and round-robin pointers, VC records
+    /// with their ring cursors at 0, full credits. The ring slab is left as
+    /// it is — only a slot's live region (`head .. head + len`) is ever
+    /// read, and every slot is empty.
+    pub(crate) fn reset(&mut self) {
+        debug_assert!(
+            self.core.iter().all(|c| c.buffered == 0),
+            "reset with buffered flits"
+        );
+        self.core.fill(RouterCore::IDLE);
+        self.vc.fill(VcState::IDLE);
+        self.credits.fill(self.config.buffer_depth as u8);
     }
 
     /// Virtual channels per port.
@@ -356,6 +380,17 @@ impl Routers {
     pub(crate) fn switch_requests(&self, r: usize, od: usize) -> u64 {
         let core = &self.core[r];
         core.occupied & core.route_req[od] & !core.va_pending
+    }
+
+    /// Whether switch traversal can do anything at router `r` this cycle:
+    /// some occupied slot is routed and (for a mesh port) holds a
+    /// downstream VC — the union of the five [`Routers::switch_requests`]
+    /// masks is non-empty — or some VC is sinking a dropped packet. O(1).
+    #[inline]
+    pub(crate) fn has_switch_work(&self, r: usize) -> bool {
+        let core = &self.core[r];
+        let routed = core.route_req.iter().fold(0, |acc, &m| acc | m);
+        core.occupied & !core.va_pending & routed != 0 || core.dropping_vcs != 0
     }
 
     /// Occupied slots with a non-local route still awaiting a downstream

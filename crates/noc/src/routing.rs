@@ -1,4 +1,4 @@
-use crate::topology::{Coord, Direction, Mesh2d, NodeId};
+use crate::topology::{Coord, Direction};
 
 /// Selects which routing algorithm a [`crate::Network`] uses.
 ///
@@ -115,20 +115,17 @@ impl<'a> IntoIterator for &'a RouteCandidates {
 /// Manhattan distance to the destination) and deadlock-free under wormhole
 /// switching with credit flow control.
 pub trait RoutingAlgorithm: Send {
-    /// Computes the candidate output directions for a packet at `current`
-    /// heading to `dst`, in preference order. `in_dir` is the port the
-    /// packet arrived on (`Local` for freshly injected packets); adaptive
-    /// algorithms use it to enforce turn restrictions.
+    /// Computes the candidate output directions for a packet at mesh
+    /// coordinate `current` heading to `dst`, in preference order. `in_dir`
+    /// is the port the packet arrived on (`Local` for freshly injected
+    /// packets); adaptive algorithms may use it to enforce turn
+    /// restrictions. Callers pass coordinates so the per-hop call does no
+    /// id-to-coordinate division ([`crate::Network`] reads them from a
+    /// table built once; other callers use [`crate::Mesh2d::coord`]).
     ///
     /// Returns [`Direction::Local`] as the single candidate when
     /// `current == dst`.
-    fn route(
-        &self,
-        mesh: Mesh2d,
-        current: NodeId,
-        dst: NodeId,
-        in_dir: Direction,
-    ) -> RouteCandidates;
+    fn route(&self, current: Coord, dst: Coord, in_dir: Direction) -> RouteCandidates;
 
     /// A short human-readable name for logs and bench output.
     fn name(&self) -> &'static str;
@@ -140,15 +137,7 @@ pub trait RoutingAlgorithm: Send {
 pub struct XyRouting;
 
 impl RoutingAlgorithm for XyRouting {
-    fn route(
-        &self,
-        mesh: Mesh2d,
-        current: NodeId,
-        dst: NodeId,
-        _in_dir: Direction,
-    ) -> RouteCandidates {
-        let c = mesh.coord(current);
-        let d = mesh.coord(dst);
+    fn route(&self, c: Coord, d: Coord, _in_dir: Direction) -> RouteCandidates {
         RouteCandidates::single(if c == d {
             Direction::Local
         } else if d.x > c.x {
@@ -228,18 +217,12 @@ impl OddEvenRouting {
 }
 
 impl RoutingAlgorithm for OddEvenRouting {
-    fn route(
-        &self,
-        mesh: Mesh2d,
-        current: NodeId,
-        dst: NodeId,
-        in_dir: Direction,
-    ) -> RouteCandidates {
-        // `in_dir == Local` means the packet was injected here; the source
-        // column equals the current column in that case.
-        let src_col_hint = mesh.coord(current);
-        let _ = in_dir;
-        Self::allowed(mesh.coord(current), mesh.coord(dst), src_col_hint)
+    fn route(&self, current: Coord, dst: Coord, _in_dir: Direction) -> RouteCandidates {
+        // The source-column hint is `current` itself, so `c.x == s.x`
+        // always holds in `allowed` and E→N / E→S turns are offered in even
+        // columns too. The goldens and the conformance corpus pin exactly
+        // this behaviour; see docs/TESTING.md (single-VC wedge).
+        Self::allowed(current, dst, current)
     }
 
     fn name(&self) -> &'static str {
@@ -257,15 +240,7 @@ impl RoutingAlgorithm for OddEvenRouting {
 pub struct WestFirstRouting;
 
 impl RoutingAlgorithm for WestFirstRouting {
-    fn route(
-        &self,
-        mesh: Mesh2d,
-        current: NodeId,
-        dst: NodeId,
-        _in_dir: Direction,
-    ) -> RouteCandidates {
-        let c = mesh.coord(current);
-        let d = mesh.coord(dst);
+    fn route(&self, c: Coord, d: Coord, _in_dir: Direction) -> RouteCandidates {
         if c == d {
             return RouteCandidates::single(Direction::Local);
         }
@@ -294,6 +269,7 @@ impl RoutingAlgorithm for WestFirstRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Mesh2d, NodeId};
 
     fn mesh() -> Mesh2d {
         Mesh2d::new(8, 8).unwrap()
@@ -307,7 +283,7 @@ mod tests {
         let dst = NodeId(63);
         let mut hops = 0;
         loop {
-            let dirs = r.route(m, cur, dst, Direction::Local);
+            let dirs = r.route(m.coord(cur), m.coord(dst), Direction::Local);
             assert_eq!(dirs.len(), 1, "XY is deterministic");
             if dirs[0] == Direction::Local {
                 break;
@@ -323,10 +299,10 @@ mod tests {
     #[test]
     fn xy_is_x_first() {
         let m = mesh();
-        let dirs = XyRouting.route(m, NodeId(0), NodeId(63), Direction::Local);
+        let dirs = XyRouting.route(m.coord(NodeId(0)), m.coord(NodeId(63)), Direction::Local);
         assert_eq!(dirs.as_slice(), [Direction::East]);
         // Same column: moves in Y.
-        let dirs = XyRouting.route(m, NodeId(7), NodeId(63), Direction::Local);
+        let dirs = XyRouting.route(m.coord(NodeId(7)), m.coord(NodeId(63)), Direction::Local);
         assert_eq!(dirs.as_slice(), [Direction::South]);
     }
 
@@ -334,9 +310,9 @@ mod tests {
     fn routes_at_destination_are_local() {
         let m = mesh();
         for kind in RoutingKind::ALL {
-            let dirs = kind
-                .build()
-                .route(m, NodeId(20), NodeId(20), Direction::North);
+            let dirs =
+                kind.build()
+                    .route(m.coord(NodeId(20)), m.coord(NodeId(20)), Direction::North);
             assert_eq!(dirs.as_slice(), [Direction::Local], "{kind:?}");
         }
     }
@@ -346,10 +322,10 @@ mod tests {
         let m = mesh();
         let r = WestFirstRouting;
         // dst is west and south of src: only West offered.
-        let dirs = r.route(m, NodeId(12), NodeId(24), Direction::Local); // (4,1) -> (0,3)
+        let dirs = r.route(m.coord(NodeId(12)), m.coord(NodeId(24)), Direction::Local); // (4,1) -> (0,3)
         assert_eq!(dirs.as_slice(), [Direction::West]);
         // dst is east and south: both adaptive options offered.
-        let dirs = r.route(m, NodeId(0), NodeId(63), Direction::Local);
+        let dirs = r.route(m.coord(NodeId(0)), m.coord(NodeId(63)), Direction::Local);
         assert_eq!(dirs.as_slice(), [Direction::East, Direction::South]);
     }
 
@@ -359,7 +335,7 @@ mod tests {
         let r = WestFirstRouting;
         for src in m.iter_nodes() {
             for dst in m.iter_nodes() {
-                for &dir in &r.route(m, src, dst, Direction::Local) {
+                for &dir in &r.route(m.coord(src), m.coord(dst), Direction::Local) {
                     if dir == Direction::Local {
                         assert_eq!(src, dst);
                         continue;
@@ -381,7 +357,7 @@ mod tests {
         let r = OddEvenRouting;
         for src in m.iter_nodes() {
             for dst in m.iter_nodes() {
-                let dirs = r.route(m, src, dst, Direction::Local);
+                let dirs = r.route(m.coord(src), m.coord(dst), Direction::Local);
                 assert!(!dirs.is_empty());
                 for d in &dirs {
                     if *d == Direction::Local {
@@ -402,6 +378,16 @@ mod tests {
     }
 
     #[test]
+    fn odd_even_offers_y_moves_to_eastbound_packets_in_even_columns() {
+        // Pinned current behaviour, not the textbook turn model: the
+        // source-column hint is the current column, so an eastbound packet
+        // in even column 2 is offered South before East.
+        let (c, d) = (Coord::new(2, 1), Coord::new(5, 4));
+        let dirs = OddEvenRouting.route(c, d, Direction::West);
+        assert_eq!(dirs.as_slice(), [Direction::South, Direction::East]);
+    }
+
+    #[test]
     fn odd_even_terminates_on_all_pairs() {
         let m = Mesh2d::new(6, 6).unwrap();
         let r = OddEvenRouting;
@@ -410,7 +396,7 @@ mod tests {
                 let mut cur = src;
                 let mut hops = 0u32;
                 loop {
-                    let dirs = r.route(m, cur, dst, Direction::Local);
+                    let dirs = r.route(m.coord(cur), m.coord(dst), Direction::Local);
                     if dirs[0] == Direction::Local {
                         break;
                     }

@@ -111,6 +111,15 @@ impl PacketStore {
         self.live -= 1;
     }
 
+    /// Forgets every slot but keeps the slab's capacity: the next
+    /// [`PacketStore::alloc`] hands out slot 0, as on a new store. Only
+    /// called with no live packet ([`crate::Network::reset`]).
+    pub(crate) fn clear(&mut self) {
+        debug_assert_eq!(self.live, 0, "clearing a store with live packets");
+        self.slots.clear();
+        self.free_head = NIL;
+    }
+
     /// Number of live (in-flight) packets.
     #[must_use]
     pub fn live(&self) -> usize {

@@ -1,12 +1,13 @@
 //! Property-based tests of the NoC simulator's end-to-end invariants:
 //! conservation (every injected packet is delivered exactly once), payload
-//! integrity on a clean network, and minimal routing.
+//! integrity on a clean network, minimal routing, and `Network::reset`
+//! leaving nothing behind.
 
 use proptest::prelude::*;
 
 use htpb_noc::{
-    InspectOutcome, Mesh2d, Network, NetworkConfig, NodeId, Packet, PacketInspector, PacketKind,
-    PacketStore, RawPacket, RoutingKind,
+    Digest, Direction, InspectOutcome, Mesh2d, Network, NetworkConfig, NodeId, Packet,
+    PacketInspector, PacketKind, PacketStore, RawPacket, RoutingKind,
 };
 
 /// Drops every packet whose id hash lands under the threshold, at one node.
@@ -24,6 +25,106 @@ impl PacketInspector for RandomDropper {
             InspectOutcome::untouched()
         }
     }
+}
+
+/// A false-data Trojan fleet for the reset property: zeroes every power
+/// request bound for `manager` at the infected routers, and sinks every
+/// packet with an odd payload at `drop_at`.
+#[derive(Debug)]
+struct Trojans {
+    infected: Vec<NodeId>,
+    drop_at: Option<NodeId>,
+    manager: NodeId,
+}
+
+impl PacketInspector for Trojans {
+    fn inspect(&mut self, router: NodeId, _cycle: u64, packet: &mut Packet) -> InspectOutcome {
+        if self.drop_at == Some(router) && packet.payload() & 1 == 1 {
+            return InspectOutcome::dropped();
+        }
+        if self.infected.contains(&router)
+            && packet.dst() == self.manager
+            && matches!(packet.kind(), PacketKind::PowerReq)
+            && packet.payload() != 0
+        {
+            packet.set_payload(0);
+            return InspectOutcome::tampered();
+        }
+        InspectOutcome::untouched()
+    }
+}
+
+/// One run of the reset property: a Trojan fleet (infected routers, drop
+/// point, manager) and extra sends on top of the burst to the manager.
+type Run = (Vec<u16>, Option<u16>, u16, Vec<(u16, u16, PacketKind, u32)>);
+
+fn trojans_for(mesh: Mesh2d, (infected, drop_at, manager, _): &Run) -> Trojans {
+    let node = |n: u16| NodeId((u32::from(n) % mesh.nodes()) as u16);
+    Trojans {
+        infected: infected.iter().map(|&n| node(n)).collect(),
+        drop_at: drop_at.map(node),
+        manager: node(*manager),
+    }
+}
+
+/// Burst-drains one run on `net` — every node sends a power request to the
+/// manager in cycle 0, plus the run's extra sends — and digests, per cycle,
+/// the stats fingerprint, every delivery in order and every input VC's
+/// snapshot; then the cycle count, the utilization map and the trace.
+fn burst_drain_digest(net: &mut Network<Trojans>, mesh: Mesh2d, run: &Run) -> u64 {
+    let nodes = mesh.nodes();
+    let node = |n: u16| NodeId((u32::from(n) % nodes) as u16);
+    let manager = node(run.2);
+    for src in mesh.iter_nodes().filter(|&s| s != manager) {
+        net.inject(Packet::power_request(
+            src,
+            manager,
+            1_000 + u32::from(src.0),
+        ))
+        .expect("inject");
+    }
+    for &(s, d, kind, payload) in &run.3 {
+        net.inject(Packet::new(node(s), node(d), kind, payload))
+            .expect("inject");
+    }
+    let vcs = net.router(NodeId(0)).config().vcs;
+    let mut d = Digest::new();
+    let mut spin = 0u32;
+    while !net.is_idle() {
+        net.step();
+        spin += 1;
+        assert!(spin < 200_000, "network failed to drain");
+        d.u64(net.stats().fingerprint());
+        for p in net.drain_ejected() {
+            d.u64(u64::from(p.packet.src().0))
+                .u64(u64::from(p.packet.dst().0))
+                .u64(u64::from(p.packet.payload()))
+                .u64(p.latency)
+                .u64(u64::from(p.hops))
+                .u64(u64::from(p.modified));
+        }
+        for n in mesh.iter_nodes() {
+            let router = net.router(n);
+            for port in 0..Direction::ALL.len() {
+                for vc in 0..vcs {
+                    let v = router.vc_snapshot(port, vc);
+                    d.u64(v.occupancy as u64)
+                        .u64(v.front_packet.unwrap_or(u64::MAX))
+                        .u64(v.front_arrived_at.unwrap_or(u64::MAX))
+                        .u64(v.route.map_or(9, |r| r.index() as u64))
+                        .u64(v.out_vc.map_or(u64::MAX, |o| o as u64))
+                        .u64(u64::from(v.inspected))
+                        .u64(u64::from(v.dropping));
+                }
+            }
+        }
+    }
+    d.u64(net.cycle());
+    for u in net.utilization_map() {
+        d.u64(u);
+    }
+    d.u64(net.trace().expect("tracing on").fingerprint());
+    d.finish()
 }
 
 fn arb_mesh() -> impl Strategy<Value = Mesh2d> {
@@ -306,6 +407,56 @@ proptest! {
             .collect();
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
+    }
+
+    /// A network `reset` between runs observes exactly what a new network
+    /// per run does: same per-cycle stats, delivery order and VC
+    /// snapshots, same utilization map, cycle count and trace. Leftover
+    /// round-robin pointers, counters, credits, packet ids or trace events
+    /// from an earlier run would show up as a difference.
+    #[test]
+    fn reset_network_matches_a_new_one_per_run(
+        dims in (2u16..=6, 1u16..=6),
+        routing in prop_oneof![
+            Just(RoutingKind::Xy),
+            Just(RoutingKind::OddEven),
+            Just(RoutingKind::WestFirst),
+        ],
+        runs in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u16>(), 0..8),
+                proptest::option::of(any::<u16>()),
+                any::<u16>(),
+                proptest::collection::vec((any::<u16>(), any::<u16>(), arb_kind(), any::<u32>()), 0..20),
+            ),
+            2..4,
+        ),
+    ) {
+        let mesh = Mesh2d::new(dims.0, dims.1).expect("valid dims");
+        let config = NetworkConfig::new(mesh).with_routing(routing).with_tracing(64);
+        let fresh: Vec<u64> = runs
+            .iter()
+            .map(|run| {
+                let mut net = Network::with_inspector(config.clone(), trojans_for(mesh, run));
+                burst_drain_digest(&mut net, mesh, run)
+            })
+            .collect();
+        let mut net: Option<Network<Trojans>> = None;
+        let reused: Vec<u64> = runs
+            .iter()
+            .map(|run| {
+                let inspector = trojans_for(mesh, run);
+                let net = match net.as_mut() {
+                    Some(net) => {
+                        net.reset(inspector);
+                        net
+                    }
+                    None => net.insert(Network::with_inspector(config.clone(), inspector)),
+                };
+                burst_drain_digest(net, mesh, run)
+            })
+            .collect();
+        prop_assert_eq!(fresh, reused);
     }
 
     /// Packet wire encoding round-trips for every representable frame.

@@ -650,9 +650,11 @@ impl ReferenceNet {
                         .front()
                         .map(|(f, _)| f.packet.as_ref().expect("head").dst())
                         .expect("front checked");
-                    let candidates =
-                        self.routing
-                            .route(self.mesh, node, dst, Direction::ALL[in_port]);
+                    let candidates = self.routing.route(
+                        self.mesh.coord(node),
+                        self.mesh.coord(dst),
+                        Direction::ALL[in_port],
+                    );
                     assert!(!candidates.is_empty());
                     let chosen = if candidates.len() == 1 {
                         candidates[0]

@@ -1,6 +1,4 @@
-use htpb_noc::{
-    ActivationSignal, FnvHashMap, InspectOutcome, Mesh2d, NodeId, Packet, PacketInspector,
-};
+use htpb_noc::{ActivationSignal, InspectOutcome, Mesh2d, NodeId, Packet, PacketInspector};
 
 use crate::circuit::{BoostRule, HardwareTrojan, TamperRule, TrojanMode};
 use crate::schedule::ActivationSchedule;
@@ -25,20 +23,37 @@ pub struct FleetStats {
 /// (Section III-B) without simulating each packet.
 #[derive(Debug, Clone)]
 pub struct TrojanFleet {
-    trojans: FnvHashMap<NodeId, HardwareTrojan>,
+    /// The Trojans, sorted by node, one per node.
+    trojans: Vec<HardwareTrojan>,
+    /// `at[node]`: index into `trojans` of the Trojan implanted at `node`,
+    /// or [`CLEAN`]; nodes above the highest infected one are out of range.
+    /// [`PacketInspector::inspect`] runs at every router for every packet,
+    /// so the lookup is a bounds check and a load.
+    at: Vec<u32>,
     schedule: ActivationSchedule,
 }
+
+/// `TrojanFleet::at` entry of a router with no Trojan.
+const CLEAN: u32 = u32::MAX;
 
 impl TrojanFleet {
     /// Implants one Trojan (all sharing `rule`) at each node in `nodes`.
     /// Duplicate nodes collapse to a single Trojan.
     #[must_use]
     pub fn new(nodes: &[NodeId], rule: TamperRule) -> Self {
+        let mut sorted = nodes.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut at = vec![CLEAN; sorted.last().map_or(0, |n| usize::from(n.0) + 1)];
+        for (i, n) in sorted.iter().enumerate() {
+            at[usize::from(n.0)] = i as u32;
+        }
         TrojanFleet {
-            trojans: nodes
-                .iter()
-                .map(|&n| (n, HardwareTrojan::new(n, rule)))
+            trojans: sorted
+                .into_iter()
+                .map(|n| HardwareTrojan::new(n, rule))
                 .collect(),
+            at,
             schedule: ActivationSchedule::AlwaysOn,
         }
     }
@@ -60,7 +75,7 @@ impl TrojanFleet {
     /// (see [`BoostRule`]).
     #[must_use]
     pub fn with_boost(mut self, boost: BoostRule) -> Self {
-        for ht in self.trojans.values_mut() {
+        for ht in &mut self.trojans {
             *ht = ht.clone().with_boost(boost);
         }
         self
@@ -70,7 +85,7 @@ impl TrojanFleet {
     /// [`TrojanMode`]).
     #[must_use]
     pub fn with_mode(mut self, mode: TrojanMode) -> Self {
-        for ht in self.trojans.values_mut() {
+        for ht in &mut self.trojans {
             *ht = ht.clone().with_mode(mode);
         }
         self
@@ -97,21 +112,28 @@ impl TrojanFleet {
     /// The infected router ids, in ascending order.
     #[must_use]
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.trojans.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.trojans.iter().map(HardwareTrojan::node).collect()
+    }
+
+    /// Index into `trojans` of the Trojan at `node`, if there is one.
+    #[inline]
+    fn index(&self, node: NodeId) -> Option<usize> {
+        match self.at.get(usize::from(node.0)) {
+            Some(&i) if i != CLEAN => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// Whether `node` hosts a Trojan.
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.trojans.contains_key(&node)
+        self.index(node).is_some()
     }
 
     /// Read access to one Trojan.
     #[must_use]
     pub fn trojan(&self, node: NodeId) -> Option<&HardwareTrojan> {
-        self.trojans.get(&node)
+        self.index(node).map(|i| &self.trojans[i])
     }
 
     /// Directly configures every Trojan's registers, bypassing the in-band
@@ -125,15 +147,16 @@ impl TrojanFleet {
         } else {
             ActivationSignal::Off
         };
-        for (node, ht) in self.trojans.iter_mut() {
+        for ht in &mut self.trojans {
+            let node = ht.node();
             for attacker in attackers {
-                let mut cfg = Packet::config_command(*attacker, *node, manager, signal);
+                let mut cfg = Packet::config_command(*attacker, node, manager, signal);
                 ht.scan(&mut cfg, true);
             }
             if attackers.is_empty() {
                 // Manager-as-agent placeholder keeps the Trojan armable even
                 // with no spared sources (pure infection-rate experiments).
-                let mut cfg = Packet::config_command(manager, *node, manager, signal);
+                let mut cfg = Packet::config_command(manager, node, manager, signal);
                 ht.scan(&mut cfg, true);
             }
         }
@@ -159,7 +182,7 @@ impl TrojanFleet {
     #[must_use]
     pub fn stats(&self) -> FleetStats {
         let mut s = FleetStats::default();
-        for ht in self.trojans.values() {
+        for ht in &self.trojans {
             s.packets_seen += ht.packets_seen();
             s.packets_modified += ht.packets_modified();
             s.configs_received += ht.configs_received();
@@ -170,10 +193,10 @@ impl TrojanFleet {
 
 impl PacketInspector for TrojanFleet {
     fn inspect(&mut self, router: NodeId, cycle: u64, packet: &mut Packet) -> InspectOutcome {
-        let Some(ht) = self.trojans.get_mut(&router) else {
+        let Some(i) = self.index(router) else {
             return InspectOutcome::untouched();
         };
-        ht.scan(packet, self.schedule.active_at(cycle))
+        self.trojans[i].scan(packet, self.schedule.active_at(cycle))
     }
 }
 
@@ -193,6 +216,44 @@ mod tests {
         assert!(!fleet.contains(NodeId(3)));
         assert_eq!(fleet.nodes(), vec![NodeId(1), NodeId(2)]);
         assert!(TrojanFleet::clean().is_empty());
+    }
+
+    #[test]
+    fn dense_index_collapses_duplicates_and_keeps_nodes_ascending() {
+        let fleet = TrojanFleet::new(
+            &[NodeId(9), NodeId(3), NodeId(9), NodeId(0), NodeId(3)],
+            TamperRule::Zero,
+        );
+        assert_eq!(fleet.len(), 3);
+        assert_eq!(fleet.nodes(), vec![NodeId(0), NodeId(3), NodeId(9)]);
+        for node in fleet.nodes() {
+            assert_eq!(fleet.trojan(node).map(HardwareTrojan::node), Some(node));
+        }
+        assert!(fleet.trojan(NodeId(4)).is_none());
+    }
+
+    #[test]
+    fn inspect_above_the_highest_trojan_and_on_an_empty_fleet_is_untouched() {
+        let mut fleet = TrojanFleet::new(&[NodeId(2), NodeId(5)], TamperRule::Zero);
+        fleet.configure_all(&[ATTACKER], MANAGER, true);
+        let mut clean = TrojanFleet::clean();
+        clean.configure_all(&[ATTACKER], MANAGER, true);
+        for router in [NodeId(6), NodeId(63), NodeId(u16::MAX)] {
+            for fleet in [&mut fleet, &mut clean] {
+                let mut req = Packet::power_request(NodeId(3), MANAGER, 1_000);
+                assert_eq!(
+                    fleet.inspect(router, 0, &mut req),
+                    InspectOutcome::untouched()
+                );
+                assert_eq!(req.payload(), 1_000);
+                assert!(!fleet.contains(router));
+            }
+        }
+        // The infected routers still bite, and only they saw the packets.
+        let mut req = Packet::power_request(NodeId(3), MANAGER, 1_000);
+        assert!(fleet.inspect(NodeId(5), 0, &mut req).modified);
+        assert_eq!(fleet.stats().packets_seen, 2 + 1);
+        assert_eq!(clean.stats(), FleetStats::default());
     }
 
     #[test]
