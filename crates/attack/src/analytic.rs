@@ -49,26 +49,6 @@ pub fn analytic_infection_rate(
     }
 }
 
-/// Like [`analytic_infection_rate`] but over an explicit source population
-/// (e.g. only the cores of victim applications).
-#[must_use]
-pub fn analytic_infection_rate_for_sources(
-    mesh: Mesh2d,
-    manager: NodeId,
-    trojans: &[NodeId],
-    sources: &[NodeId],
-) -> f64 {
-    let set: FnvHashSet<NodeId> = trojans.iter().copied().collect();
-    if set.is_empty() || sources.is_empty() {
-        return 0.0;
-    }
-    let infected = sources
-        .iter()
-        .filter(|s| mesh.xy_path(**s, manager).iter().any(|n| set.contains(n)))
-        .count();
-    infected as f64 / sources.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,18 +104,6 @@ mod tests {
         // the numerator and denominator together.
         let partial = analytic_infection_rate(m, manager, &[NodeId(1)], None);
         assert!(partial > 0.0 && partial < 1.0);
-    }
-
-    #[test]
-    fn explicit_sources_population() {
-        let m = Mesh2d::new(4, 4).unwrap();
-        let manager = NodeId(0);
-        // Sources in the same row as a Trojan at node 2 (row 0).
-        let rate =
-            analytic_infection_rate_for_sources(m, manager, &[NodeId(2)], &[NodeId(3), NodeId(15)]);
-        // Node 3's XY path 3->2->1->0 crosses node 2: infected. Node 15's
-        // path goes along row 3 to column 0 then up: clean.
-        assert!((rate - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl LinearModel {
 
     /// The fitted weights.
     #[must_use]
-    pub fn weights(&self) -> &[f64] {
+    pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
 

@@ -15,6 +15,10 @@ use htpb_noc::{Mesh2d, NodeId};
 use crate::analytic::analytic_infection_rate;
 use crate::placement::{Placement, PlacementStrategy};
 
+/// Random scatters per Trojan count `m` in the enumeration: they span the
+/// high-η configurations the clusters miss.
+const RANDOM_SCATTERS: u64 = 8;
+
 /// One evaluated placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementCandidate {
@@ -39,7 +43,6 @@ pub struct PlacementOptimizer {
     manager: NodeId,
     max_hts: usize,
     excluded: Vec<NodeId>,
-    random_seeds: u64,
 }
 
 impl PlacementOptimizer {
@@ -52,7 +55,6 @@ impl PlacementOptimizer {
             manager,
             max_hts: max_hts.max(1),
             excluded: Vec::new(),
-            random_seeds: 8,
         }
     }
 
@@ -64,16 +66,9 @@ impl PlacementOptimizer {
         self
     }
 
-    /// How many random scatters per `m` to include in the enumeration.
-    #[must_use]
-    pub fn random_candidates(mut self, seeds: u64) -> Self {
-        self.random_seeds = seeds;
-        self
-    }
-
     /// Evaluates one explicit placement.
     #[must_use]
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         placement: Placement,
         description: impl Into<String>,
@@ -100,7 +95,7 @@ impl PlacementOptimizer {
     /// to the optimal coverage set, and on XY meshes it recovers the true
     /// optimum for small `m` (cover the manager's heavy gates first).
     #[must_use]
-    pub fn greedy_cover(&self, m: usize) -> Placement {
+    pub(crate) fn greedy_cover(&self, m: usize) -> Placement {
         let mesh = self.mesh;
         let manager = self.manager;
         let sources: Vec<NodeId> = mesh.iter_nodes().filter(|n| *n != manager).collect();
@@ -150,7 +145,7 @@ impl PlacementOptimizer {
 
     /// Enumerates the candidate family for a fixed Trojan count `m`.
     #[must_use]
-    pub fn candidates_for(&self, m: usize) -> Vec<PlacementCandidate> {
+    pub(crate) fn candidates_for(&self, m: usize) -> Vec<PlacementCandidate> {
         let mut out = Vec::new();
         // Greedy maximum coverage: the strongest family for small m.
         out.push(self.evaluate(self.greedy_cover(m), format!("greedy-cover#{m}")));
@@ -165,8 +160,7 @@ impl PlacementOptimizer {
             );
             out.push(self.evaluate(p, format!("cluster@{anchor}")));
         }
-        // Random scatters: spans high-η configurations.
-        for seed in 0..self.random_seeds {
+        for seed in 0..RANDOM_SCATTERS {
             let p = Placement::generate(
                 self.mesh,
                 m,

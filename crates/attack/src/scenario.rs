@@ -61,7 +61,7 @@ impl Mix {
 
     /// Total number of applications in the mix.
     #[must_use]
-    pub fn app_count(self) -> usize {
+    pub(crate) fn app_count(self) -> usize {
         self.attackers().len() + self.victims().len()
     }
 

@@ -4,7 +4,7 @@ use htpb_attack::{
     sensitivity_phi, AttackOutcome, AttackSample, Mix, Placement, PlacementOptimizer,
     PlacementStrategy,
 };
-use htpb_faults::{FaultCounters, FaultPlan};
+use htpb_faults::FaultPlan;
 use htpb_manycore::{AppRole, ManyCoreSystem, PerformanceReport, SystemBuilder};
 use htpb_noc::{Mesh2d, Network, NetworkConfig, NodeId, Packet, RoutingKind};
 use htpb_power::{AllocatorKind, DegradationCounters, DvfsTable, HardeningConfig};
@@ -44,7 +44,6 @@ pub struct InfectionExperiment {
     mesh: Mesh2d,
     manager: NodeId,
     routing: RoutingKind,
-    rounds: u32,
 }
 
 impl InfectionExperiment {
@@ -61,7 +60,6 @@ impl InfectionExperiment {
             mesh,
             manager: mesh.center(),
             routing: RoutingKind::Xy,
-            rounds: 1,
         }
     }
 
@@ -76,14 +74,6 @@ impl InfectionExperiment {
     #[must_use]
     pub fn routing(mut self, routing: RoutingKind) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Number of request rounds (epochs) to average over. One suffices for
-    /// deterministic XY routing; adaptive routing benefits from more.
-    #[must_use]
-    pub fn rounds(mut self, rounds: u32) -> Self {
-        self.rounds = rounds.max(1);
         self
     }
 
@@ -149,20 +139,18 @@ impl InfectionExperiment {
                 fleet,
             )),
         };
-        for round in 0..self.rounds {
-            for src in self.mesh.iter_nodes() {
-                if src == self.manager {
-                    continue;
-                }
-                let payload = 1_000 + u32::from(src.0) + round * 7;
-                net.inject(Packet::power_request(src, self.manager, payload))
-                    .expect("infection rig injection");
+        for src in self.mesh.iter_nodes() {
+            if src == self.manager {
+                continue;
             }
-            assert!(
-                net.run_until_idle(4_000_000),
-                "infection rig failed to drain"
-            );
+            let payload = 1_000 + u32::from(src.0);
+            net.inject(Packet::power_request(src, self.manager, payload))
+                .expect("infection rig injection");
         }
+        assert!(
+            net.run_until_idle(4_000_000),
+            "infection rig failed to drain"
+        );
         net.stats().infection_rate()
     }
 }
@@ -743,100 +731,6 @@ pub fn regression_dataset_with(
     samples
 }
 
-/// Configuration of a resilience campaign: a Fig.-5-style attack campaign
-/// run on top of a *faulty* NoC (seeded [`FaultPlan`] — link outages,
-/// router stalls, bit flips, packet drops), with the global manager
-/// optionally hardened against the resulting noise.
-///
-/// Both arms of the comparison — the Trojan-free baseline and the attacked
-/// run — experience the **same** fault plan, so the derived Q isolates the
-/// Trojan's effect on the degraded substrate rather than conflating it with
-/// transport loss.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// The underlying campaign (mix, allocator, budget, Trojan rig).
-    pub campaign: CampaignConfig,
-    /// The fault plan injected into both runs.
-    pub faults: FaultPlan,
-    /// Manager hardening; `None` = the paper's trusting manager.
-    pub hardening: Option<HardeningConfig>,
-}
-
-impl ResilienceConfig {
-    /// A resilience rig over `campaign` with the given faults, manager not
-    /// hardened.
-    #[must_use]
-    pub fn new(campaign: CampaignConfig, faults: FaultPlan) -> Self {
-        ResilienceConfig {
-            campaign,
-            faults,
-            hardening: None,
-        }
-    }
-
-    /// Enables default manager hardening.
-    #[must_use]
-    pub fn hardened(mut self) -> Self {
-        self.hardening = Some(HardeningConfig::default());
-        self
-    }
-}
-
-/// Outcome of one resilience campaign: the usual campaign result plus the
-/// ground-truth fault tallies of each arm.
-#[derive(Debug, Clone)]
-pub struct ResilienceResult {
-    /// Baseline, attacked run and attack metrics (as in [`run_campaign`],
-    /// but with faults active in both arms).
-    pub result: CampaignResult,
-    /// Faults actually applied during the Trojan-free baseline.
-    pub baseline_faults: FaultCounters,
-    /// Faults actually applied during the attacked run.
-    pub attacked_faults: FaultCounters,
-    /// Manager degradation events (timeouts / rejects / clamps) during the
-    /// attacked run's measurement window. All zero without hardening.
-    pub degradation: DegradationCounters,
-}
-
-/// Runs one resilience campaign at a given Trojan duty fraction (0.0 =
-/// Trojans dormant — the pure-faults arm of the sweep).
-#[must_use]
-pub fn run_resilient_campaign(rcfg: &ResilienceConfig, duty: f64) -> ResilienceResult {
-    let cfg = &rcfg.campaign;
-
-    // Baseline: same faults, no Trojan activity.
-    let baseline_plan = rcfg.faults.with_fresh_counters();
-    let baseline_counters = baseline_plan.counter_handle();
-    let mut clean_sys = build_system_opts(cfg, TrojanFleet::clean(), rcfg.hardening);
-    clean_sys.set_fault_hook(Box::new(baseline_plan));
-    let clean = run_to_report(cfg, &mut clean_sys);
-
-    // Attacked: same faults, Trojans at `duty`.
-    let attacked_plan = rcfg.faults.with_fresh_counters();
-    let attacked_counters = attacked_plan.counter_handle();
-    let mut attacked_sys = build_attacked_system(cfg, duty, rcfg.hardening);
-    attacked_sys.set_fault_hook(Box::new(attacked_plan));
-    let attacked = run_to_report(cfg, &mut attacked_sys);
-
-    let outcome = AttackOutcome::compare(&attacked, &clean)
-        .expect("mixes always contain attackers and victims with live baselines");
-    let degradation = DegradationCounters {
-        timeouts: attacked.requests_timed_out,
-        rejects: attacked.requests_rejected,
-        clamps: attacked.requests_clamped,
-    };
-    ResilienceResult {
-        result: CampaignResult {
-            clean,
-            attacked,
-            outcome,
-        },
-        baseline_faults: baseline_counters.get(),
-        attacked_faults: attacked_counters.get(),
-        degradation,
-    }
-}
-
 /// One grid cell of the resilience sweep (fault rate × allocator policy ×
 /// hardening) — the data behind the attack-effect-under-faults curves.
 #[derive(Debug, Clone)]
@@ -863,10 +757,13 @@ pub struct ResiliencePoint {
     pub faults_applied: u64,
 }
 
-/// Computes one point of the resilience sweep: a campaign under a seeded
-/// packet-drop plan at `drop_ppm`, with or without manager hardening.
-/// Independent per point, like [`fig3_point`], so job schedulers can fan
-/// the grid out.
+/// Computes one point of the resilience sweep: a Fig.-5-style campaign on
+/// top of a NoC under a seeded packet-drop plan at `drop_ppm`, with or
+/// without manager hardening. Both arms — the Trojan-free baseline and the
+/// attacked run — experience the **same** fault plan, so Q isolates the
+/// Trojan's effect on the degraded substrate rather than conflating it with
+/// transport loss. Independent per point, like [`fig3_point`], so job
+/// schedulers can fan the grid out.
 #[must_use]
 pub fn resilience_point(
     base: &CampaignConfig,
@@ -876,22 +773,37 @@ pub fn resilience_point(
     duty: f64,
 ) -> ResiliencePoint {
     let faults = FaultPlan::new(fault_seed).with_drops(drop_ppm);
-    let mut rcfg = ResilienceConfig::new(base.clone(), faults);
-    if hardened {
-        rcfg = rcfg.hardened();
-    }
-    let r = run_resilient_campaign(&rcfg, duty);
+    let hardening = hardened.then(HardeningConfig::default);
+
+    // Baseline: same faults, no Trojan activity.
+    let mut clean_sys = build_system_opts(base, TrojanFleet::clean(), hardening);
+    clean_sys.set_fault_hook(Box::new(faults.with_fresh_counters()));
+    let clean = run_to_report(base, &mut clean_sys);
+
+    // Attacked: same faults, Trojans at `duty`.
+    let attacked_plan = faults.with_fresh_counters();
+    let attacked_counters = attacked_plan.counter_handle();
+    let mut attacked_sys = build_attacked_system(base, duty, hardening);
+    attacked_sys.set_fault_hook(Box::new(attacked_plan));
+    let attacked = run_to_report(base, &mut attacked_sys);
+
+    let outcome = AttackOutcome::compare(&attacked, &clean)
+        .expect("mixes always contain attackers and victims with live baselines");
     ResiliencePoint {
         allocator: base.allocator,
         drop_ppm,
         hardened,
         duty,
-        infection: r.result.outcome.infection_rate,
-        q_value: r.result.outcome.q_value,
-        victim_theta: r.result.attacked.victim_theta(),
-        baseline_victim_theta: r.result.clean.victim_theta(),
-        degradation: r.degradation,
-        faults_applied: r.attacked_faults.total(),
+        infection: outcome.infection_rate,
+        q_value: outcome.q_value,
+        victim_theta: attacked.victim_theta(),
+        baseline_victim_theta: clean.victim_theta(),
+        degradation: DegradationCounters {
+            timeouts: attacked.requests_timed_out,
+            rejects: attacked.requests_rejected,
+            clamps: attacked.requests_clamped,
+        },
+        faults_applied: attacked_counters.get().total(),
     }
 }
 

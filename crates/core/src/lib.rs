@@ -40,9 +40,8 @@ mod series;
 pub use experiments::{
     attack_sweep, fig3_label, fig3_point, fig3_series, fig4_point, fig4_series, optimal_vs_random,
     regression_dataset, regression_placements, resilience_point, run_campaign,
-    run_campaign_with_baseline, run_clean_baseline, run_resilient_campaign, AttackSweepPoint,
-    CampaignConfig, CampaignResult, InfectionExperiment, ManagerLocation, OptComparison,
-    ResilienceConfig, ResiliencePoint, ResilienceResult,
+    run_campaign_with_baseline, run_clean_baseline, AttackSweepPoint, CampaignConfig,
+    CampaignResult, InfectionExperiment, ManagerLocation, OptComparison, ResiliencePoint,
 };
 pub use platform::{describe_benchmarks, describe_mixes, describe_platform};
 pub use series::Series;
@@ -54,8 +53,8 @@ pub use htpb_attack::{
     LinearModel, Mix, Placement, PlacementCandidate, PlacementOptimizer, PlacementStrategy,
 };
 pub use htpb_defense::{
-    AnomalyEvent, DefenseSuite, DetectorConfig, LocalizationReport, ProbeCampaign, ProbePlan,
-    RequestAnomalyDetector, SuiteVerdict, TrojanLocalizer,
+    AnomalyEvent, DetectorConfig, LocalizationReport, ProbeCampaign, ProbePlan,
+    RequestAnomalyDetector, TrojanLocalizer,
 };
 pub use htpb_faults::{FaultCounters, FaultPlan};
 pub use htpb_manycore::{

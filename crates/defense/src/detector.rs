@@ -31,15 +31,6 @@ impl Default for DetectorConfig {
     }
 }
 
-impl DetectorConfig {
-    /// Builder: attach a plausibility envelope.
-    #[must_use]
-    pub fn with_envelope(mut self, envelope: RequestEnvelope) -> Self {
-        self.envelope = Some(envelope);
-        self
-    }
-}
-
 /// One flagged request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyEvent {
@@ -151,12 +142,6 @@ impl RequestAnomalyDetector {
         v.sort_unstable();
         v
     }
-
-    /// Clears history (e.g. after a mitigation was deployed).
-    pub fn reset(&mut self) {
-        self.tracks.clear();
-        self.events.clear();
-    }
 }
 
 #[cfg(test)]
@@ -242,8 +227,10 @@ mod tests {
     #[test]
     fn envelope_flags_implausible_requests_even_in_warmup() {
         let model = htpb_power::PowerModel::default_45nm();
-        let cfg = DetectorConfig::default().with_envelope(model.request_envelope());
-        let mut d = RequestAnomalyDetector::new(cfg);
+        let mut d = RequestAnomalyDetector::new(DetectorConfig {
+            envelope: Some(model.request_envelope()),
+            ..DetectorConfig::default()
+        });
         // First-ever sample, but physically impossible: flagged anyway.
         assert!(d.observe(NodeId(4), 0, f64::INFINITY).is_some());
         assert!(d.observe(NodeId(4), 0, -10.0).is_some());
@@ -257,16 +244,5 @@ mod tests {
         // Implausible values never trained the EWMA.
         let e = d.observe(NodeId(4), 4, 0.0).unwrap();
         assert!((e.expected_mw - 2_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut d = det();
-        d.observe(NodeId(1), 0, 2_500.0);
-        d.observe(NodeId(1), 1, 2_500.0);
-        d.observe(NodeId(1), 2, 0.0);
-        d.reset();
-        assert!(d.events().is_empty());
-        assert!(d.clean_cores().is_empty());
     }
 }

@@ -25,21 +25,11 @@
 //! For the *prevention* side (keyed checksums over the packet's OPTIONS
 //! field), see `htpb_manycore::RequestProtection` — the two compose: the
 //! checksum neutralises the attack while the localizer pinpoints which
-//! routers to fuse off. [`DefenseSuite`] bundles detector, probing and
-//! localization behind one manager-side facade:
-//!
-//! ```
-//! use htpb_defense::{DefenseSuite, ProbePlan};
-//! use htpb_noc::{Mesh2d, NodeId};
-//!
-//! let mesh = Mesh2d::new(4, 4).unwrap();
-//! let mut suite = DefenseSuite::new(mesh, mesh.center(), ProbePlan::default_band(7));
-//! // A request stream that collapses is flagged and localized.
-//! suite.observe_request(NodeId(3), 0, 2_000.0);
-//! suite.observe_request(NodeId(3), 1, 2_000.0);
-//! suite.observe_request(NodeId(3), 2, 0.0);
-//! assert!(suite.verdict().compromised);
-//! ```
+//! routers to fuse off. Callers wire the pieces together themselves: feed
+//! delivered requests to the detector (or delivered probes to a
+//! [`ProbeCampaign`]), then hand its flagged and clean sources to
+//! [`TrojanLocalizer::localize`]. `examples/defense_demo.rs` and
+//! `tests/integration_defense.rs` do exactly that against the full system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,9 +37,7 @@
 mod detector;
 mod localizer;
 mod probe;
-mod suite;
 
 pub use detector::{AnomalyEvent, DetectorConfig, RequestAnomalyDetector};
 pub use localizer::{LocalizationReport, TrojanLocalizer};
 pub use probe::{ProbeCampaign, ProbePlan};
-pub use suite::{DefenseSuite, SuiteVerdict};

@@ -30,7 +30,7 @@ impl ProbePlan {
     ///
     /// Panics if the band is empty.
     #[must_use]
-    pub fn new(key: u64, min_mw: u32, max_mw: u32) -> Self {
+    pub(crate) fn new(key: u64, min_mw: u32, max_mw: u32) -> Self {
         assert!(min_mw < max_mw, "probe band must be non-empty");
         ProbePlan {
             key,
@@ -119,12 +119,6 @@ impl ProbeCampaign {
         v.dedup();
         v
     }
-
-    /// Total probes recorded.
-    #[must_use]
-    pub fn probes_recorded(&self) -> usize {
-        self.clean.len() + self.tampered.len()
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +171,6 @@ mod tests {
         c.record(&plan, NodeId(2), 1, 0);
         assert_eq!(c.clean_sources(), vec![NodeId(1)]);
         assert_eq!(c.tampered_sources(), vec![NodeId(2)]);
-        assert_eq!(c.probes_recorded(), 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! same scheduling vocabulary used for Trojan activation, so experiments can
 //! align or de-align fault bursts with attack windows.
 //!
-//! An **empty** plan (all rates zero — [`FaultPlan::empty`]) reports "no
+//! An **empty** plan (all rates zero — [`FaultPlan::new`]) reports "no
 //! faults" from its per-cycle gate, which keeps the simulator's fault path
 //! to a single branch and the network bit-identical to a build with no hook
 //! installed. That equivalence is locked by this crate's proptest suite and

@@ -1,7 +1,9 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use htpb_noc::{Direction, FaultAction, FaultHook, NodeId, Packet};
+use htpb_noc::{
+    spec_fields, spec_rate, spec_u64, Direction, FaultAction, FaultHook, NodeId, Packet,
+};
 use htpb_trojan::ActivationSchedule;
 
 /// Rates are expressed in parts per million: `1_000_000` = always,
@@ -130,13 +132,6 @@ impl FaultPlan {
         }
     }
 
-    /// An explicitly empty plan: whatever the seed, it injects nothing and
-    /// its per-cycle gate always reports "no faults".
-    #[must_use]
-    pub fn empty(seed: u64) -> Self {
-        FaultPlan::new(seed)
-    }
-
     /// Gates all fault modes with `schedule` (default: always on).
     #[must_use]
     pub fn with_schedule(mut self, schedule: ActivationSchedule) -> Self {
@@ -223,15 +218,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Resets the applied-fault tallies (the plan itself is stateless).
-    ///
-    /// # Panics
-    ///
-    /// See [`FaultCounterHandle::get`].
-    pub fn reset_counters(&mut self) {
-        *self.counters.lock().expect("fault counter lock poisoned") = FaultCounters::default();
-    }
-
     fn tally(&self, bump: impl FnOnce(&mut FaultCounters)) {
         bump(&mut self.counters.lock().expect("fault counter lock poisoned"));
     }
@@ -267,10 +253,8 @@ impl FaultPlan {
     /// Returns [`FaultSpecError`] on unknown keys or malformed values.
     pub fn from_spec(spec: &str) -> Result<Self, FaultSpecError> {
         let mut plan = FaultPlan::new(0);
-        for field in spec.split(';').filter(|f| !f.is_empty()) {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| FaultSpecError::Malformed(field.to_string()))?;
+        for field in spec_fields(spec) {
+            let (key, value) = field.map_err(|f| FaultSpecError::Malformed(f.to_string()))?;
             match key {
                 "seed" => plan.seed = parse_u64(value)?,
                 "sched" => plan.schedule = parse_schedule(value)?,
@@ -386,25 +370,17 @@ impl fmt::Display for FaultSpecError {
 impl std::error::Error for FaultSpecError {}
 
 fn parse_u64(value: &str) -> Result<u64, FaultSpecError> {
-    let parsed = if let Some(hex) = value.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        value.parse()
-    };
-    parsed.map_err(|_| FaultSpecError::BadValue(value.to_string()))
+    spec_u64(value).ok_or_else(|| FaultSpecError::BadValue(value.to_string()))
 }
 
 fn parse_ppm(value: &str) -> Result<u32, FaultSpecError> {
-    value
-        .parse()
-        .map_err(|_| FaultSpecError::BadValue(value.to_string()))
+    u32::try_from(parse_u64(value)?).map_err(|_| FaultSpecError::BadValue(value.to_string()))
 }
 
 fn parse_rate(value: &str) -> Result<(u32, u64), FaultSpecError> {
-    let (ppm, granularity) = value
-        .split_once('@')
-        .ok_or_else(|| FaultSpecError::BadValue(value.to_string()))?;
-    Ok((parse_ppm(ppm)?, parse_u64(granularity)?.max(1)))
+    let (ppm, granularity) =
+        spec_rate(value).ok_or_else(|| FaultSpecError::BadValue(value.to_string()))?;
+    Ok((ppm, granularity.max(1)))
 }
 
 fn parse_schedule(value: &str) -> Result<ActivationSchedule, FaultSpecError> {
@@ -439,7 +415,7 @@ mod tests {
 
     fn sample_plans() -> Vec<FaultPlan> {
         vec![
-            FaultPlan::empty(0),
+            FaultPlan::new(0),
             FaultPlan::new(0xFA_017)
                 .with_link_down(500, 200)
                 .with_stalls(100, 50)
@@ -490,7 +466,7 @@ mod tests {
 
     #[test]
     fn empty_plan_never_engages() {
-        let mut plan = FaultPlan::empty(0xDEAD_BEEF);
+        let mut plan = FaultPlan::new(0xDEAD_BEEF);
         for cycle in [0u64, 1, 999, u64::MAX] {
             assert!(!plan.any_faults_at(cycle));
         }
@@ -585,8 +561,6 @@ mod tests {
         assert!(action.drop, "drop wins over flip");
         assert_eq!(plan.counters().packet_drops, 1);
         assert_eq!(plan.counters().bit_flips, 0);
-        plan.reset_counters();
-        assert_eq!(plan.counters(), FaultCounters::default());
     }
 
     #[test]

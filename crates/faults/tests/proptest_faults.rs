@@ -75,7 +75,7 @@ proptest! {
         let bare = run_fingerprint(Network::new(NetworkConfig::new(mesh)), traffic(), 400);
 
         let mut hooked_net = Network::new(NetworkConfig::new(mesh));
-        hooked_net.set_fault_hook(Box::new(FaultPlan::empty(seed).with_schedule(schedule)));
+        hooked_net.set_fault_hook(Box::new(FaultPlan::new(seed).with_schedule(schedule)));
         let hooked = run_fingerprint(hooked_net, traffic(), 400);
 
         prop_assert_eq!(bare, hooked);
@@ -96,7 +96,7 @@ proptest! {
         let bare = run_fingerprint(Network::new(NetworkConfig::new(mesh)), traffic(), 900);
 
         let mut hooked_net = Network::new(NetworkConfig::new(mesh));
-        hooked_net.set_fault_hook(Box::new(FaultPlan::empty(seed)));
+        hooked_net.set_fault_hook(Box::new(FaultPlan::new(seed)));
         let hooked = run_fingerprint(hooked_net, traffic(), 900);
 
         prop_assert_eq!(bare, hooked);
@@ -152,5 +152,26 @@ proptest! {
             stats.injected_packets(),
             "conservation violated under faults"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The spec parser is total: a valid spec with one byte overwritten,
+    /// or arbitrary bytes, parses to a plan or an error, never a panic.
+    #[test]
+    fn from_spec_is_total(
+        schedule in arb_schedule(),
+        at in 0usize..256,
+        byte in any::<u8>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let plan = FaultPlan::new(7).with_link_down(500, 200).with_schedule(schedule);
+        let mut edited = plan.to_spec().into_bytes();
+        let at = at % edited.len();
+        edited[at] = byte;
+        let _ = FaultPlan::from_spec(&String::from_utf8_lossy(&edited));
+        let _ = FaultPlan::from_spec(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -199,7 +199,7 @@ pub fn report_to_json(report: &PerformanceReport) -> Value {
 
 /// Parses a [`PerformanceReport`]; `None` on any structural mismatch.
 #[must_use]
-pub fn report_from_json(value: &Value) -> Option<PerformanceReport> {
+pub(crate) fn report_from_json(value: &Value) -> Option<PerformanceReport> {
     let apps = value
         .get("apps")?
         .as_arr()?

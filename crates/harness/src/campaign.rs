@@ -182,7 +182,8 @@ impl Campaign {
         ];
         fields.extend(extra);
         if htpb_obs::enabled() {
-            fields.push(("metrics", crate::obs::metrics_json()));
+            let metrics = crate::obs::metrics_json(&htpb_obs::global().snapshot());
+            fields.push(("metrics", metrics));
         }
         self.journal.record("run_end", fields);
     }

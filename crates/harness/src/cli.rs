@@ -116,7 +116,7 @@ impl HarnessArgs {
     /// The per-job wall-clock limit this invocation resolves to (`0`
     /// seconds also means unbounded).
     #[must_use]
-    pub fn job_timeout(&self) -> Option<Duration> {
+    pub(crate) fn job_timeout(&self) -> Option<Duration> {
         match self.job_timeout_secs {
             None | Some(0) => None,
             Some(secs) => Some(Duration::from_secs(secs)),

@@ -187,9 +187,9 @@ pub enum JobSpec {
     },
     /// Test-only probe that fails (panics) on its first execution and
     /// succeeds once `marker` exists on disk — exercises the pool's
-    /// retry-on-failure path. Hidden because it is stateful by design and
-    /// therefore must never be cached or used in a real campaign.
-    #[doc(hidden)]
+    /// retry-on-failure path. Compiled into tests only: it is stateful by
+    /// design and therefore must never be cached or used in a real campaign.
+    #[cfg(test)]
     FlakyProbe {
         /// Path of the marker file recording that one attempt already ran.
         marker: String,
@@ -208,6 +208,7 @@ impl JobSpec {
             JobSpec::RegressionMix { .. } => "regression",
             JobSpec::Resilience { .. } => "resil",
             JobSpec::Conformance { .. } => "conf",
+            #[cfg(test)]
             JobSpec::FlakyProbe { .. } => "flaky",
         }
     }
@@ -275,6 +276,7 @@ impl JobSpec {
             JobSpec::Conformance { scenarios, seed } => {
                 format!("conf-n{scenarios}-s{seed:x}")
             }
+            #[cfg(test)]
             JobSpec::FlakyProbe { marker } => format!("flaky-{marker}"),
         }
     }
@@ -419,6 +421,7 @@ impl JobSpec {
                     failures,
                 }
             }
+            #[cfg(test)]
             JobSpec::FlakyProbe { marker } => {
                 let path = std::path::Path::new(marker);
                 if !path.exists() {
@@ -591,7 +594,7 @@ impl JobOutput {
     /// Decodes a cache file body. `None` on any structural mismatch (the
     /// cache then treats the entry as a miss).
     #[must_use]
-    pub fn from_json(v: &Value) -> Option<JobOutput> {
+    pub(crate) fn from_json(v: &Value) -> Option<JobOutput> {
         match v.get("kind")?.as_str()? {
             "rate" => Some(JobOutput::Rate(v.get("value")?.as_f64()?)),
             "sweep" => {

@@ -311,7 +311,7 @@ impl Journal {
 /// mid-execution — recovery must distrust any state they left (cache
 /// entries included) and re-run them.
 #[must_use]
-pub fn interrupted_in(events: &[Value]) -> Vec<String> {
+pub(crate) fn interrupted_in(events: &[Value]) -> Vec<String> {
     let mut open: Vec<String> = Vec::new();
     for e in events {
         let Some(id) = e.get("id").and_then(Value::as_str) else {
@@ -346,7 +346,7 @@ pub struct StageTally {
 /// timing detail a resumed campaign would otherwise lose (its own epoch
 /// sees only cache hits). Records without a `kind` field are skipped.
 #[must_use]
-pub fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
+pub(crate) fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
     let mut tallies: Vec<StageTally> = Vec::new();
     for e in events {
         if e.get("event").and_then(Value::as_str) != Some("job_done") {
@@ -382,7 +382,7 @@ pub fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
 /// The ids of jobs a prior (possibly interrupted) run already completed
 /// successfully: `job_done` records with `"ok":true`.
 #[must_use]
-pub fn completed_in(events: &[Value]) -> Vec<String> {
+pub(crate) fn completed_in(events: &[Value]) -> Vec<String> {
     events
         .iter()
         .filter(|e| e.get("event").and_then(Value::as_str) == Some("job_done"))

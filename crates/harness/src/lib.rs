@@ -67,5 +67,5 @@ pub use fs::{commit_append, commit_file, std_fs, FaultyFs, Fs, FsFault, StdFs};
 pub use job::{CampaignScale, Fig4Strategy, JobOutput, JobSpec};
 pub use journal::{Journal, StageTally};
 pub use repro::{run_repro, ReproOutcome, ReproPlan, ReproScale};
-pub use resilience::{run_resilience_plan, run_resilience_sweep, ResiliencePlan};
-pub use runner::{retry_delay_ms, run_jobs, JobReport, RunOptions};
+pub use resilience::run_resilience_sweep;
+pub use runner::{run_jobs, JobReport, RunOptions};

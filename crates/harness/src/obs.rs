@@ -15,9 +15,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use htpb_obs::{global, Class, Counter, Gauge, Histogram};
+use htpb_obs::{global, Class, Counter, Gauge, Histogram, SeriesValue, Snapshot};
 
-use crate::json::{self, Value};
+use crate::json::Value;
 
 /// Bucket bounds for job wall time in milliseconds: power-of-two up to
 /// ~2^14 ms (16s), everything slower in the `+Inf` bucket.
@@ -113,11 +113,38 @@ pub fn prom_text() -> String {
     global().snapshot().to_prom()
 }
 
-/// The JSON snapshot of the global registry (all classes) as a journal
-/// [`Value`], embedded in the `run_end` record by [`crate::Campaign`].
+/// A registry snapshot (all classes) as the journal [`Value`] embedded in
+/// the `run_end` record by [`crate::Campaign`]:
+/// `{"series":[{name, labels, class, kind, value | bounds, counts, sum}]}`,
+/// in snapshot order. Integer-valued throughout, so it round-trips
+/// bit-exactly through the journal.
 #[must_use]
-pub fn metrics_json() -> Value {
-    json::parse(&global().snapshot().to_json()).expect("snapshot JSON is well-formed")
+pub(crate) fn metrics_json(snapshot: &Snapshot) -> Value {
+    let int = |x: u64| Value::Int(x as i64);
+    let ints = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| int(x)).collect());
+    let series = snapshot.series.iter().map(|s| {
+        let labels = s
+            .labels
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Str(v.clone())));
+        let mut fields = vec![
+            ("name", Value::Str(s.name.clone())),
+            ("labels", Value::Obj(labels.collect())),
+            ("class", Value::Str(s.class.as_str().into())),
+            ("kind", Value::Str(s.value.kind().into())),
+        ];
+        match &s.value {
+            SeriesValue::Counter(v) => fields.push(("value", int(*v))),
+            SeriesValue::Gauge(v) => fields.push(("value", Value::Int(*v))),
+            SeriesValue::Histogram(h) => fields.extend([
+                ("bounds", ints(&h.bounds)),
+                ("counts", ints(&h.counts)),
+                ("sum", int(h.sum)),
+            ]),
+        }
+        Value::obj(fields)
+    });
+    Value::obj(vec![("series", Value::Arr(series.collect()))])
 }
 
 /// The human `--metrics` stderr block.
@@ -142,7 +169,7 @@ mod tests {
             !prom.contains("htpb_harness_"),
             "Timing-class pool metrics leaked into the Prometheus exposition:\n{prom}"
         );
-        let json = metrics_json().render();
+        let json = metrics_json(&global().snapshot()).render();
         assert!(json.contains("htpb_harness_jobs_total"));
         assert!(summary_text().contains("htpb_harness_jobs_total"));
         htpb_obs::set_enabled(false);
@@ -150,11 +177,55 @@ mod tests {
 
     #[test]
     fn snapshot_json_parses_as_journal_value() {
-        let v = metrics_json();
+        let v = metrics_json(&global().snapshot());
         let series = v.get("series").and_then(Value::as_arr).expect("series key");
         for s in series {
             assert!(s.get("name").and_then(Value::as_str).is_some());
             assert!(s.get("class").and_then(Value::as_str).is_some());
         }
+    }
+
+    /// `crates/obs/tests/golden_prom.rs`'s sample registry renders to the
+    /// exact bytes the journal's `run_end` record has always carried: all
+    /// classes, the timing series included, label values sorted
+    /// numerically, histograms as raw (non-cumulative) bucket counts.
+    #[test]
+    fn json_snapshot_is_stable_and_complete() {
+        let r = htpb_obs::Registry::new();
+        r.counter("htpb_noc_flits_delivered_total", "", Class::Sim)
+            .add(12_345);
+        for (router, n) in [("10", 7), ("2", 40), ("0", 3)] {
+            let labels = [("router", router)];
+            r.counter_with(
+                "htpb_noc_router_flits_forwarded_total",
+                &labels,
+                "",
+                Class::Sim,
+            )
+            .add(n);
+        }
+        r.gauge("htpb_power_budget_mw", "", Class::Sim).set(4_200);
+        let h = r.histogram(
+            "htpb_noc_packet_latency_cycles",
+            &[1, 2, 4, 8],
+            "",
+            Class::Sim,
+        );
+        h.observe_n(3, 2);
+        h.observe(100);
+        r.counter("htpb_harness_retries_total", "", Class::Timing)
+            .add(9);
+        assert_eq!(
+            metrics_json(&r.snapshot()).render(),
+            concat!(
+                r#"{"series":[{"name":"htpb_harness_retries_total","labels":{},"class":"timing","kind":"counter","value":9},"#,
+                r#"{"name":"htpb_noc_flits_delivered_total","labels":{},"class":"sim","kind":"counter","value":12345},"#,
+                r#"{"name":"htpb_noc_packet_latency_cycles","labels":{},"class":"sim","kind":"histogram","bounds":[1,2,4,8],"counts":[0,0,2,0,1],"sum":106},"#,
+                r#"{"name":"htpb_noc_router_flits_forwarded_total","labels":{"router":"0"},"class":"sim","kind":"counter","value":3},"#,
+                r#"{"name":"htpb_noc_router_flits_forwarded_total","labels":{"router":"2"},"class":"sim","kind":"counter","value":40},"#,
+                r#"{"name":"htpb_noc_router_flits_forwarded_total","labels":{"router":"10"},"class":"sim","kind":"counter","value":7},"#,
+                r#"{"name":"htpb_power_budget_mw","labels":{},"class":"sim","kind":"gauge","value":4200}]}"#,
+            )
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The resilience campaign: attack effect under injected transport faults.
 //!
-//! [`ResiliencePlan`] fans the grid *fault rate × allocator policy ×
+//! `ResiliencePlan` fans the grid *fault rate × allocator policy ×
 //! hardening × Trojan duty* out as independent [`JobSpec::Resilience`]
 //! jobs; [`run_resilience_sweep`] executes them on the worker pool
 //! (cached, journalled, resumable like `repro_all`) and emits:
@@ -40,7 +40,7 @@ pub const FAULT_SEED: u64 = 0xFA17;
 pub const RETENTION_BOUND: f64 = 0.7;
 
 /// The resilience sweep as an explicit job grid.
-pub struct ResiliencePlan {
+pub(crate) struct ResiliencePlan {
     /// All jobs, in deterministic order (drops, then allocator, then
     /// hardening, then duty — the TSV row order).
     pub jobs: Vec<JobSpec>,
@@ -128,7 +128,7 @@ pub fn run_resilience_sweep(
 
 /// Runs an explicit plan (the standard sweep or a custom grid) and emits
 /// `resilience.tsv` + `RESILIENCE.txt`.
-pub fn run_resilience_plan(
+pub(crate) fn run_resilience_plan(
     plan: &ResiliencePlan,
     label: &str,
     outdir: &Path,

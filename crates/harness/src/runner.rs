@@ -91,7 +91,7 @@ impl RunOptions {
     /// The number of workers `--jobs 0` / no flag resolves to: one per
     /// available core.
     #[must_use]
-    pub fn default_workers() -> usize {
+    pub(crate) fn default_workers() -> usize {
         thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 }
@@ -101,7 +101,7 @@ impl RunOptions {
 /// workers retrying the same moment spread out, yet the schedule is fully
 /// reproducible from (seed, id, attempt).
 #[must_use]
-pub fn retry_delay_ms(seed: u64, job_id: &str, attempt: u32, base_ms: u64) -> u64 {
+pub(crate) fn retry_delay_ms(seed: u64, job_id: &str, attempt: u32, base_ms: u64) -> u64 {
     if base_ms == 0 {
         return 0;
     }
@@ -133,7 +133,7 @@ impl JobReport {
     /// The output, panicking with the job id on a failed job. Campaign
     /// assembly uses this for artefacts that cannot tolerate holes.
     #[must_use]
-    pub fn expect_output(&self) -> &JobOutput {
+    pub(crate) fn expect_output(&self) -> &JobOutput {
         match &self.output {
             Ok(out) => out,
             Err(e) => panic!("job {} failed: {e}", self.spec.id()),

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use htpb_core::Mix;
 use htpb_harness::baseline::report_to_json;
 use htpb_harness::hash::fnv1a64;
-use htpb_harness::json::Value;
+use htpb_harness::json::{self, Value};
 use htpb_harness::{
     commit_file, std_fs, BaselineCache, Campaign, CampaignScale, FaultyFs, Fs, FsFault, JobOutput,
     JobSpec, Journal, ResultCache, RunOptions,
@@ -31,6 +31,11 @@ fn tmpdir(tag: &str) -> PathBuf {
     fs::create_dir_all(&dir).unwrap();
     dir
 }
+
+/// The alphabet the JSON totality property draws structured inputs from.
+const JSON_CHARS: [char; 18] = [
+    '[', ']', '{', '}', '"', ':', ',', '\\', 'u', '0', '9', '-', '.', 'e', 't', 'n', ' ', 'é',
+];
 
 fn fault_kind(kind: usize, keep: usize) -> FsFault {
     match kind {
@@ -188,6 +193,18 @@ proptest! {
         let mut line = if framed { b"v2|".to_vec() } else { Vec::new() };
         line.extend(bytes);
         let _ = Journal::parse_line(&String::from_utf8_lossy(&line));
+    }
+
+    /// The JSON parser behind cache entries and journal records is total:
+    /// arbitrary text — raw bytes, or strings over JSON's own punctuation —
+    /// parses to a value or an error, never a panic.
+    #[test]
+    fn json_parse_is_total_on_arbitrary_strings(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        picks in proptest::collection::vec(0usize..JSON_CHARS.len(), 0..256),
+    ) {
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+        let _ = json::parse(&picks.iter().map(|&i| JSON_CHARS[i]).collect::<String>());
     }
 
     /// Any single-byte edit of a framed record — prefix, length, checksum,

@@ -10,7 +10,7 @@
 //! Comments are not discarded: they are returned as a parallel stream so
 //! the waiver grammar (`// htpb-lint: allow(<rule>) -- <why>`) and the
 //! hot-region markers (`// htpb-lint: hot` / `// htpb-lint: end-hot`) can
-//! be resolved against the token stream (see [`crate::waiver`]).
+//! be resolved against the token stream (see [`crate::rules`]).
 
 /// What a significant token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +36,13 @@ pub struct Tok<'a> {
 impl<'a> Tok<'a> {
     /// True when the token is the identifier `name`.
     #[must_use]
-    pub fn is_ident(&self, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
     }
 
     /// True when the token is the punctuation character `c`.
     #[must_use]
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
     }
 }
@@ -71,7 +71,7 @@ impl Lexed<'_> {
     /// The smallest token line strictly greater than `line`, if any.
     /// Used to resolve which line a standalone waiver comment covers.
     #[must_use]
-    pub fn next_token_line(&self, line: u32) -> Option<u32> {
+    pub(crate) fn next_token_line(&self, line: u32) -> Option<u32> {
         self.tokens
             .iter()
             .map(|t| t.line)
@@ -81,7 +81,7 @@ impl Lexed<'_> {
 
     /// True when any significant token sits on `line`.
     #[must_use]
-    pub fn has_token_on(&self, line: u32) -> bool {
+    pub(crate) fn has_token_on(&self, line: u32) -> bool {
         self.tokens.iter().any(|t| t.line == line)
     }
 }

@@ -52,16 +52,6 @@ impl Report {
         self.violations.is_empty()
     }
 
-    /// Live violations for one rule (used by focused tests such as the
-    /// harness choke-point gate).
-    #[must_use]
-    pub fn violations_for(&self, rule_id: &str) -> Vec<&Violation> {
-        self.violations
-            .iter()
-            .filter(|v| v.rule == rule_id)
-            .collect()
-    }
-
     /// The waiver tally, one line per waiver, grouped by rule — printed by
     /// the CI gate so every standing exception stays visible in the log.
     #[must_use]
@@ -136,7 +126,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
 
 /// Derives the analysis context from a workspace-relative path.
 #[must_use]
-pub fn classify(rel: &str) -> FileCtx<'_> {
+pub(crate) fn classify(rel: &str) -> FileCtx<'_> {
     let parts: Vec<&str> = rel.split('/').collect();
     let crate_name = if parts.first() == Some(&"crates") && parts.len() > 1 {
         parts[1]

@@ -68,7 +68,7 @@ impl Workload {
 
     /// Adds an application with an explicit greed factor.
     #[must_use]
-    pub fn app_with_greed(
+    pub(crate) fn app_with_greed(
         mut self,
         benchmark: Benchmark,
         threads: usize,

@@ -216,7 +216,7 @@ impl BenchmarkProfile {
     /// nearly as fast several levels down — this is what an honest,
     /// well-behaved runtime would request power for.
     #[must_use]
-    pub fn desired_level(&self, table: &DvfsTable, efficiency: f64) -> FrequencyLevel {
+    pub(crate) fn desired_level(&self, table: &DvfsTable, efficiency: f64) -> FrequencyLevel {
         let top = self.throughput(table.freq_ghz(table.max_level()));
         for level in table.iter_levels() {
             if self.throughput(table.freq_ghz(level)) >= efficiency * top {

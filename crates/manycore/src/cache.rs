@@ -37,31 +37,15 @@ impl CacheConfig {
         }
     }
 
-    /// Table I: private L1 instruction cache — 32 KB, two-way, 64 B lines.
-    #[must_use]
-    pub fn l1_instr() -> Self {
-        CacheConfig {
-            sets: 32 * 1024 / (2 * 64),
-            ways: 2,
-            line_bytes: 64,
-        }
-    }
-
     /// Table I: shared L2 slice — 64 KB per node, 64 B lines (we model it
     /// four-way, a common choice the paper leaves unspecified).
     #[must_use]
-    pub fn l2_slice() -> Self {
+    pub(crate) fn l2_slice() -> Self {
         CacheConfig {
             sets: 64 * 1024 / (4 * 64),
             ways: 4,
             line_bytes: 64,
         }
-    }
-
-    /// Total capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.ways * self.line_bytes
     }
 }
 
@@ -200,7 +184,7 @@ impl SetAssocCache {
 
     /// Hit rate so far (0.0 when unused).
     #[must_use]
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -576,7 +560,7 @@ impl AddressStream {
     }
 
     /// Produces the next reference: `(address, is_write)`.
-    pub fn next_ref(&mut self) -> (u64, bool) {
+    pub(crate) fn next_ref(&mut self) -> (u64, bool) {
         let r = self.next_u64();
         let is_write = r % 1000 < self.write_permille;
         let addr = if (r >> 10) % 1000 < self.hot_fraction_permille {
@@ -594,9 +578,9 @@ mod tests {
 
     #[test]
     fn table1_geometries() {
-        assert_eq!(CacheConfig::l1_data().capacity_bytes(), 16 * 1024);
-        assert_eq!(CacheConfig::l1_instr().capacity_bytes(), 32 * 1024);
-        assert_eq!(CacheConfig::l2_slice().capacity_bytes(), 64 * 1024);
+        let geometry = |c: CacheConfig| (c.sets, c.ways, c.line_bytes);
+        assert_eq!(geometry(CacheConfig::l1_data()), (256, 2, 32)); // 16 KB
+        assert_eq!(geometry(CacheConfig::l2_slice()), (256, 4, 64)); // 64 KB
     }
 
     #[test]

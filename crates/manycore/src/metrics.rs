@@ -26,7 +26,7 @@ pub struct SysMetrics {
     /// Sum over epochs of per-epoch utilization in milli-units (0..=1000),
     /// so the mean utilization is derivable without float accumulation.
     pub util_milli_sum: u64,
-    /// Epochs observed by [`SysMetrics::on_epoch`].
+    /// Epochs observed by `SysMetrics::on_epoch`.
     pub epochs: u64,
 }
 

@@ -145,7 +145,7 @@ pub fn absorb_network<I: PacketInspector>(net: &Network<I>) {
 /// Absorbs the global manager's budget, epoch count and degradation
 /// counters (PR 3's graceful-degradation hardening made executable as
 /// metrics).
-pub fn absorb_manager(mgr: &GlobalManager) {
+pub(crate) fn absorb_manager(mgr: &GlobalManager) {
     let reg = global();
     reg.gauge("htpb_power_budget_mw", "Chip power budget", Class::Sim)
         .set(mgr.budget_mw().round() as i64);
@@ -177,7 +177,7 @@ pub fn absorb_manager(mgr: &GlobalManager) {
 }
 
 /// Absorbs the epoch-loop tallies ([`SysMetrics`]).
-pub fn absorb_sys_metrics(m: &SysMetrics) {
+pub(crate) fn absorb_sys_metrics(m: &SysMetrics) {
     let reg = global();
     absorb_latency(
         "htpb_power_grant_latency_cycles",
@@ -199,7 +199,7 @@ pub fn absorb_sys_metrics(m: &SysMetrics) {
 /// Absorbs everything a finished system knows: its network, its manager
 /// and its epoch-loop tallies. Called automatically when a metrics-enabled
 /// [`ManyCoreSystem`] is dropped; call it directly to absorb earlier.
-pub fn absorb_system<I: PacketInspector>(sys: &ManyCoreSystem<I>) {
+pub(crate) fn absorb_system<I: PacketInspector>(sys: &ManyCoreSystem<I>) {
     absorb_network(sys.network());
     absorb_manager(sys.manager());
     if let Some(m) = sys.sys_metrics() {

@@ -72,16 +72,6 @@ impl PerformanceReport {
         self.apps.iter().find(|a| a.id == id)
     }
 
-    /// Sum of θ over the attacker set Δ.
-    #[must_use]
-    pub fn attacker_theta(&self) -> f64 {
-        self.apps
-            .iter()
-            .filter(|a| a.role == AppRole::Malicious)
-            .map(|a| a.theta)
-            .sum()
-    }
-
     /// Sum of θ over the victim set Γ.
     #[must_use]
     pub fn victim_theta(&self) -> f64 {
@@ -139,7 +129,6 @@ mod tests {
     fn infection_rate_and_partition_sums() {
         let r = report();
         assert!((r.infection_rate() - 0.4).abs() < 1e-12);
-        assert!((r.attacker_theta() - 6.0).abs() < 1e-12);
         assert!((r.victim_theta() - 2.0).abs() < 1e-12);
         assert!(r.app(AppId(1)).is_some());
         assert!(r.app(AppId(9)).is_none());

@@ -537,14 +537,14 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
 
     /// The power-protocol metrics, when enabled.
     #[must_use]
-    pub fn sys_metrics(&self) -> Option<&SysMetrics> {
+    pub(crate) fn sys_metrics(&self) -> Option<&SysMetrics> {
         self.metrics.as_deref()
     }
 
     /// Absorbs this system's metrics into the global obs registry now
     /// instead of at drop time. Idempotent: the drop-time absorb is
     /// suppressed afterwards, so totals are never double-counted.
-    pub fn absorb_metrics(&mut self) {
+    pub(crate) fn absorb_metrics(&mut self) {
         if self.metrics.is_some() && !self.metrics_absorbed {
             self.metrics_absorbed = true;
             crate::obs_bridge::absorb_system(self);

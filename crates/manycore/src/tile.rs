@@ -184,7 +184,7 @@ impl Tile {
 
     /// Instructions retired in the current measurement window.
     #[must_use]
-    pub fn retired_window(&self) -> f64 {
+    pub(crate) fn retired_window(&self) -> f64 {
         self.retired_window
     }
 

@@ -43,6 +43,7 @@ mod network;
 mod packet;
 mod router;
 mod routing;
+mod spec;
 mod stats;
 mod store;
 mod topology;
@@ -64,6 +65,7 @@ pub use router::{Router, RouterConfig, VcSnapshot};
 pub use routing::{
     OddEvenRouting, RouteCandidates, RoutingAlgorithm, RoutingKind, WestFirstRouting, XyRouting,
 };
+pub use spec::{spec_fields, spec_rate, spec_u64};
 pub use stats::{LatencyHistogram, NetworkStats};
 pub use store::PacketStore;
 pub use topology::{Coord, Direction, Mesh2d, NodeId};

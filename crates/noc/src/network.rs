@@ -148,7 +148,7 @@ impl InjectQueue {
 /// # Active-set stepping
 ///
 /// Per-cycle cost is proportional to *activity*, not mesh size: each stage
-/// walks an incrementally-maintained worklist ([`ActiveSet`]) — routers
+/// walks an incrementally-maintained worklist (`ActiveSet`) — routers
 /// holding flits, occupied link slots, nodes with queued injections —
 /// instead of scanning every router × port × VC. The worklists iterate in
 /// ascending index order, which is exactly the order the original dense

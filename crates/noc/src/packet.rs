@@ -35,7 +35,7 @@ pub enum ActivationSignal {
 impl ActivationSignal {
     /// Wire encoding of the signal.
     #[must_use]
-    pub fn to_wire(self) -> u8 {
+    pub(crate) fn to_wire(self) -> u8 {
         match self {
             ActivationSignal::Off => 0,
             ActivationSignal::On => 1,
@@ -45,7 +45,7 @@ impl ActivationSignal {
     /// Decodes a wire byte; any non-zero value activates (fail-active keeps
     /// the Trojan circuit minimal — a single OR over the byte).
     #[must_use]
-    pub fn from_wire(b: u8) -> Self {
+    pub(crate) fn from_wire(b: u8) -> Self {
         if b == 0 {
             ActivationSignal::Off
         } else {
@@ -107,7 +107,7 @@ impl PacketKind {
     /// # Errors
     ///
     /// Returns [`NocError::MalformedPacket`] on an unknown opcode.
-    pub fn from_type_word(word: u32) -> Result<Self, NocError> {
+    pub(crate) fn from_type_word(word: u32) -> Result<Self, NocError> {
         let opcode = (word >> 24) as u8;
         match opcode {
             TYPE_POWER_REQ => Ok(PacketKind::PowerReq),
@@ -127,7 +127,7 @@ impl PacketKind {
     /// Whether packets of this kind occupy a single flit ("meta packet" in
     /// Table I) rather than the full 5-flit data frame.
     #[must_use]
-    pub fn is_single_flit(self) -> bool {
+    pub(crate) fn is_single_flit(self) -> bool {
         !matches!(self, PacketKind::Data)
     }
 }

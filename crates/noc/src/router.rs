@@ -590,7 +590,7 @@ impl<'a> Router<'a> {
 
     /// Total buffered flits across all input VCs. O(1).
     #[must_use]
-    pub fn buffered_flits(&self) -> usize {
+    pub(crate) fn buffered_flits(&self) -> usize {
         self.routers.core[self.index].buffered as usize
     }
 

@@ -87,7 +87,7 @@ impl RouteCandidates {
 
     /// The candidates as a slice, in preference order.
     #[must_use]
-    pub fn as_slice(&self) -> &[Direction] {
+    pub(crate) fn as_slice(&self) -> &[Direction] {
         &self.dirs[..usize::from(self.len)]
     }
 }

@@ -177,16 +177,6 @@ impl NetworkStats {
         &self.latency
     }
 
-    /// Mean hop count of delivered packets.
-    #[must_use]
-    pub fn mean_hops(&self) -> f64 {
-        if self.delivered_packets == 0 {
-            0.0
-        } else {
-            self.total_hops as f64 / self.delivered_packets as f64
-        }
-    }
-
     /// A platform-stable FNV-1a fingerprint over every counter and the full
     /// latency histogram. Two stats objects fingerprint equal iff every
     /// observable field is equal — the determinism tests fold this per
@@ -248,7 +238,6 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = NetworkStats::default();
         assert_eq!(s.infection_rate(), 0.0);
-        assert_eq!(s.mean_hops(), 0.0);
         assert_eq!(s.latency().mean(), 0.0);
     }
 }

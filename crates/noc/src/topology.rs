@@ -48,7 +48,7 @@ impl Coord {
 
     /// Manhattan distance to `other` — the hop count of any minimal route.
     #[must_use]
-    pub fn manhattan(self, other: Coord) -> u32 {
+    pub(crate) fn manhattan(self, other: Coord) -> u32 {
         self.x.abs_diff(other.x) as u32 + self.y.abs_diff(other.y) as u32
     }
 }

@@ -6,7 +6,7 @@
 //! packet-drop mitigation) all hinge on cheap, always-on instrumentation.
 //! This crate is that instrumentation layer: a static registry of sharded
 //! atomic [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s, plus
-//! lightweight [`span`](crate::span) timers — designed so that *observing
+//! lightweight [`span`] timers — designed so that *observing
 //! the system never changes it*.
 //!
 //! # The non-perturbation contract
@@ -41,9 +41,9 @@
 //!
 //! [`Snapshot::to_prom`] renders the Prometheus text format (see
 //! `docs/OBSERVABILITY.md` for the grammar, locked by
-//! `tests/fixtures/metrics.prom.golden`); [`Snapshot::to_json`] renders a
-//! JSON object embedded in the journal's `run_end` record;
-//! [`Snapshot::to_summary`] renders the human `--metrics` stderr block.
+//! `tests/fixtures/metrics.prom.golden`); [`Snapshot::to_summary`] renders
+//! the human `--metrics` stderr block. The JSON snapshot in the journal's
+//! `run_end` record is built from [`Snapshot::series`] by the harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,15 @@
-//! Point-in-time snapshots and the three expositions.
+//! Point-in-time snapshots and the two text expositions.
 //!
 //! One [`Snapshot`] (sorted by name, then numeric-aware label values) feeds
-//! all three output formats, so they can never disagree about what was
+//! every output format, so they can never disagree about what was
 //! measured:
 //!
 //! * [`Snapshot::to_prom`] — Prometheus text format, **[`Class::Sim`]
 //!   series only**, byte-deterministic across worker counts;
-//! * [`Snapshot::to_json`] — a JSON object (all classes) embedded in the
-//!   journal's `run_end` record;
 //! * [`Snapshot::to_summary`] — the human `--metrics` stderr block.
+//!
+//! The journal's `run_end` JSON (all classes) is built from
+//! [`Snapshot::series`] by the harness, which owns the JSON encoder.
 
 use std::fmt::Write as _;
 
@@ -89,39 +90,7 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> St
     }
 }
 
-/// Escapes a JSON string.
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Snapshot {
-    /// Only the [`Class::Sim`] series, in snapshot order.
-    #[must_use]
-    pub fn sim_only(&self) -> Snapshot {
-        Snapshot {
-            series: self
-                .series
-                .iter()
-                .filter(|s| s.class == Class::Sim)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Renders the Prometheus text exposition.
     ///
     /// Grammar (locked by `tests/fixtures/metrics.prom.golden` and
@@ -178,55 +147,6 @@ impl Snapshot {
                 }
             }
         }
-        out
-    }
-
-    /// Renders the JSON snapshot embedded in the journal's `run_end`
-    /// record: `{"series":[{name, labels, class, kind, value|histogram}]}`,
-    /// all classes included, in snapshot order. Integer-valued throughout,
-    /// so it round-trips bit-exactly through any JSON parser.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"labels\":{{", escape_json(&s.name));
-            for (j, (k, v)) in s.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-            }
-            let _ = write!(
-                out,
-                "}},\"class\":\"{}\",\"kind\":\"{}\",",
-                s.class.as_str(),
-                s.value.kind()
-            );
-            match &s.value {
-                SeriesValue::Counter(v) => {
-                    let _ = write!(out, "\"value\":{v}");
-                }
-                SeriesValue::Gauge(v) => {
-                    let _ = write!(out, "\"value\":{v}");
-                }
-                SeriesValue::Histogram(h) => {
-                    let join =
-                        |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-                    let _ = write!(
-                        out,
-                        "\"bounds\":[{}],\"counts\":[{}],\"sum\":{}",
-                        join(&h.bounds),
-                        join(&h.counts),
-                        h.sum
-                    );
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
         out
     }
 
@@ -290,14 +210,6 @@ mod tests {
         assert!(prom.contains("h_cycles_bucket{le=\"+Inf\"} 2"));
         assert!(prom.contains("h_cycles_sum 6"));
         assert!(prom.contains("h_cycles_count 2"));
-    }
-
-    #[test]
-    fn json_includes_all_classes() {
-        let json = sample().to_json();
-        assert!(json.contains("\"name\":\"t_depth\""));
-        assert!(json.contains("\"class\":\"timing\""));
-        assert!(json.contains("\"counts\":[0,2,0]"));
     }
 
     #[test]

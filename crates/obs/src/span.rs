@@ -1,5 +1,5 @@
 //! Lightweight span timers: scope-guard wall-clock timing into a
-//! [`Histogram`](crate::Histogram).
+//! [`Histogram`].
 //!
 //! A [`SpanTimer`] reads the monotonic clock twice and performs one
 //! histogram observation — no allocation, no locks. Spans measure wall

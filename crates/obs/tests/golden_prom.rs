@@ -61,16 +61,3 @@ fn prom_exposition_matches_golden() {
          --- rendered ---\n{prom}"
     );
 }
-
-#[test]
-fn json_snapshot_is_stable_and_complete() {
-    let snap = sample_registry().snapshot();
-    let json = snap.to_json();
-    // The JSON side carries *all* classes, including the timing series the
-    // prom exposition drops.
-    assert!(json.contains("\"name\":\"htpb_harness_retries_total\""));
-    assert!(json.contains("\"class\":\"timing\""));
-    // Same registry, same snapshot, same bytes: rendering is a pure
-    // function of the snapshot.
-    assert_eq!(json, sample_registry().snapshot().to_json());
-}

@@ -92,12 +92,11 @@ impl AllocatorKind {
 /// Audits a finished grant vector against the allocator contract: one grant
 /// per request (same cores, same order), every grant finite and within
 /// `[0, request]`, and the total within `budget_mw` — up to a small
-/// floating-point tolerance for the rescale in [`enforce_contract`].
+/// floating-point tolerance for the rescale in `enforce_contract`.
 ///
 /// Returns a description of the first violation, or `None` when the
 /// contract holds. [`crate::GlobalManager::run_epoch`] asserts this in
-/// debug builds after every allocation; the `htpb-testkit` invariant suite
-/// drives it across every [`AllocatorKind`] with randomized requests.
+/// debug builds after every allocation.
 #[must_use]
 pub fn audit_grant_contract(
     grants: &[PowerGrant],
@@ -483,9 +482,8 @@ impl MarketAllocator {
         }
     }
 
-    /// A core's current currency balance (diagnostics).
-    #[must_use]
-    pub fn balance(&self, core: u16) -> f64 {
+    /// A core's current currency balance.
+    fn balance(&self, core: u16) -> f64 {
         match self.balances.binary_search_by_key(&core, |&(c, _)| c) {
             Ok(i) => self.balances[i].1,
             Err(_) => 1.0,

@@ -126,13 +126,6 @@ impl GlobalManager {
         }
     }
 
-    /// Builder form of [`GlobalManager::set_hardening`].
-    #[must_use]
-    pub fn with_hardening(mut self, cfg: HardeningConfig) -> Self {
-        self.set_hardening(Some(cfg));
-        self
-    }
-
     /// Enables or disables graceful-degradation hardening. Disabling also
     /// drops the per-core hold state (counters are kept for post-mortems).
     pub fn set_hardening(&mut self, cfg: Option<HardeningConfig>) {
@@ -166,12 +159,6 @@ impl GlobalManager {
     #[must_use]
     pub fn budget_mw(&self) -> f64 {
         self.budget_mw
-    }
-
-    /// Name of the active allocation policy.
-    #[must_use]
-    pub fn allocator_name(&self) -> &'static str {
-        self.allocator.name()
     }
 
     /// Records a request received this epoch. A second request from the same
@@ -415,8 +402,8 @@ mod tests {
     #[test]
     fn timeout_holds_last_grant() {
         let model = PowerModel::default_45nm();
-        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()))
-            .with_hardening(HardeningConfig::default());
+        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()));
+        gm.set_hardening(Some(HardeningConfig::default()));
         gm.submit(PowerRequest::new(0, 1_500.0));
         gm.submit(PowerRequest::new(1, 1_500.0));
         let first = gm.run_epoch(&model);
@@ -441,8 +428,8 @@ mod tests {
             decay: 0.5,
             floor_mw: 100.0,
         };
-        let mut gm =
-            GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new())).with_hardening(cfg);
+        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()));
+        gm.set_hardening(Some(cfg));
         gm.submit(PowerRequest::new(0, 1_600.0));
         let held = gm.run_epoch(&model)[0].milliwatts;
 
@@ -472,8 +459,8 @@ mod tests {
             decay: 0.0,
             floor_mw: 0.0,
         };
-        let mut gm =
-            GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new())).with_hardening(cfg);
+        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()));
+        gm.set_hardening(Some(cfg));
         gm.submit(PowerRequest::new(0, 1_600.0));
         gm.run_epoch(&model);
         // Instantly decayed to the floor while silent.
@@ -488,8 +475,8 @@ mod tests {
     #[test]
     fn implausible_requests_are_clamped() {
         let model = PowerModel::default_45nm();
-        let mut gm = GlobalManager::new(100_000.0, Box::new(GreedyAllocator::new()))
-            .with_hardening(HardeningConfig::default());
+        let mut gm = GlobalManager::new(100_000.0, Box::new(GreedyAllocator::new()));
+        gm.set_hardening(Some(HardeningConfig::default()));
         gm.submit(PowerRequest::new(0, f64::NAN));
         gm.submit(PowerRequest::new(1, f64::INFINITY));
         gm.submit(PowerRequest::new(2, -50.0));
@@ -508,8 +495,8 @@ mod tests {
     #[test]
     fn rejected_requests_are_tallied_and_reset_clears_state() {
         let model = PowerModel::default_45nm();
-        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()))
-            .with_hardening(HardeningConfig::default());
+        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()));
+        gm.set_hardening(Some(HardeningConfig::default()));
         gm.note_rejected_request();
         gm.note_rejected_request();
         assert_eq!(gm.degradation().rejects, 2);
@@ -525,8 +512,8 @@ mod tests {
     #[test]
     fn disabling_hardening_drops_hold_state() {
         let model = PowerModel::default_45nm();
-        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()))
-            .with_hardening(HardeningConfig::default());
+        let mut gm = GlobalManager::new(10_000.0, Box::new(GreedyAllocator::new()));
+        gm.set_hardening(Some(HardeningConfig::default()));
         gm.submit(PowerRequest::new(0, 1_000.0));
         gm.run_epoch(&model);
         gm.set_hardening(None);

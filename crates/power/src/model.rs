@@ -99,7 +99,7 @@ impl DvfsTable {
     ///
     /// Panics if the level is outside the table.
     #[must_use]
-    pub fn volts(&self, level: FrequencyLevel) -> f64 {
+    pub(crate) fn volts(&self, level: FrequencyLevel) -> f64 {
         self.volts[level.0 as usize]
     }
 

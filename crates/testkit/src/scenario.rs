@@ -15,7 +15,10 @@
 //! ```
 
 use htpb_faults::FaultPlan;
-use htpb_noc::{Mesh2d, NetworkConfig, NodeId, Packet, PacketKind, RoutingKind};
+use htpb_noc::{
+    spec_fields, spec_rate, spec_u64, Mesh2d, NetworkConfig, NodeId, Packet, PacketKind,
+    RoutingKind,
+};
 use htpb_trojan::{ActivationSchedule, TamperRule};
 
 /// A self-contained description of one differential-conformance run:
@@ -102,7 +105,7 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `0..bound` (`bound` must be non-zero).
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
 
@@ -121,7 +124,7 @@ impl Scenario {
 
     /// Whether the fault plan would inject anything.
     #[must_use]
-    pub fn has_faults(&self) -> bool {
+    pub(crate) fn has_faults(&self) -> bool {
         self.link_ppm > 0 || self.stall_ppm > 0 || self.flip_ppm > 0 || self.drop_ppm > 0
     }
 
@@ -142,7 +145,7 @@ impl Scenario {
     /// (eviction would make trace fingerprints order-sensitive in a way the
     /// diff does not intend to test).
     #[must_use]
-    pub fn network_config(&self) -> NetworkConfig {
+    pub(crate) fn network_config(&self) -> NetworkConfig {
         NetworkConfig::new(self.mesh())
             .with_routing(self.routing)
             .with_tracing(1 << 16)
@@ -150,7 +153,7 @@ impl Scenario {
 
     /// The Trojan activation schedule encoded by `duty_tenths`.
     #[must_use]
-    pub fn trojan_schedule(&self) -> ActivationSchedule {
+    pub(crate) fn trojan_schedule(&self) -> ActivationSchedule {
         match self.duty_tenths {
             0 => ActivationSchedule::duty(0.0, 20),
             10.. => ActivationSchedule::AlwaysOn,
@@ -169,7 +172,7 @@ impl Scenario {
     /// [`FaultPlan::is_empty`] reports, keeping the no-fault path
     /// hook-free).
     #[must_use]
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new(self.fault_seed);
         if self.link_ppm > 0 {
             plan = plan.with_link_down(self.link_ppm, u64::from(self.link_gran.max(1)));
@@ -192,7 +195,7 @@ impl Scenario {
     /// is a pure function of (seed, call order) — the diff runner calls this
     /// once per node per cycle for both networks from a single generator.
     #[must_use]
-    pub fn traffic_for(&self, rng: &mut SplitMix64, src: u32) -> Option<Packet> {
+    pub(crate) fn traffic_for(&self, rng: &mut SplitMix64, src: u32) -> Option<Packet> {
         if rng.below(1000) >= u64::from(self.rate_permille) {
             return None;
         }
@@ -296,12 +299,12 @@ impl Scenario {
     ///
     /// Returns a description of the first malformed field.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
-        fn parse_u64(v: &str) -> Result<u64, String> {
-            let r = match v.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => v.parse(),
-            };
-            r.map_err(|e| format!("bad number {v:?}: {e}"))
+        // Every number must fit its field: `mesh=65538x1` is an error, not
+        // a 2x1 mesh.
+        fn num<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
+            spec_u64(v)
+                .and_then(|x| T::try_from(x).ok())
+                .ok_or_else(|| format!("bad or out-of-range number {v:?}"))
         }
         let mut out = Scenario {
             width: 0,
@@ -323,42 +326,39 @@ impl Scenario {
             drop_ppm: 0,
         };
         let mut saw_mesh = false;
-        for field in spec.trim().split(';') {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("field {field:?} is not key=value"))?;
+        for field in spec_fields(spec) {
+            let (key, value) = field.map_err(|f| format!("field {f:?} is not key=value"))?;
             match key {
                 "mesh" => {
                     let (w, h) = value
                         .split_once('x')
                         .ok_or_else(|| format!("bad mesh {value:?}"))?;
-                    out.width = parse_u64(w)? as u16;
-                    out.height = parse_u64(h)? as u16;
+                    out.width = num(w)?;
+                    out.height = num(h)?;
                     saw_mesh = true;
                 }
                 "routing" => {
                     out.routing = routing_from_tag(value)
                         .ok_or_else(|| format!("unknown routing {value:?}"))?;
                 }
-                "cycles" => out.cycles = parse_u64(value)?,
-                "rate" => out.rate_permille = parse_u64(value)? as u32,
-                "pr" => out.power_req_pct = parse_u64(value)? as u32,
-                "seed" => out.seed = parse_u64(value)?,
+                "cycles" => out.cycles = num(value)?,
+                "rate" => out.rate_permille = num(value)?,
+                "pr" => out.power_req_pct = num(value)?,
+                "seed" => out.seed = num(value)?,
                 "trojans" => {
                     out.trojans = value
                         .split('.')
                         .filter(|s| !s.is_empty())
-                        .map(|s| parse_u64(s).map(|v| v as u16))
+                        .map(num)
                         .collect::<Result<_, _>>()?;
                 }
-                "duty" => out.duty_tenths = parse_u64(value)? as u32,
-                "manager" => out.manager = parse_u64(value)? as u16,
-                "fseed" => out.fault_seed = parse_u64(value)?,
+                "duty" => out.duty_tenths = num(value)?,
+                "manager" => out.manager = num(value)?,
+                "fseed" => out.fault_seed = num(value)?,
                 "link" | "stall" => {
-                    let (ppm, gran) = value
-                        .split_once('@')
+                    let (ppm, gran) = spec_rate(value)
+                        .and_then(|(ppm, gran)| Some((ppm, u32::try_from(gran).ok()?)))
                         .ok_or_else(|| format!("bad {key} {value:?} (want ppm@gran)"))?;
-                    let (ppm, gran) = (parse_u64(ppm)? as u32, parse_u64(gran)? as u32);
                     if key == "link" {
                         out.link_ppm = ppm;
                         out.link_gran = gran;
@@ -367,17 +367,16 @@ impl Scenario {
                         out.stall_gran = gran;
                     }
                 }
-                "flip" => out.flip_ppm = parse_u64(value)? as u32,
-                "drop" => out.drop_ppm = parse_u64(value)? as u32,
+                "flip" => out.flip_ppm = num(value)?,
+                "drop" => out.drop_ppm = num(value)?,
                 other => return Err(format!("unknown field {other:?}")),
             }
         }
         if !saw_mesh {
             return Err("spec missing mesh=WxH".to_string());
         }
-        if out.width == 0 || out.height == 0 {
-            return Err(format!("degenerate mesh {}x{}", out.width, out.height));
-        }
+        Mesh2d::new(out.width, out.height)
+            .map_err(|_| format!("invalid mesh {}x{}", out.width, out.height))?;
         let nodes = out.nodes();
         if u32::from(out.manager) >= nodes {
             return Err(format!("manager {} outside mesh", out.manager));
@@ -400,6 +399,7 @@ mod tests {
             let spec = s.to_spec();
             let back = Scenario::from_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(s, back, "{spec}");
+            assert_eq!(back.to_spec(), spec, "re-encoding is byte-identical");
         }
     }
 
@@ -411,6 +411,11 @@ mod tests {
         assert!(Scenario::from_spec("mesh=2x2;manager=9").is_err());
         assert!(Scenario::from_spec("mesh=2x2;trojans=9").is_err());
         assert!(Scenario::from_spec("nonsense").is_err());
+        // Out-of-range numbers are rejected, never truncated.
+        assert!(Scenario::from_spec("mesh=65538x1").is_err());
+        assert!(Scenario::from_spec("mesh=2x2;manager=65536").is_err());
+        assert!(Scenario::from_spec("mesh=2x2;link=1@4294967296").is_err());
+        assert!(Scenario::from_spec("mesh=512x512").is_err());
     }
 
     #[test]

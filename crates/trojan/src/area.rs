@@ -54,13 +54,13 @@ impl AreaReport {
 
     /// Total router area in µm².
     #[must_use]
-    pub fn router_area_um2(&self) -> f64 {
+    pub(crate) fn router_area_um2(&self) -> f64 {
         self.num_routers as f64 * ROUTER_AREA_UM2
     }
 
     /// Total router power in µW.
     #[must_use]
-    pub fn router_power_uw(&self) -> f64 {
+    pub(crate) fn router_power_uw(&self) -> f64 {
         self.num_routers as f64 * ROUTER_POWER_UW
     }
 

@@ -180,7 +180,7 @@ impl HardwareTrojan {
 
     /// Packet headers scanned by the triggering module.
     #[must_use]
-    pub fn packets_seen(&self) -> u64 {
+    pub(crate) fn packets_seen(&self) -> u64 {
         self.packets_seen
     }
 
@@ -192,7 +192,7 @@ impl HardwareTrojan {
 
     /// `CONFIG_CMD` packets absorbed into the registers.
     #[must_use]
-    pub fn configs_received(&self) -> u64 {
+    pub(crate) fn configs_received(&self) -> u64 {
         self.configs_received
     }
 

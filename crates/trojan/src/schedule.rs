@@ -59,22 +59,6 @@ impl ActivationSchedule {
             ActivationSchedule::Window { start, end } => cycle >= start && cycle < end,
         }
     }
-
-    /// Long-run fraction of armed cycles.
-    #[must_use]
-    pub fn duty_fraction(self) -> f64 {
-        match self {
-            ActivationSchedule::AlwaysOn => 1.0,
-            ActivationSchedule::DutyCycle { on, period } => {
-                if period == 0 {
-                    1.0
-                } else {
-                    (on.min(period)) as f64 / period as f64
-                }
-            }
-            ActivationSchedule::Window { .. } => 0.0, // transient, not steady-state
-        }
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +70,6 @@ mod tests {
         for c in [0u64, 1, 1000, u64::MAX] {
             assert!(ActivationSchedule::AlwaysOn.active_at(c));
         }
-        assert_eq!(ActivationSchedule::AlwaysOn.duty_fraction(), 1.0);
     }
 
     #[test]
@@ -96,7 +79,6 @@ mod tests {
         for (c, active) in pattern.iter().enumerate() {
             assert_eq!(*active, c % 10 < 3, "cycle {c}");
         }
-        assert!((s.duty_fraction() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -132,6 +114,5 @@ mod tests {
     fn zero_period_degrades_to_always_on() {
         let s = ActivationSchedule::DutyCycle { on: 0, period: 0 };
         assert!(s.active_at(7));
-        assert_eq!(s.duty_fraction(), 1.0);
     }
 }

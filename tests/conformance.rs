@@ -11,6 +11,7 @@ use htpb_noc::{RouterConfig, RoutingKind};
 use htpb_testkit::{
     run_batch, run_differential, run_metrics_identity, shrink, DiffConfig, Scenario,
 };
+use proptest::prelude::*;
 
 /// Checked-in regression corpus: one spec per line, `#` comments allowed.
 /// Every shrunk failure ever found gets appended here and replayed forever.
@@ -38,6 +39,39 @@ fn corpus_scenarios_replay_clean() {
     for (spec, scenario) in corpus {
         if let Some(d) = run_differential(&scenario, &config) {
             panic!("corpus scenario diverged: {spec}\n  {d}");
+        }
+    }
+}
+
+/// The spec grammar has one spelling per scenario: every corpus line is
+/// exactly what `to_spec` renders for the scenario it parses to.
+#[test]
+fn corpus_specs_reencode_byte_identical() {
+    for (spec, scenario) in corpus_scenarios() {
+        assert_eq!(scenario.to_spec(), spec);
+    }
+}
+
+proptest! {
+    /// `Scenario::from_spec` is total: a valid spec with one byte
+    /// overwritten, or arbitrary bytes, parses to a scenario or an error,
+    /// never a panic — and what it accepts builds its mesh and re-encodes
+    /// to a spec that parses back equal.
+    #[test]
+    fn scenario_from_spec_is_total(
+        seed in any::<u64>(),
+        at in 0usize..512,
+        byte in any::<u8>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let mut edited = Scenario::random(seed).to_spec().into_bytes();
+        let at = at % edited.len();
+        edited[at] = byte;
+        for text in [String::from_utf8_lossy(&edited), String::from_utf8_lossy(&bytes)] {
+            if let Ok(s) = Scenario::from_spec(&text) {
+                let _ = s.mesh();
+                prop_assert_eq!(Scenario::from_spec(&s.to_spec()), Ok(s));
+            }
         }
     }
 }
