@@ -4,12 +4,12 @@
 //! cache; and a panicking job must not take the campaign down.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use htpb_harness::{
-    run_jobs, run_repro, verify_artefacts, BaselineCache, JobSpec, Journal, ReproPlan, ReproScale,
-    ResultCache, RunOptions,
+    run_jobs, run_repro, verify_artefacts, BaselineCache, JobSpec, Journal, ReproOutcome,
+    ReproPlan, ReproScale, ResultCache, RunOptions,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -24,37 +24,62 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// whole-series sequential drivers before they were removed. Never
 /// re-record it to make this test pass: a diff means the artefact bytes
 /// changed.
-const MANIFEST: &str = include_str!(concat!(
+const TINY_MANIFEST: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/repro_tiny.manifest"
 ));
+
+/// `tests/fixtures/repro_paper.manifest`: the same lines for the
+/// paper-scale reproduction (`repro_all --jobs 2`), i.e. every number the
+/// published artefacts state. A change that moves one re-records this
+/// file on purpose and says why; never re-record it to get green.
+const PAPER_MANIFEST: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/repro_paper.manifest"
+));
+
+/// Runs the reproduction at `scale` into `dir` on `workers` workers, with
+/// the result cache on and (for a real pool) clean baselines shared on
+/// disk, as the bins run.
+fn repro_into(scale: ReproScale, dir: &Path, workers: usize) -> ReproOutcome {
+    let opts = RunOptions {
+        workers,
+        cache: Some(ResultCache::for_outdir(dir).unwrap()),
+        baselines: (workers > 1).then(|| Arc::new(BaselineCache::with_dir(dir.join(".cache")))),
+        ..RunOptions::sequential()
+    };
+    let outcome = run_repro(scale, dir, &opts).expect("harness repro");
+    assert_eq!(outcome.failed, 0);
+    outcome
+}
+
+/// The manifest of the campaign journalled in `dir`, one `name:bytes:fnv16`
+/// line per artefact in emission order, after checking that the files on
+/// disk match the journalled digests.
+fn manifest_in(dir: &Path) -> String {
+    let mut manifest = String::new();
+    for (name, bytes, fnv) in Journal::artefact_digests(&dir.join("journal.jsonl")).unwrap() {
+        manifest.push_str(&format!("{name}:{bytes}:{fnv}\n"));
+    }
+    let verify = verify_artefacts(dir).unwrap();
+    assert!(verify.ok(), "{:?}", verify.mismatches);
+    assert_eq!(verify.verified, manifest.lines().count());
+    manifest
+}
 
 #[test]
 fn repro_tiny_matches_committed_manifest() {
     let one = tmpdir("manifest-1");
     let four = tmpdir("manifest-4");
-    // 1 worker cold, 4 workers cold (baselines shared on disk, as the bins
-    // run), then the same directory again, warm.
+    // 1 worker cold, 4 workers cold, then the same directory again, warm.
     for (dir, workers, warm) in [(&one, 1, false), (&four, 4, false), (&four, 4, true)] {
-        let opts = RunOptions {
-            workers,
-            cache: Some(ResultCache::for_outdir(dir).unwrap()),
-            baselines: (workers > 1).then(|| Arc::new(BaselineCache::with_dir(dir.join(".cache")))),
-            ..RunOptions::sequential()
-        };
-        let outcome = run_repro(ReproScale::Tiny, dir, &opts).expect("harness repro");
-        assert_eq!(outcome.failed, 0);
+        let outcome = repro_into(ReproScale::Tiny, dir, workers);
         assert_eq!(outcome.cache_hits, if warm { outcome.jobs } else { 0 });
-
-        let mut manifest = String::new();
-        for (name, bytes, fnv) in Journal::artefact_digests(&dir.join("journal.jsonl")).unwrap() {
-            manifest.push_str(&format!("{name}:{bytes}:{fnv}\n"));
-        }
-        assert_eq!(manifest, MANIFEST, "{workers} worker(s), warm = {warm}");
-        // The digests are the journal's; the files on disk must match them.
-        let verify = verify_artefacts(dir).unwrap();
-        assert!(verify.ok(), "{:?}", verify.mismatches);
-        assert_eq!(verify.verified, MANIFEST.lines().count());
+        assert_eq!(
+            manifest_in(dir),
+            TINY_MANIFEST,
+            "{workers} worker(s), warm = {warm}"
+        );
 
         if !warm {
             // The journal recorded every job plus run bookkeeping.
@@ -72,6 +97,15 @@ fn repro_tiny_matches_committed_manifest() {
     }
     let _ = fs::remove_dir_all(&one);
     let _ = fs::remove_dir_all(&four);
+}
+
+#[test]
+#[ignore = "paper scale takes about 20 s in release and minutes in debug; CI runs it in release"]
+fn repro_paper_matches_committed_manifest() {
+    let dir = tmpdir("manifest-paper");
+    repro_into(ReproScale::Paper, &dir, 2);
+    assert_eq!(manifest_in(&dir), PAPER_MANIFEST);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
