@@ -114,10 +114,26 @@ fn read_artefacts(outdir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// How a child run ended.
+enum Child {
+    /// Ran to completion; whether it exited zero.
+    Finished(bool),
+    /// SIGKILLed once its journal reached the kill offset.
+    Killed,
+}
+
 /// Runs `repro_all` in `dir` (artefacts land in `dir/results/`), with
-/// stdout/stderr teed to log files for post-mortem. Returns the exit
-/// status, or `Err` on spawn failure / hang.
-fn run_child(exe: &Path, dir: &Path, scale: ReproScale, verify: bool) -> Result<bool, String> {
+/// stdout/stderr teed to log files for post-mortem. With `kill_at`, the
+/// child is SIGKILLed once its journal reaches that many bytes; it may
+/// finish first if the offset lands past the end of the run. `Err` on
+/// spawn failure / hang.
+fn run_child(
+    exe: &Path,
+    dir: &Path,
+    scale: ReproScale,
+    verify: bool,
+    kill_at: Option<u64>,
+) -> Result<Child, String> {
     fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let log = |name: &str| -> Stdio {
         // htpb-lint: allow(fs/choke-point) -- live child Stdio handle, not a durable artefact; atomicity is meaningless for a tee'd log
@@ -133,58 +149,21 @@ fn run_child(exe: &Path, dir: &Path, scale: ReproScale, verify: bool) -> Result<
         cmd.arg("--verify");
     }
     let mut child = cmd.spawn().map_err(|e| format!("spawning child: {e}"))?;
-    let start = Instant::now();
-    loop {
-        if let Some(status) = child.try_wait().map_err(|e| e.to_string())? {
-            return Ok(status.success());
-        }
-        if start.elapsed() > CHILD_TIMEOUT {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err("child exceeded wall-clock guard".into());
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Spawns the child and SIGKILLs it once its journal reaches `offset`
-/// bytes. Returns whether the child was actually killed (it may finish
-/// first if the offset lands past the end of the run).
-fn run_child_killed_at(
-    exe: &Path,
-    dir: &Path,
-    scale: ReproScale,
-    offset: u64,
-) -> Result<bool, String> {
-    fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let log = |name: &str| -> Stdio {
-        // htpb-lint: allow(fs/choke-point) -- live child Stdio handle, not a durable artefact; atomicity is meaningless for a tee'd log
-        fs::File::create(dir.join(name)).map_or_else(|_| Stdio::null(), Stdio::from)
-    };
-    let mut child = Command::new(exe)
-        .arg(scale_flag(scale))
-        .args(["--jobs", "2", "--resume"])
-        .current_dir(dir)
-        .stdout(log("stdout.log"))
-        .stderr(log("stderr.log"))
-        .spawn()
-        .map_err(|e| format!("spawning child: {e}"))?;
     let journal = dir.join("results").join("journal.jsonl");
     let start = Instant::now();
     loop {
-        if let Some(_status) = child.try_wait().map_err(|e| e.to_string())? {
-            return Ok(false); // finished before the kill point
+        if let Some(status) = child.try_wait().map_err(|e| e.to_string())? {
+            return Ok(Child::Finished(status.success()));
         }
         if start.elapsed() > CHILD_TIMEOUT {
             let _ = child.kill();
             let _ = child.wait();
             return Err("child exceeded wall-clock guard".into());
         }
-        let len = fs::metadata(&journal).map_or(0, |m| m.len());
-        if len >= offset {
+        if kill_at.is_some_and(|offset| fs::metadata(&journal).map_or(0, |m| m.len()) >= offset) {
             child.kill().map_err(|e| format!("kill: {e}"))?;
             let _ = child.wait();
-            return Ok(true);
+            return Ok(Child::Killed);
         }
         std::thread::sleep(Duration::from_micros(500));
     }
@@ -245,15 +224,15 @@ fn kill_trial(
     offset: u64,
     reference: &[(String, Vec<u8>)],
 ) -> Option<String> {
-    let killed = match run_child_killed_at(exe, dir, scale, offset) {
-        Ok(killed) => killed,
+    let killed = match run_child(exe, dir, scale, false, Some(offset)) {
+        Ok(child) => matches!(child, Child::Killed),
         Err(e) => return Some(format!("interrupted run: {e}")),
     };
     // Resume; the child re-runs only uncommitted work and re-verifies
     // every artefact digest against the journal before exiting.
-    match run_child(exe, dir, scale, true) {
-        Ok(true) => {}
-        Ok(false) => return Some("resumed run exited non-zero".into()),
+    match run_child(exe, dir, scale, true, None) {
+        Ok(Child::Finished(true)) => {}
+        Ok(_) => return Some("resumed run exited non-zero".into()),
         Err(e) => return Some(format!("resumed run: {e}")),
     }
     let outdir = dir.join("results");
@@ -408,9 +387,9 @@ fn main() -> ExitCode {
     // resumed trial must be byte-identical to.
     eprintln!("[chaos] reference run ({})...", scale_flag(args.scale));
     let refdir = workdir.join("reference");
-    match run_child(&exe, &refdir, args.scale, true) {
-        Ok(true) => {}
-        Ok(false) => return fail_trial(&refdir, "reference", "reference run exited non-zero"),
+    match run_child(&exe, &refdir, args.scale, true, None) {
+        Ok(Child::Finished(true)) => {}
+        Ok(_) => return fail_trial(&refdir, "reference", "reference run exited non-zero"),
         Err(e) => return fail_trial(&refdir, "reference", &e),
     }
     let reference = read_artefacts(&refdir.join("results"));

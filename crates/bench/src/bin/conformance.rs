@@ -7,8 +7,8 @@
 //! artifact; the process exits non-zero if anything diverged.
 //!
 //! The random sweep dispatches [`JobSpec::Conformance`] batches through the
-//! harness worker pool, so campaigns get the same journalling, retry and
-//! parallelism machinery as every other experiment job.
+//! harness worker pool, so campaigns get the same panic isolation,
+//! journalling and parallelism as every other experiment job.
 //!
 //! Usage: `conformance [--smoke] [--scenarios N] [--seed S] [--jobs N] [--out DIR] [--metrics]`
 //! (valued flags also as `--flag=V`; an unknown flag is a usage error)

@@ -8,8 +8,9 @@
 //! - `--tiny`         seconds-scale smoke run (CI / integration scale);
 //! - `--paper`        full paper-scale campaigns;
 //! - `--jobs N`       worker threads (default: one per core);
-//! - `--no-cache` / `--resume`   as in `repro_all`;
-//! - `--job-timeout SECS` / `--retries N`   per-job wall-clock guard;
+//! - `--no-cache` / `--resume`   as in `repro_all`; a failed cell is
+//!   journalled once, and rerunning re-executes only failed and missing
+//!   cells;
 //! - `--metrics`      collect runtime metrics: `results/metrics.prom`,
 //!   a JSON snapshot in the journal's `run_end`, and a stderr summary.
 //!

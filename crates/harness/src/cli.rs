@@ -9,12 +9,6 @@
 //! - `--no-cache` — recompute everything, don't read or write the cache;
 //! - `--resume` — explicitly request cache reuse (the default; overrides
 //!   an earlier `--no-cache`);
-//! - `--job-timeout SECS` — per-job wall-clock limit (`0` or absent =
-//!   unbounded); a timed-out job is retried, then recorded as failed;
-//! - `--retries N` — retries per timed-out job (default 1);
-//! - `--retry-base-ms N` — base unit of the deterministic exponential
-//!   retry backoff (default 25; `0` = immediate re-queue);
-//! - `--retry-seed N` — seed folded into the backoff jitter (default 0);
 //! - `--metrics` — enable runtime metric collection (`htpb-obs`): writes
 //!   `results/metrics.prom`, embeds a JSON snapshot in the journal's
 //!   `run_end` record and prints a summary block on stderr.
@@ -25,7 +19,6 @@ use std::io;
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::baseline::BaselineCache;
 use crate::cache::ResultCache;
@@ -61,14 +54,6 @@ pub struct HarnessArgs {
     pub jobs: Option<usize>,
     /// Whether the cache is enabled.
     pub use_cache: bool,
-    /// Per-job wall-clock limit in seconds (`None` = unbounded).
-    pub job_timeout_secs: Option<u64>,
-    /// Retries per timed-out job.
-    pub retries: u32,
-    /// Base unit (ms) of the deterministic exponential retry backoff.
-    pub retry_base_ms: u64,
-    /// Seed folded into the retry-backoff jitter.
-    pub retry_seed: u64,
     /// Whether `--metrics` collection was requested.
     pub metrics: bool,
     /// Arguments not consumed by the harness.
@@ -82,10 +67,6 @@ impl HarnessArgs {
         let mut parsed = HarnessArgs {
             jobs: None,
             use_cache: true,
-            job_timeout_secs: None,
-            retries: 1,
-            retry_base_ms: 25,
-            retry_seed: 0,
             metrics: false,
             rest: Vec::new(),
         };
@@ -93,14 +74,6 @@ impl HarnessArgs {
         while let Some(arg) = it.next() {
             if let Some(v) = flag_value("--jobs", &arg, &mut it) {
                 parsed.jobs = Some(v?);
-            } else if let Some(v) = flag_value("--job-timeout", &arg, &mut it) {
-                parsed.job_timeout_secs = Some(v?);
-            } else if let Some(v) = flag_value("--retries", &arg, &mut it) {
-                parsed.retries = v?;
-            } else if let Some(v) = flag_value("--retry-base-ms", &arg, &mut it) {
-                parsed.retry_base_ms = v?;
-            } else if let Some(v) = flag_value("--retry-seed", &arg, &mut it) {
-                parsed.retry_seed = v?;
             } else {
                 match arg.as_str() {
                     "--no-cache" => parsed.use_cache = false,
@@ -111,16 +84,6 @@ impl HarnessArgs {
             }
         }
         Ok(parsed)
-    }
-
-    /// The per-job wall-clock limit this invocation resolves to (`0`
-    /// seconds also means unbounded).
-    #[must_use]
-    pub(crate) fn job_timeout(&self) -> Option<Duration> {
-        match self.job_timeout_secs {
-            None | Some(0) => None,
-            Some(secs) => Some(Duration::from_secs(secs)),
-        }
     }
 
     /// The worker count this invocation resolves to.
@@ -149,10 +112,6 @@ impl HarnessArgs {
             cache,
             baselines: Some(Arc::new(baselines)),
             progress: true,
-            job_timeout: self.job_timeout(),
-            retries: self.retries,
-            retry_seed: self.retry_seed,
-            retry_base_ms: self.retry_base_ms,
         })
     }
 }
@@ -188,46 +147,12 @@ mod tests {
         assert!(a.use_cache, "--resume re-enables the cache");
     }
 
-    #[test]
-    fn timeout_and_retry_flags() {
-        let a = parse(&[]);
-        assert_eq!(a.job_timeout(), None);
-        assert_eq!(a.retries, 1);
-
-        let a = parse(&["--job-timeout", "30", "--retries", "2"]);
-        assert_eq!(a.job_timeout(), Some(Duration::from_secs(30)));
-        assert_eq!(a.retries, 2);
-
-        let a = parse(&["--job-timeout=0", "--retries=0"]);
-        assert_eq!(a.job_timeout(), None, "0 seconds means unbounded");
-        assert_eq!(a.retries, 0);
-    }
-
-    #[test]
-    fn backoff_flags() {
-        let a = parse(&[]);
-        assert_eq!(a.retry_base_ms, 25);
-        assert_eq!(a.retry_seed, 0);
-        let a = parse(&["--retry-base-ms", "100", "--retry-seed=7"]);
-        assert_eq!(a.retry_base_ms, 100);
-        assert_eq!(a.retry_seed, 7);
-        let a = parse(&["--retry-base-ms=0"]);
-        assert_eq!(a.retry_base_ms, 0, "0 disables backoff");
-        assert!(HarnessArgs::parse(vec!["--retry-seed".to_string()]).is_err());
-    }
-
     /// The one flag grammar, over every valued flag of the workspace's
     /// bins: both spellings, a missing value, a non-number. (The tests
     /// around this one drive the same cases through `HarnessArgs::parse`.)
     #[test]
     fn flag_value_grammar_for_every_valued_flag() {
-        let harness = [
-            "--jobs",
-            "--job-timeout",
-            "--retries",
-            "--retry-base-ms",
-            "--retry-seed",
-        ];
+        let harness = ["--jobs"];
         let chaos = ["--trials", "--fs-trials", "--seed"];
         let conformance = ["--scenarios", "--seed", "--jobs", "--out"];
         for flag in harness.iter().chain(&chaos).chain(&conformance) {
@@ -267,7 +192,5 @@ mod tests {
     fn rejects_bad_jobs() {
         assert!(HarnessArgs::parse(vec!["--jobs".to_string()]).is_err());
         assert!(HarnessArgs::parse(vec!["--jobs".to_string(), "x".to_string()]).is_err());
-        assert!(HarnessArgs::parse(vec!["--job-timeout".to_string()]).is_err());
-        assert!(HarnessArgs::parse(vec!["--retries=x".to_string()]).is_err());
     }
 }

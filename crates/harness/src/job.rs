@@ -185,15 +185,6 @@ pub enum JobSpec {
         /// Master seed; scenario `i` uses `seed.wrapping_add(i)`.
         seed: u64,
     },
-    /// Test-only probe that fails (panics) on its first execution and
-    /// succeeds once `marker` exists on disk — exercises the pool's
-    /// retry-on-failure path. Compiled into tests only: it is stateful by
-    /// design and therefore must never be cached or used in a real campaign.
-    #[cfg(test)]
-    FlakyProbe {
-        /// Path of the marker file recording that one attempt already ran.
-        marker: String,
-    },
 }
 
 impl JobSpec {
@@ -208,8 +199,6 @@ impl JobSpec {
             JobSpec::RegressionMix { .. } => "regression",
             JobSpec::Resilience { .. } => "resil",
             JobSpec::Conformance { .. } => "conf",
-            #[cfg(test)]
-            JobSpec::FlakyProbe { .. } => "flaky",
         }
     }
 
@@ -276,8 +265,6 @@ impl JobSpec {
             JobSpec::Conformance { scenarios, seed } => {
                 format!("conf-n{scenarios}-s{seed:x}")
             }
-            #[cfg(test)]
-            JobSpec::FlakyProbe { marker } => format!("flaky-{marker}"),
         }
     }
 
@@ -420,16 +407,6 @@ impl JobSpec {
                     passed: report.passed,
                     failures,
                 }
-            }
-            #[cfg(test)]
-            JobSpec::FlakyProbe { marker } => {
-                let path = std::path::Path::new(marker);
-                if !path.exists() {
-                    crate::fs::commit_file(crate::fs::std_fs().as_ref(), path, b"attempted\n")
-                        .expect("write flaky-probe marker");
-                    panic!("flaky probe: first attempt always fails");
-                }
-                JobOutput::Rate(1.0)
             }
         };
         (output, used)

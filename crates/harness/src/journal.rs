@@ -32,10 +32,8 @@
 //! | event | fields |
 //! |---|---|
 //! | `run_start` | `run`, `scale`, `workers`, `jobs` |
-//! | `job_start` | `id`, `kind`, `worker`, `attempt` |
+//! | `job_start` | `id`, `kind`, `worker`, `attempt` (always `1`: a job executes at most once per run) |
 //! | `job_done` | `id`, `kind`, `worker`, `cache_hit`, `cached`, `ok`, `secs`, `error?` |
-//! | `job_timeout` | `id`, `attempt`, `limit_secs` |
-//! | `job_retry` | `id`, `attempt`, `delay_ms` |
 //! | `job_recovered` | `id` (an interrupted job whose cache entry was distrusted) |
 //! | `artefact` | `path`, `bytes`, `fnv` |
 //! | `stage` | `label`, `secs` |
@@ -156,6 +154,8 @@ impl Journal {
 
     /// Records that a worker is about to *execute* a job (not a cache hit).
     /// A `job_start` without a later `job_done` marks an interrupted job.
+    /// The pool always passes `attempt` 1: a job executes at most once per
+    /// run.
     pub fn job_start(&self, id: &str, kind: &str, worker: usize, attempt: u32) {
         self.record(
             "job_start",

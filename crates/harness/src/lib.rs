@@ -7,8 +7,9 @@
 //! - [`JobSpec`] / [`JobOutput`] — one experiment point as a pure function
 //!   of its parameters and seeds ([`job`]);
 //! - [`run_jobs`] — a fixed-size worker pool with per-job
-//!   `catch_unwind` isolation; results return in job order, so a campaign
-//!   emits the same bytes at any worker count ([`runner`]);
+//!   `catch_unwind` isolation; a job runs at most once per call, and
+//!   results return in job order, so a campaign emits the same bytes at
+//!   any worker count ([`runner`]);
 //! - [`ResultCache`] — a content-addressed on-disk cache under
 //!   `<outdir>/.cache/`; re-runs skip completed points and interrupted
 //!   campaigns resume ([`cache`]);
@@ -32,7 +33,7 @@
 //!   effect and graceful degradation across *fault rate × allocator ×
 //!   hardening* ([`resilience`]);
 //! - [`HarnessArgs`] — the shared `--jobs` / `--no-cache` / `--resume` /
-//!   `--job-timeout` / `--retries` / `--metrics` flag parser, resolved to
+//!   `--metrics` flag parser, resolved to
 //!   [`RunOptions`] by [`HarnessArgs::run_options`]; [`cli::flag_value`]
 //!   is the one `--flag V | --flag=V` grammar every bin uses ([`cli`]);
 //! - [`obs`] — pool-level metrics (job latency, queue depth, cache hit

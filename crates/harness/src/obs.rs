@@ -2,8 +2,8 @@
 //! exposition paths the `--metrics` flag turns on.
 //!
 //! Everything the pool measures — job latency, queue depth, cache and
-//! baseline hit rates, retry/timeout tallies — depends on wall-clock time
-//! or scheduling, so every instrument here is [`Class::Timing`]: present in
+//! baseline hit rates — depends on wall-clock time or scheduling, so
+//! every instrument here is [`Class::Timing`]: present in
 //! the JSON snapshot embedded in the journal's `run_end` record and in the
 //! stderr summary, **excluded from `metrics.prom` by construction**. That
 //! exclusion is what keeps the Prometheus artefact byte-deterministic
@@ -28,7 +28,7 @@ const JOB_MS_BUCKETS: usize = 16;
 pub struct HarnessMetrics {
     /// Jobs completed (any outcome, cache hits included).
     pub jobs_total: Arc<Counter>,
-    /// Jobs whose final attempt failed (panic, timeout, error).
+    /// Jobs that failed (panicked).
     pub failures_total: Arc<Counter>,
     /// Jobs served from the result cache.
     pub cache_hits_total: Arc<Counter>,
@@ -38,10 +38,6 @@ pub struct HarnessMetrics {
     pub baseline_hits_total: Arc<Counter>,
     /// Jobs that computed their clean baseline.
     pub baseline_misses_total: Arc<Counter>,
-    /// Retry attempts dispatched after a failed or timed-out attempt.
-    pub retries_total: Arc<Counter>,
-    /// Attempts that exceeded the per-job wall-clock limit.
-    pub timeouts_total: Arc<Counter>,
     /// Jobs not yet finished in the currently running pool invocation.
     pub queue_depth: Arc<Gauge>,
     /// Per-job wall time in milliseconds.
@@ -57,7 +53,7 @@ pub fn harness_metrics() -> &'static HarnessMetrics {
             jobs_total: r.counter("htpb_harness_jobs_total", "Jobs completed", Class::Timing),
             failures_total: r.counter(
                 "htpb_harness_job_failures_total",
-                "Jobs whose final attempt failed",
+                "Jobs that failed",
                 Class::Timing,
             ),
             cache_hits_total: r.counter(
@@ -78,16 +74,6 @@ pub fn harness_metrics() -> &'static HarnessMetrics {
             baseline_misses_total: r.counter(
                 "htpb_harness_baseline_misses_total",
                 "Jobs that computed their clean baseline",
-                Class::Timing,
-            ),
-            retries_total: r.counter(
-                "htpb_harness_job_retries_total",
-                "Retry attempts dispatched",
-                Class::Timing,
-            ),
-            timeouts_total: r.counter(
-                "htpb_harness_job_timeouts_total",
-                "Attempts that hit the per-job wall-clock limit",
                 Class::Timing,
             ),
             queue_depth: r.gauge(

@@ -11,19 +11,15 @@
 //! Each job runs under [`std::panic::catch_unwind`], so one panicking
 //! scenario records a failure and the rest of the campaign continues.
 //!
-//! With [`RunOptions::job_timeout`] set, each job additionally runs on a
-//! detached thread bounded by a wall-clock limit: a hung scenario times
-//! out (leaking its thread rather than wedging the pool), is retried up to
-//! [`RunOptions::retries`] times, and finally records a failure. Retries
-//! back off exponentially with a deterministic, seed-derived jitter
-//! (`FNV(seed, job id, attempt)`), so retry timing is reproducible from
-//! the journal alone. Timeouts and retries land in the journal as
-//! `job_timeout` / `job_retry` events (the latter carries the computed
-//! `delay_ms`).
+//! A job runs at most once per call: it is served from the cache or
+//! executed once. It is a pure function of its spec, so running it again
+//! could only repeat the outcome. A failure is journalled as `job_done`
+//! with `"ok":false`; rerunning the campaign re-executes only the failed
+//! and missing jobs.
 //!
 //! ## Crash-safety contract
 //!
-//! Every *executed* attempt is bracketed by journal `job_start` /
+//! Every *executed* job is bracketed by journal `job_start` /
 //! `job_done` records (cache hits skip `job_start` — nothing ran). The
 //! cache store happens **before** `job_done`, so by the time a completion
 //! is journalled the result is durable; a crash between the two re-runs
@@ -35,13 +31,12 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::baseline::BaselineCache;
 use crate::cache::ResultCache;
-use crate::hash::fnv1a64_parts;
 use crate::job::{JobOutput, JobSpec};
 use crate::journal::Journal;
 use crate::json::Value;
@@ -58,18 +53,6 @@ pub struct RunOptions {
     pub baselines: Option<Arc<BaselineCache>>,
     /// Emit a progress/ETA line on stderr while running.
     pub progress: bool,
-    /// Per-job wall-clock limit; `None` (the default) lets jobs run
-    /// unbounded on the worker thread itself.
-    pub job_timeout: Option<Duration>,
-    /// How many times a timed-out or failed job is retried before it is
-    /// recorded as failed (`--retries`, default 1).
-    pub retries: u32,
-    /// Seed folded into the deterministic retry-backoff jitter.
-    pub retry_seed: u64,
-    /// Base backoff unit in milliseconds: retry `n` sleeps
-    /// `base * 2^(n-1) + FNV(seed, id, n) % base`. `0` disables backoff
-    /// (immediate re-queue, the pre-backoff behaviour).
-    pub retry_base_ms: u64,
 }
 
 impl RunOptions {
@@ -81,10 +64,6 @@ impl RunOptions {
             cache: None,
             baselines: None,
             progress: false,
-            job_timeout: None,
-            retries: 1,
-            retry_seed: 0,
-            retry_base_ms: 25,
         }
     }
 
@@ -94,20 +73,6 @@ impl RunOptions {
     pub(crate) fn default_workers() -> usize {
         thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
-}
-
-/// The deterministic backoff delay before retry `attempt` (1-based) of
-/// `job_id`: exponential in the attempt with an FNV-derived jitter, so two
-/// workers retrying the same moment spread out, yet the schedule is fully
-/// reproducible from (seed, id, attempt).
-#[must_use]
-pub(crate) fn retry_delay_ms(seed: u64, job_id: &str, attempt: u32, base_ms: u64) -> u64 {
-    if base_ms == 0 {
-        return 0;
-    }
-    let shift = (attempt.saturating_sub(1)).min(10);
-    let jitter = fnv1a64_parts(&[&seed.to_string(), job_id, &attempt.to_string()]) % base_ms;
-    base_ms.saturating_mul(1 << shift).saturating_add(jitter)
 }
 
 /// The outcome of one job.
@@ -141,12 +106,11 @@ impl JobReport {
     }
 }
 
-/// One attempt's result, private to the retry loop.
-struct Attempt {
+/// One job's result as [`execute_one`] hands it to the pool.
+struct Outcome {
     output: Result<JobOutput, String>,
     cache_hit: bool,
     baseline: Option<bool>,
-    timed_out: bool,
     /// The result is durably committed to the result cache (a hit, or a
     /// successful store).
     cached: bool,
@@ -175,19 +139,19 @@ pub fn run_jobs(jobs: &[JobSpec], opts: &RunOptions, journal: &Journal) -> Vec<J
         }
         let spec = &jobs[i];
         let t0 = Instant::now();
-        let attempt = execute_with_retries(spec, opts, journal, worker);
+        let outcome = execute_one(spec, opts, journal, worker);
         let secs = t0.elapsed().as_secs_f64();
         journal.job_done(
             &spec.id(),
             spec.kind(),
             worker,
-            attempt.cache_hit,
-            attempt.cached,
-            attempt.output.is_ok(),
+            outcome.cache_hit,
+            outcome.cached,
+            outcome.output.is_ok(),
             secs,
-            attempt.output.as_ref().err().map(String::as_str),
+            outcome.output.as_ref().err().map(String::as_str),
         );
-        if let Some(hit) = attempt.baseline {
+        if let Some(hit) = outcome.baseline {
             journal.record(
                 if hit { "baseline_hit" } else { "baseline_miss" },
                 vec![("id", Value::Str(spec.id()))],
@@ -196,30 +160,30 @@ pub fn run_jobs(jobs: &[JobSpec], opts: &RunOptions, journal: &Journal) -> Vec<J
         if let Some(m) = metrics {
             m.jobs_total.inc();
             m.job_ms.observe((secs * 1000.0) as u64);
-            if attempt.cache_hit {
+            if outcome.cache_hit {
                 m.cache_hits_total.inc();
             } else {
                 m.cache_misses_total.inc();
             }
-            match attempt.baseline {
+            match outcome.baseline {
                 Some(true) => m.baseline_hits_total.inc(),
                 Some(false) => m.baseline_misses_total.inc(),
                 None => {}
             }
-            if attempt.output.is_err() {
+            if outcome.output.is_err() {
                 m.failures_total.inc();
             }
             m.queue_depth.add(-1);
         }
         *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(JobReport {
             spec: spec.clone(),
-            output: attempt.output,
-            cache_hit: attempt.cache_hit,
-            baseline: attempt.baseline,
+            output: outcome.output,
+            cache_hit: outcome.cache_hit,
+            baseline: outcome.baseline,
             secs,
             worker,
         });
-        if attempt.cache_hit {
+        if outcome.cache_hit {
             hits.fetch_add(1, Ordering::Relaxed);
         }
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -253,133 +217,28 @@ pub fn run_jobs(jobs: &[JobSpec], opts: &RunOptions, journal: &Journal) -> Vec<J
         .collect()
 }
 
-/// Runs one job under the pool's timeout/retry policy. A timed-out attempt
-/// is journalled (`job_timeout`) and retried (`job_retry`) until the retry
-/// budget runs out; a failed (panicking) attempt is likewise retried — a
-/// crashed worker machine and a hung one are the same event to a campaign.
-/// Each retry sleeps the deterministic [`retry_delay_ms`] first. The final
-/// attempt's outcome is returned. Cache hits are never retried (they are
-/// `Ok` by construction).
-fn execute_with_retries(
-    spec: &JobSpec,
-    opts: &RunOptions,
-    journal: &Journal,
-    worker: usize,
-) -> Attempt {
-    let mut retry: u32 = 0;
-    let metrics = htpb_obs::enabled().then(crate::obs::harness_metrics);
-    loop {
-        let attempt = execute_one(spec, opts, journal, worker, retry + 1);
-        if attempt.timed_out {
-            if let Some(m) = metrics {
-                m.timeouts_total.inc();
-            }
-            journal.record(
-                "job_timeout",
-                vec![
-                    ("id", Value::Str(spec.id())),
-                    ("attempt", Value::Int(i64::from(retry) + 1)),
-                    (
-                        "limit_secs",
-                        Value::Num(opts.job_timeout.map_or(0.0, |d| d.as_secs_f64())),
-                    ),
-                ],
-            );
-        }
-        let retryable = attempt.timed_out || (!attempt.cache_hit && attempt.output.is_err());
-        if retryable && retry < opts.retries {
-            retry += 1;
-            if let Some(m) = metrics {
-                m.retries_total.inc();
-            }
-            let delay_ms = retry_delay_ms(opts.retry_seed, &spec.id(), retry, opts.retry_base_ms);
-            journal.record(
-                "job_retry",
-                vec![
-                    ("id", Value::Str(spec.id())),
-                    ("attempt", Value::Int(i64::from(retry) + 1)),
-                    ("delay_ms", Value::Int(delay_ms as i64)),
-                ],
-            );
-            if delay_ms > 0 {
-                thread::sleep(Duration::from_millis(delay_ms));
-            }
-            continue;
-        }
-        return attempt;
-    }
-}
-
-/// Runs one attempt. An *executed* attempt (anything past the cache
-/// check) is announced with a journal `job_start` first, so a crash
-/// mid-execution leaves the start/done pair visibly unbalanced.
-fn execute_one(
-    spec: &JobSpec,
-    opts: &RunOptions,
-    journal: &Journal,
-    worker: usize,
-    attempt: u32,
-) -> Attempt {
+/// Runs one job: a cache hit, or one execution under `catch_unwind`. An
+/// *executed* job is announced with a journal `job_start` first, so a
+/// crash mid-execution leaves the start/done pair visibly unbalanced.
+fn execute_one(spec: &JobSpec, opts: &RunOptions, journal: &Journal, worker: usize) -> Outcome {
     let cache = opts.cache.as_ref();
-    let baselines = opts.baselines.as_ref();
     if let Some(cache) = cache {
         if let Some(output) = cache.load(spec) {
             // A result-cache hit never touches the baseline layer, and
             // never re-executes: no job_start.
-            return Attempt {
+            return Outcome {
                 output: Ok(output),
                 cache_hit: true,
                 baseline: None,
-                timed_out: false,
                 cached: true,
             };
         }
     }
-    journal.job_start(&spec.id(), spec.kind(), worker, attempt);
-    let result = match opts.job_timeout {
-        None => panic::catch_unwind(AssertUnwindSafe(|| {
-            spec.execute_with(baselines.map(Arc::as_ref))
-        }))
-        .map_err(|payload| panic_message(payload.as_ref())),
-        Some(limit) => {
-            // The job runs on a detached thread so a hung scenario cannot
-            // wedge the worker: on timeout the thread is leaked (it parks
-            // on a disconnected channel when it eventually finishes) and
-            // the pool moves on. The limit is a hard wall-clock budget:
-            // a result that arrives late (the scheduler can run the job
-            // to completion before this thread ever blocks on the
-            // channel) still counts as a timeout, so the outcome does not
-            // depend on scheduling order.
-            let started = Instant::now();
-            let (tx, rx) = mpsc::channel();
-            let owned = spec.clone();
-            let shared = baselines.map(Arc::clone);
-            let spawned = thread::Builder::new()
-                .name(format!("job-{}", owned.id()))
-                .spawn(move || {
-                    let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                        owned.execute_with(shared.as_deref())
-                    }))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                    let _ = tx.send(r);
-                });
-            match spawned {
-                Err(e) => Err(format!("failed to spawn job thread: {e}")),
-                Ok(_) => match rx.recv_timeout(limit) {
-                    Ok(r) if started.elapsed() <= limit => r,
-                    Ok(_) | Err(_) => {
-                        return Attempt {
-                            output: Err(format!("timed out after {:.1}s", limit.as_secs_f64())),
-                            cache_hit: false,
-                            baseline: None,
-                            timed_out: true,
-                            cached: false,
-                        }
-                    }
-                },
-            }
-        }
-    };
+    journal.job_start(&spec.id(), spec.kind(), worker, 1);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        spec.execute_with(opts.baselines.as_deref())
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()));
     match result {
         Ok((output, baseline)) => {
             // Commit the result BEFORE job_done is journalled: once a
@@ -395,19 +254,17 @@ fn execute_one(
                     ),
                 }
             }
-            Attempt {
+            Outcome {
                 output: Ok(output),
                 cache_hit: false,
                 baseline,
-                timed_out: false,
                 cached,
             }
         }
-        Err(e) => Attempt {
+        Err(e) => Outcome {
             output: Err(e),
             cache_hit: false,
             baseline: None,
-            timed_out: false,
             cached: false,
         },
     }
@@ -466,30 +323,6 @@ mod tests {
             assert_eq!(a.spec, b.spec);
             assert_eq!(a.output.as_ref().unwrap(), b.output.as_ref().unwrap());
         }
-    }
-
-    #[test]
-    fn retry_delay_is_deterministic_exponential_and_jittered() {
-        let d1 = retry_delay_ms(7, "fig3-a", 1, 25);
-        let d2 = retry_delay_ms(7, "fig3-a", 2, 25);
-        let d3 = retry_delay_ms(7, "fig3-a", 3, 25);
-        assert_eq!(d1, retry_delay_ms(7, "fig3-a", 1, 25), "reproducible");
-        // Exponential envelope: base*2^(n-1) <= delay < base*2^(n-1)+base.
-        assert!((25..50).contains(&d1), "{d1}");
-        assert!((50..75).contains(&d2), "{d2}");
-        assert!((100..125).contains(&d3), "{d3}");
-        // Jitter separates jobs and seeds.
-        assert_ne!(
-            retry_delay_ms(7, "fig3-a", 1, 1000),
-            retry_delay_ms(7, "fig3-b", 1, 1000)
-        );
-        assert_ne!(
-            retry_delay_ms(7, "fig3-a", 1, 1000),
-            retry_delay_ms(8, "fig3-a", 1, 1000)
-        );
-        // base 0 disables backoff; the shift saturates far out.
-        assert_eq!(retry_delay_ms(7, "x", 5, 0), 0);
-        assert!(retry_delay_ms(7, "x", 40, 25) >= 25 * 1024);
     }
 
     #[test]
@@ -605,131 +438,5 @@ mod tests {
                 assert!(r.output.is_ok(), "job {i} should survive the panic");
             }
         }
-    }
-
-    #[test]
-    fn generous_timeout_matches_untimed_run() {
-        let jobs = tiny_jobs();
-        let untimed = run_jobs(&jobs, &RunOptions::sequential(), &Journal::disabled());
-        let timed = run_jobs(
-            &jobs,
-            &RunOptions {
-                job_timeout: Some(Duration::from_secs(600)),
-                ..RunOptions::sequential()
-            },
-            &Journal::disabled(),
-        );
-        for (a, b) in untimed.iter().zip(&timed) {
-            assert_eq!(a.output.as_ref().unwrap(), b.output.as_ref().unwrap());
-        }
-    }
-
-    #[test]
-    fn timed_out_job_retries_then_fails_without_wedging_the_pool() {
-        let path =
-            std::env::temp_dir().join(format!("htpb-runner-timeout-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::open(&path).unwrap();
-        // A 1ns budget cannot cover a real simulation (milliseconds), so
-        // every job deterministically times out twice (initial attempt +
-        // one retry) and the pool must still drain. Jobs need ht_count > 0:
-        // the zero-Trojan shortcut is fast enough to win the recv race.
-        let jobs: Vec<JobSpec> = (1..4)
-            .map(|m| JobSpec::Fig3Point {
-                nodes: 16,
-                corner: false,
-                ht_count: m,
-                seeds: vec![0, 1],
-            })
-            .collect();
-        let reports = run_jobs(
-            &jobs,
-            &RunOptions {
-                workers: 2,
-                job_timeout: Some(Duration::from_nanos(1)),
-                retries: 1,
-                retry_base_ms: 1,
-                ..RunOptions::sequential()
-            },
-            &journal,
-        );
-        assert_eq!(reports.len(), jobs.len(), "pool must not wedge");
-        for r in &reports {
-            let err = r.output.as_ref().unwrap_err();
-            assert!(err.contains("timed out"), "unexpected error: {err}");
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let timeouts = text.matches("\"event\":\"job_timeout\"").count();
-        let retries = text.matches("\"event\":\"job_retry\"").count();
-        assert_eq!(
-            timeouts,
-            2 * jobs.len(),
-            "each job: initial attempt + one retry both time out\n{text}"
-        );
-        assert_eq!(retries, jobs.len(), "exactly one retry per job\n{text}");
-        assert_eq!(
-            text.matches("\"delay_ms\":").count(),
-            jobs.len(),
-            "every retry journals its computed backoff\n{text}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn failing_job_is_retried_and_recovers() {
-        let pid = std::process::id();
-        let marker = std::env::temp_dir().join(format!("htpb-runner-flaky-{pid}.marker"));
-        let journal_path = std::env::temp_dir().join(format!("htpb-runner-flaky-{pid}.jsonl"));
-        let _ = std::fs::remove_file(&marker);
-        let _ = std::fs::remove_file(&journal_path);
-        let journal = Journal::open(&journal_path).unwrap();
-        // The probe panics on its first attempt (and drops a marker file),
-        // then succeeds; with one retry the pool must deliver the success.
-        let jobs = vec![JobSpec::FlakyProbe {
-            marker: marker.to_string_lossy().into_owned(),
-        }];
-        let reports = run_jobs(
-            &jobs,
-            &RunOptions {
-                retries: 1,
-                retry_base_ms: 1,
-                ..RunOptions::sequential()
-            },
-            &journal,
-        );
-        assert_eq!(reports.len(), 1);
-        assert_eq!(
-            reports[0].output.as_ref().unwrap(),
-            &JobOutput::Rate(1.0),
-            "retry must recover the flaky job"
-        );
-        let text = std::fs::read_to_string(&journal_path).unwrap();
-        let retry_at = text
-            .find("\"event\":\"job_retry\"")
-            .expect("journal records the retry");
-        let ok_at = text
-            .find("\"ok\":true")
-            .expect("journal records the eventual success");
-        assert!(
-            retry_at < ok_at,
-            "retry must be journalled before the success\n{text}"
-        );
-        assert_eq!(
-            text.matches("\"event\":\"job_retry\"").count(),
-            1,
-            "exactly one retry\n{text}"
-        );
-        assert_eq!(
-            text.matches("\"event\":\"job_timeout\"").count(),
-            0,
-            "a plain failure is not a timeout\n{text}"
-        );
-        assert_eq!(
-            text.matches("\"event\":\"job_start\"").count(),
-            2,
-            "both executed attempts announce a job_start\n{text}"
-        );
-        let _ = std::fs::remove_file(&marker);
-        let _ = std::fs::remove_file(&journal_path);
     }
 }

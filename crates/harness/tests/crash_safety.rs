@@ -5,14 +5,14 @@
 //! must survive an injected filesystem fault (ENOSPC, torn short write,
 //! failed rename) at *any* operation index in the **old state or the new
 //! state, never a torn one**. Property tests drive [`FaultyFs`] over each
-//! write path and arbitrary bytes into the journal's frame reader; a
-//! two-process test exercises the baseline-cache store race the commit
-//! protocol exists to fix.
+//! write path, and arbitrary bytes into the journal's frame reader and the
+//! result cache's entry reader; a two-process test exercises the
+//! baseline-cache store race the commit protocol exists to fix.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -56,6 +56,31 @@ fn spec() -> JobSpec {
         ht_count: 2,
         seeds: vec![0],
     }
+}
+
+/// The bytes the result cache commits for `spec()` with output
+/// `Rate(0.1875)`, stored once for the totality properties below.
+fn stored_entry() -> &'static [u8] {
+    static ENTRY: OnceLock<Vec<u8>> = OnceLock::new();
+    ENTRY.get_or_init(|| {
+        let dir = tmpdir("cache-entry");
+        let cache = ResultCache::open(&dir).unwrap();
+        cache.store(&spec(), &JobOutput::Rate(0.1875)).unwrap();
+        let bytes = fs::read(cache.entry_path(&spec())).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        bytes
+    })
+}
+
+/// Writes `bytes` where the result cache keeps `spec()`'s entry and loads
+/// it back.
+fn load_entry_bytes(tag: &str, bytes: &[u8]) -> Option<JobOutput> {
+    let dir = tmpdir(tag);
+    let cache = ResultCache::open(&dir).unwrap();
+    fs::write(cache.entry_path(&spec()), bytes).unwrap();
+    let loaded = cache.load(&spec());
+    let _ = fs::remove_dir_all(&dir);
+    loaded
 }
 
 /// No `*.tmp.*` litter may survive a failed commit.
@@ -193,6 +218,33 @@ proptest! {
         let mut line = if framed { b"v2|".to_vec() } else { Vec::new() };
         line.extend(bytes);
         let _ = Journal::parse_line(&String::from_utf8_lossy(&line));
+    }
+
+    /// The result cache is total on its own files: arbitrary bytes at an
+    /// entry's path load as a miss, never a panic.
+    #[test]
+    fn cache_load_is_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        prop_assert_eq!(load_entry_bytes("cache-bytes", &bytes), None);
+    }
+
+    /// Any single-byte replacement in a stored entry loads as a miss or as
+    /// exactly the stored output, never as a different output.
+    #[test]
+    fn cache_entry_single_byte_edit_never_loads_a_different_output(
+        at in 0usize..4096,
+        byte in any::<u8>(),
+    ) {
+        let mut edited = stored_entry().to_vec();
+        let at = at % edited.len();
+        prop_assume!(edited[at] != byte);
+        edited[at] = byte;
+        let loaded = load_entry_bytes("cache-edit", &edited);
+        prop_assert!(
+            loaded.is_none() || loaded == Some(JobOutput::Rate(0.1875)),
+            "edit at byte {} loaded {:?}", at, loaded
+        );
     }
 
     /// The JSON parser behind cache entries and journal records is total:

@@ -34,7 +34,7 @@
 //!   included in the Prometheus exposition**, which is therefore
 //!   byte-deterministic across `--jobs 1` vs `--jobs N`.
 //! * [`Class::Timing`] — derived from wall-clock time or scheduling (job
-//!   latency, queue depth, retries). Exposed in the JSON snapshot and the
+//!   latency, queue depth, cache hits). Exposed in the JSON snapshot and the
 //!   stderr summary, never in `metrics.prom`.
 //!
 //! # Exposition

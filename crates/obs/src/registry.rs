@@ -19,7 +19,7 @@ pub enum Class {
     /// The only class admitted into the Prometheus exposition.
     Sim,
     /// Derived from wall-clock time or scheduling (latencies, queue depth,
-    /// retries). JSON snapshot and stderr summary only.
+    /// cache hits). JSON snapshot and stderr summary only.
     Timing,
 }
 

@@ -7,9 +7,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use htpb_harness::json::Value;
 use htpb_harness::{
-    run_jobs, run_repro, verify_artefacts, BaselineCache, JobSpec, Journal, ReproOutcome,
-    ReproPlan, ReproScale, ResultCache, RunOptions,
+    run_jobs, run_repro, std_fs, verify_artefacts, BaselineCache, Campaign, JobSpec, Journal,
+    ReproOutcome, ReproPlan, ReproScale, ResultCache, RunOptions,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -151,11 +152,13 @@ fn interrupted_run_resumes_only_missing_jobs() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The failure policy: a job runs once. A panicking job is journalled as
+/// one `job_start` and one failed, uncached `job_done`, and the rest of the
+/// campaign completes; rerunning the campaign executes only that job again.
 #[test]
 fn panicking_job_fails_alone_and_is_journalled() {
     let dir = tmpdir("panic");
     let journal_path = dir.join("journal.jsonl");
-    let journal = Journal::open(&journal_path).unwrap();
     let jobs = vec![
         JobSpec::Fig3Point {
             nodes: 16,
@@ -177,25 +180,54 @@ fn panicking_job_fails_alone_and_is_journalled() {
             seeds: vec![0],
         },
     ];
-    let reports = run_jobs(
-        &jobs,
-        &RunOptions {
-            workers: 2,
-            ..RunOptions::sequential()
-        },
-        &journal,
-    );
-    assert!(reports[0].output.is_ok());
-    assert!(reports[1].output.is_err());
-    assert!(reports[2].output.is_ok());
+    let bad = jobs[1].id();
+    assert!(bad.starts_with("fig3-n0-"), "{bad}");
+    let opts = RunOptions {
+        workers: 2,
+        cache: Some(ResultCache::for_outdir(&dir).unwrap()),
+        ..RunOptions::sequential()
+    };
+    for epoch in [1, 2] {
+        let campaign = Campaign::start("panic", &dir, &jobs, &opts, std_fs(), vec![]).unwrap();
+        let reports = campaign.execute(&jobs, &opts);
+        campaign.finish(false, vec![]);
+        assert!(reports[0].output.is_ok());
+        assert!(reports[1].output.is_err());
+        assert!(reports[2].output.is_ok());
+        let rerun = epoch == 2;
+        let hits: Vec<bool> = reports.iter().map(|r| r.cache_hit).collect();
+        assert_eq!(hits, [rerun, false, rerun], "pass {epoch}");
 
-    let journal = fs::read_to_string(&journal_path).unwrap();
-    let failed_line = journal
-        .lines()
-        .find(|l| l.contains("\"ok\":false"))
-        .expect("failed job must be journalled");
-    assert!(failed_line.contains("fig3-n0-"), "{failed_line}");
-    assert!(failed_line.contains("\"error\":"), "{failed_line}");
+        let events = Journal::read_events(&journal_path).unwrap();
+        let this_pass: Vec<&Value> = events
+            .iter()
+            .filter(|e| e.get("epoch") == Some(&Value::Int(epoch)))
+            .collect();
+        let field = |e: &Value, key: &str| e.get(key).and_then(Value::as_str).map(str::to_string);
+        let started: Vec<String> = this_pass
+            .iter()
+            .filter(|e| field(e, "event").as_deref() == Some("job_start"))
+            .filter_map(|e| field(e, "id"))
+            .collect();
+        if rerun {
+            assert_eq!(started, [bad.as_str()], "only the failed job re-executes");
+        } else {
+            assert_eq!(started.len(), jobs.len());
+        }
+        let bad_events: Vec<&Value> = this_pass
+            .into_iter()
+            .filter(|e| field(e, "id").as_ref() == Some(&bad))
+            .collect();
+        let kinds: Vec<String> = bad_events
+            .iter()
+            .filter_map(|e| field(e, "event"))
+            .collect();
+        assert_eq!(kinds, ["job_start", "job_done"], "pass {epoch}");
+        let done = bad_events[1];
+        assert_eq!(done.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(done.get("cached"), Some(&Value::Bool(false)));
+        assert!(field(done, "error").is_some(), "{done:?}");
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }
