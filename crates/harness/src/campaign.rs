@@ -2,9 +2,9 @@
 //! resume, durable artefact emission and post-run verification.
 //!
 //! [`Campaign::start`] is the single entry point every bench bin goes
-//! through. It parses the journal once — for this run's epoch and for the
-//! job history — and applies the **recovery state machine** before any
-//! job runs:
+//! through. It folds the journal in one streaming scan — into this run's
+//! epoch and the job history — and applies the **recovery state machine**
+//! before any job runs:
 //!
 //! 1. jobs with a committed `job_done` → served from the result cache,
 //!    never re-executed;
@@ -19,6 +19,7 @@
 //! and FNV-1a-64 digest; [`verify_artefacts`] replays those records
 //! against the files on disk (`repro_all --verify`).
 
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -70,36 +71,37 @@ impl Campaign {
 
         // Recovery happens against the journal as the DYING process left
         // it, before this run appends anything.
-        let history = Journal::read_events(&journal_path)?;
-        let completed = crate::journal::completed_in(&history);
-        let interrupted = crate::journal::interrupted_in(&history);
-        let journal = Journal::open_with_history(&journal_path, Arc::clone(&fs), &history)?;
+        let (journal, history) = Journal::resume(&journal_path, Arc::clone(&fs))?;
 
         let mut recovered = 0;
         if let Some(cache) = &opts.cache {
             // Distrust everything an interrupted job may have half-written:
             // its cache entry goes away, so the pool re-executes it. Only
             // jobs in THIS plan matter; stale ids from other campaigns
-            // sharing the journal are left alone.
-            for spec in jobs {
-                if interrupted.iter().any(|id| *id == spec.id()) {
+            // sharing the journal are left alone. Each id renders once, and
+            // only when some job was interrupted.
+            let interrupted: HashSet<&str> =
+                history.interrupted.iter().map(String::as_str).collect();
+            for spec in jobs.iter().filter(|_| !interrupted.is_empty()) {
+                let id = spec.id();
+                if interrupted.contains(id.as_str()) {
                     cache.invalidate(spec)?;
-                    journal.record("job_recovered", vec![("id", Value::Str(spec.id()))]);
+                    journal.record("job_recovered", vec![("id", Value::Str(id))]);
                     recovered += 1;
                 }
             }
-            if !completed.is_empty() || recovered > 0 {
+            if history.completed > 0 || recovered > 0 {
                 eprintln!(
                     "[harness] resuming (epoch {}): {} completed job(s) on record, \
                      {recovered} interrupted job(s) will re-run",
                     journal.epoch(),
-                    completed.len(),
+                    history.completed,
                 );
                 // The resumed epoch will see little but cache hits, so the
                 // per-stage timing detail of the work already done must be
                 // recovered from the prior epochs' job_done records — this
                 // used to be silently dropped.
-                for t in crate::journal::stage_tallies_in(&history) {
+                for t in &history.tallies {
                     eprintln!(
                         "[harness]   prior epochs: {}: {} job(s) ({} executed), {:.1}s",
                         t.kind, t.jobs, t.executed, t.secs
@@ -311,6 +313,49 @@ mod tests {
         campaign.finish(true, vec![]);
         let text = fs::read_to_string(dir.join("journal.jsonl")).unwrap();
         assert_eq!(text.matches("\"event\":\"job_recovered\"").count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// 40 of 60 planned jobs died mid-run, started in reverse plan order
+    /// and some of them twice: each is recovered once, in plan order.
+    #[test]
+    fn every_interrupted_job_is_recovered_once_in_plan_order() {
+        let dir = tmpdir("recover-many");
+        let jobs: Vec<JobSpec> = (0..60)
+            .map(|seed| JobSpec::Conformance { scenarios: 0, seed })
+            .collect();
+        let interrupted: Vec<&JobSpec> = (0..60).filter(|i| i % 3 != 0).map(|i| &jobs[i]).collect();
+        let cache = ResultCache::open(dir.join(".cache")).unwrap();
+        {
+            let j = Journal::open(&dir.join("journal.jsonl")).unwrap();
+            for spec in &jobs {
+                cache.store(spec, &spec.execute()).unwrap();
+            }
+            for spec in interrupted.iter().rev() {
+                j.job_start(&spec.id(), spec.kind(), 0, 1);
+            }
+            for spec in interrupted.iter().step_by(4) {
+                j.job_start(&spec.id(), spec.kind(), 1, 1);
+            }
+        }
+        let opts = RunOptions {
+            cache: Some(cache.clone()),
+            ..RunOptions::sequential()
+        };
+        let campaign = Campaign::start("test", &dir, &jobs, &opts, std_fs(), vec![]).unwrap();
+        assert_eq!(campaign.recovered(), 40);
+        let recovered: Vec<String> = Journal::read_events(&dir.join("journal.jsonl"))
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("event").and_then(Value::as_str) == Some("job_recovered"))
+            .filter_map(|e| e.get("id")?.as_str().map(ToString::to_string))
+            .collect();
+        let want: Vec<String> = interrupted.iter().map(|s| s.id()).collect();
+        assert_eq!(recovered, want);
+        for spec in &jobs {
+            let kept = !interrupted.iter().any(|s| s.id() == spec.id());
+            assert_eq!(cache.load(spec).is_some(), kept, "{}", spec.id());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -45,6 +45,7 @@
 //! so concurrent workers never interleave partial lines and a crash tears
 //! at most the final record.
 
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -85,37 +86,29 @@ impl Journal {
     /// The new writer's run epoch is computed from the readable prefix of
     /// the existing file: 1 + the number of `run_start` records.
     pub fn open_with_fs(path: &Path, fs: Arc<dyn Fs>) -> io::Result<Journal> {
-        let history = Journal::read_events(path)?;
-        Journal::open_with_history(path, fs, &history)
+        Journal::resume(path, fs).map(|(journal, _)| journal)
     }
 
-    /// [`Journal::open_with_fs`] for a caller that has already parsed the
-    /// file ([`crate::Campaign::start`] folds the same `history` for
-    /// recovery), so a resume scans the journal once.
-    pub(crate) fn open_with_history(
-        path: &Path,
-        fs: Arc<dyn Fs>,
-        history: &[Value],
-    ) -> io::Result<Journal> {
+    /// [`Journal::open_with_fs`], also returning the [`History`] it folded
+    /// before writing anything, which [`crate::Campaign::start`] recovers from.
+    pub(crate) fn resume(path: &Path, fs: Arc<dyn Fs>) -> io::Result<(Journal, History)> {
+        let history = History::read(path)?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 fs.create_dir_all(parent)?;
             }
         }
-        let epoch = 1 + history
-            .iter()
-            .filter(|e| e.get("event").and_then(Value::as_str) == Some("run_start"))
-            .count() as i64;
         // Touch the file so an opened journal exists even before the first
         // record (resume logic can then rely on the file's presence).
         commit_append(fs.as_ref(), path, b"")?;
-        Ok(Journal {
+        let journal = Journal {
             sink: Mutex::new(Sink::File {
                 fs,
                 path: path.to_path_buf(),
             }),
-            epoch,
-        })
+            epoch: history.epoch,
+        };
+        Ok((journal, history))
     }
 
     /// A journal that discards everything (for tests and `--no-journal`
@@ -234,8 +227,10 @@ impl Journal {
         if payload.len() != len {
             return None;
         }
-        let digest = format!("{:016x}", fnv1a64(payload.as_bytes()));
-        if digest != check {
+        // Byte for byte against the 16 lower-case digits `frame_v2` writes.
+        let digest = fnv1a64(payload.as_bytes());
+        let hex = |i: usize| b"0123456789abcdef"[(digest >> (60 - 4 * i)) as usize & 0xf];
+        if check.len() != 16 || check.bytes().enumerate().any(|(i, b)| b != hex(i)) {
             return None;
         }
         crate::json::parse(payload).ok()
@@ -253,79 +248,136 @@ impl Journal {
     /// lines were skipped (the chaos harness bounds this by the number of
     /// kills a journal survived).
     pub fn read_events_stats(path: &Path) -> io::Result<(Vec<Value>, usize)> {
-        let bytes = match std_fs().read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e),
-        };
-        let text = String::from_utf8_lossy(&bytes);
         let mut events = Vec::new();
-        let mut corrupt = 0;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Journal::parse_line(line) {
-                Some(v) => events.push(v),
-                None => {
-                    corrupt += 1;
-                    eprintln!(
-                        "[harness] warning: skipping corrupt journal line {} in {}",
-                        lineno + 1,
-                        path.display()
-                    );
-                }
-            }
-        }
+        let corrupt = for_each_event(path, |e| events.push(e))?;
         Ok((events, corrupt))
     }
 
     /// The most recent recorded digest per artefact path: `(path, bytes,
     /// fnv16)` — what `--verify` checks the files on disk against.
     pub fn artefact_digests(path: &Path) -> io::Result<Vec<(String, i64, String)>> {
-        let events = Journal::read_events(path)?;
         let mut digests: Vec<(String, i64, String)> = Vec::new();
-        for e in &events {
+        for_each_event(path, |e| {
             if e.get("event").and_then(Value::as_str) != Some("artefact") {
-                continue;
+                return;
             }
             let (Some(name), Some(bytes), Some(fnv)) = (
                 e.get("path").and_then(Value::as_str),
                 e.get("bytes").and_then(Value::as_i64),
                 e.get("fnv").and_then(Value::as_str),
             ) else {
-                continue;
+                return;
             };
             if let Some(existing) = digests.iter_mut().find(|(p, _, _)| p == name) {
                 *existing = (name.to_string(), bytes, fnv.to_string());
             } else {
                 digests.push((name.to_string(), bytes, fnv.to_string()));
             }
-        }
+        })?;
         Ok(digests)
     }
 }
 
-/// The ids of jobs some run *started but never finished*: a `job_start`
-/// with no later `job_done` for the same id. These jobs died
-/// mid-execution — recovery must distrust any state they left (cache
-/// entries included) and re-run them.
-#[must_use]
-pub(crate) fn interrupted_in(events: &[Value]) -> Vec<String> {
-    let mut open: Vec<String> = Vec::new();
-    for e in events {
-        let Some(id) = e.get("id").and_then(Value::as_str) else {
+/// Hands each intact record of the journal at `path` to `visit`, in order,
+/// keeping none, and returns how many corrupt lines were skipped with a
+/// warning ([`Journal::read_events`] has the rules).
+fn for_each_event(path: &Path, mut visit: impl FnMut(Value)) -> io::Result<usize> {
+    let bytes = match std_fs().read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    };
+    let text = String::from_utf8_lossy(&bytes);
+    let mut corrupt = 0;
+    for (lineno, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
             continue;
-        };
-        match e.get("event").and_then(Value::as_str) {
-            Some("job_start") if !open.iter().any(|o| o == id) => {
-                open.push(id.to_string());
+        }
+        match Journal::parse_line(line) {
+            Some(v) => visit(v),
+            None => {
+                corrupt += 1;
+                eprintln!(
+                    "[harness] warning: skipping corrupt journal line {} in {}",
+                    lineno + 1,
+                    path.display()
+                );
             }
-            Some("job_done") => open.retain(|o| o != id),
-            _ => {}
         }
     }
-    open
+    Ok(corrupt)
+}
+
+/// What recovery needs from a journal, folded in one pass over it.
+#[derive(Default)]
+pub(crate) struct History {
+    /// The epoch a writer opening the journal stamps: 1 + its `run_start`s.
+    pub(crate) epoch: i64,
+    /// `job_done` records with `"ok":true` and an `id`.
+    pub(crate) completed: usize,
+    /// Jobs that died mid-execution — a `job_start` with no later
+    /// `job_done` for the id — in first-start order. Recovery distrusts
+    /// any state they left (cache entries included) and re-runs them.
+    pub(crate) interrupted: Vec<String>,
+    /// Per-kind `job_done` tallies across **all** epochs, sorted by kind:
+    /// the timing detail a resumed epoch of cache hits would lose.
+    pub(crate) tallies: Vec<StageTally>,
+    /// Corrupt lines skipped.
+    pub(crate) corrupt: usize,
+}
+
+impl History {
+    /// Folds the journal at `path` (see [`for_each_event`]).
+    pub(crate) fn read(path: &Path) -> io::Result<History> {
+        let mut h = History::default();
+        // Open job id -> start order; a finished job that restarts goes last.
+        let mut open: HashMap<String, usize> = HashMap::new();
+        let mut opened = 0;
+        h.corrupt = for_each_event(path, |e| {
+            let id = e.get("id").and_then(Value::as_str);
+            match (e.get("event").and_then(Value::as_str), id) {
+                (Some("run_start"), _) => h.epoch += 1,
+                (Some("job_start"), Some(id)) if !open.contains_key(id) => {
+                    open.insert(id.to_string(), opened);
+                    opened += 1;
+                }
+                (Some("job_done"), _) => {
+                    if let Some(id) = id {
+                        open.remove(id);
+                        h.completed += usize::from(e.get("ok") == Some(&Value::Bool(true)));
+                    }
+                    if let Some(kind) = e.get("kind").and_then(Value::as_str) {
+                        h.tally(kind, &e);
+                    }
+                }
+                _ => {}
+            }
+        })?;
+        let by_start: BTreeMap<usize, String> = open.into_iter().map(|(id, at)| (at, id)).collect();
+        h.interrupted = by_start.into_values().collect();
+        h.tallies.sort_by(|a, b| a.kind.cmp(&b.kind));
+        h.epoch += 1; // the opening writer's own run
+        Ok(h)
+    }
+
+    /// Counts one `job_done` record into its kind's tally.
+    fn tally(&mut self, kind: &str, done: &Value) {
+        let t = match self.tallies.iter().position(|t| t.kind == kind) {
+            Some(i) => &mut self.tallies[i],
+            None => {
+                self.tallies.push(StageTally {
+                    kind: kind.to_string(),
+                    jobs: 0,
+                    executed: 0,
+                    secs: 0.0,
+                });
+                self.tallies.last_mut().expect("just pushed")
+            }
+        };
+        t.jobs += 1;
+        t.executed += u64::from(done.get("cache_hit") != Some(&Value::Bool(true)));
+        t.secs += done.get("secs").and_then(Value::as_f64).unwrap_or(0.0);
+    }
 }
 
 /// Aggregated `job_done` history for one job kind (`fig3`, `sweep`, ...).
@@ -339,56 +391,6 @@ pub struct StageTally {
     pub executed: u64,
     /// Sum of the recorded per-job wall times, in seconds.
     pub secs: f64,
-}
-
-/// Per-kind execution tallies aggregated from every `job_done` record
-/// across **all** epochs of the journal, sorted by kind — the per-stage
-/// timing detail a resumed campaign would otherwise lose (its own epoch
-/// sees only cache hits). Records without a `kind` field are skipped.
-#[must_use]
-pub(crate) fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
-    let mut tallies: Vec<StageTally> = Vec::new();
-    for e in events {
-        if e.get("event").and_then(Value::as_str) != Some("job_done") {
-            continue;
-        }
-        let Some(kind) = e.get("kind").and_then(Value::as_str) else {
-            continue;
-        };
-        let secs = e.get("secs").and_then(Value::as_f64).unwrap_or(0.0);
-        let hit = e.get("cache_hit") == Some(&Value::Bool(true));
-        let t = match tallies.iter_mut().find(|t| t.kind == kind) {
-            Some(t) => t,
-            None => {
-                tallies.push(StageTally {
-                    kind: kind.to_string(),
-                    jobs: 0,
-                    executed: 0,
-                    secs: 0.0,
-                });
-                tallies.last_mut().expect("just pushed")
-            }
-        };
-        t.jobs += 1;
-        if !hit {
-            t.executed += 1;
-        }
-        t.secs += secs;
-    }
-    tallies.sort_by(|a, b| a.kind.cmp(&b.kind));
-    tallies
-}
-
-/// The ids of jobs a prior (possibly interrupted) run already completed
-/// successfully: `job_done` records with `"ok":true`.
-#[must_use]
-pub(crate) fn completed_in(events: &[Value]) -> Vec<String> {
-    events
-        .iter()
-        .filter(|e| e.get("event").and_then(Value::as_str) == Some("job_done"))
-        .filter(|e| e.get("ok") == Some(&Value::Bool(true)))
-        .filter_map(|e| e.get("id")?.as_str().map(ToString::to_string))
-        .collect()
 }
 
 /// Frames a payload as a v2 record line.
@@ -471,11 +473,10 @@ mod tests {
             assert_eq!(j.epoch(), 2, "second run is epoch 2");
             j.record("run_start", vec![("run", Value::Str("x".into()))]);
         }
-        // The history-taking constructor (Campaign::start's single parse)
-        // and a plain open agree on the third epoch.
-        let history = Journal::read_events(&path).unwrap();
-        let j = Journal::open_with_history(&path, std_fs(), &history).unwrap();
-        assert_eq!(j.epoch(), 3);
+        // Campaign::start's single scan and a plain open agree on the
+        // third epoch.
+        let (j, history) = Journal::resume(&path, std_fs()).unwrap();
+        assert_eq!((j.epoch(), history.epoch), (3, 3));
         assert_eq!(Journal::open(&path).unwrap().epoch(), 3);
         let _ = fs::remove_file(&path);
     }
@@ -495,9 +496,10 @@ mod tests {
         let (events, corrupt) = Journal::read_events_stats(&path).unwrap();
         assert_eq!(events.len(), 2, "the corrupt tail is skipped, not fatal");
         assert_eq!(corrupt, 1);
+        let history = History::read(&path).unwrap();
         assert_eq!(
-            completed_in(&events),
-            vec!["fig3-a".to_string()],
+            (history.completed, history.corrupt),
+            (1, 1),
             "only ok jobs count as completed"
         );
         let _ = fs::remove_file(&path);
@@ -542,8 +544,8 @@ mod tests {
         let events = Journal::read_events(&path).unwrap();
         assert_eq!(events.len(), 3, "valid lines on both sides are kept");
         assert_eq!(
-            completed_in(&events),
-            vec!["fig3-a".to_string(), "fig3-b".to_string()],
+            History::read(&path).unwrap().completed,
+            2,
             "completions after the corrupt line are not lost"
         );
         let _ = fs::remove_file(&path);
@@ -563,13 +565,12 @@ mod tests {
         fs::write(&path, text).unwrap();
         let (events, corrupt) = Journal::read_events_stats(&path).unwrap();
         assert_eq!((events.len(), corrupt), (1, 2));
-        assert!(completed_in(&events).is_empty());
+        assert_eq!(History::read(&path).unwrap().completed, 0);
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.epoch(), 2, "an unframed run_start does not count");
         j.job_done("fig3-b", "fig3", 0, false, true, true, 0.1, None);
         drop(j);
-        let events = Journal::read_events(&path).unwrap();
-        assert_eq!(completed_in(&events), vec!["fig3-b".to_string()]);
+        assert_eq!(History::read(&path).unwrap().completed, 1);
         let _ = fs::remove_file(&path);
     }
 
@@ -583,7 +584,7 @@ mod tests {
         j.job_start("job-c", "fig3", 0, 1);
         drop(j); // killed here: b and c never finished
         assert_eq!(
-            interrupted_in(&Journal::read_events(&path).unwrap()),
+            History::read(&path).unwrap().interrupted,
             vec!["job-b".to_string(), "job-c".to_string()]
         );
         // The resumed epoch re-runs b; c stays interrupted until done.
@@ -592,7 +593,7 @@ mod tests {
         j.job_done("job-b", "fig3", 0, false, true, true, 0.1, None);
         drop(j);
         assert_eq!(
-            interrupted_in(&Journal::read_events(&path).unwrap()),
+            History::read(&path).unwrap().interrupted,
             vec!["job-c".to_string()]
         );
         let _ = fs::remove_file(&path);
@@ -624,7 +625,7 @@ mod tests {
             j.job_done("fig3-b", "fig3", 0, true, true, true, 0.0, None);
             j.job_done("fig3-c", "fig3", 0, false, true, true, 3.0, None);
         }
-        let tallies = stage_tallies_in(&Journal::read_events(&path).unwrap());
+        let tallies = History::read(&path).unwrap().tallies;
         assert_eq!(tallies.len(), 2, "{tallies:?}");
         assert_eq!(tallies[0].kind, "fig3");
         assert_eq!(tallies[0].jobs, 5, "hits and executions both count");
@@ -656,5 +657,223 @@ mod tests {
     fn read_back_of_missing_journal_is_empty() {
         let path = std::env::temp_dir().join("htpb-journal-does-not-exist.jsonl");
         assert!(Journal::read_events(&path).unwrap().is_empty());
+        let history = History::read(&path).unwrap();
+        assert_eq!(
+            (history.epoch, history.completed, history.corrupt),
+            (1, 0, 0)
+        );
+        assert!(history.interrupted.is_empty() && history.tallies.is_empty());
+    }
+
+    /// The frame check accepts exactly the 16 lower-case hex digits
+    /// `frame_v2` writes, not the same number spelled another way.
+    #[test]
+    fn checksum_must_be_exactly_16_lowercase_hex_digits() {
+        let digest = |p: &str| format!("{:016x}", fnv1a64(p.as_bytes()));
+        // A leading 0 makes the 15- and 17-digit spellings the same number.
+        let payload = (0..)
+            .map(|i| format!("{{\"event\":\"probe\",\"n\":{i}}}"))
+            .find(|p| {
+                let d = digest(p);
+                d.starts_with('0') && d.bytes().any(|b| b.is_ascii_lowercase())
+            })
+            .unwrap();
+        let d = digest(&payload);
+        let line = |check: &str| format!("v2|{}|{check}|{payload}", payload.len());
+        assert!(Journal::parse_line(&line(&d)).is_some(), "the real digest");
+        let wrong_last = format!("{}{}", &d[..15], if d.ends_with('0') { '1' } else { '0' });
+        for check in [
+            d.to_uppercase(),
+            d[1..].to_string(),
+            d[..15].to_string(),
+            format!("0{d}"),
+            format!("{d}0"),
+            format!("+{}", &d[1..]),
+            format!(" {}", &d[1..]),
+            format!("{}g", &d[..15]),
+            wrong_last,
+        ] {
+            assert_eq!(Journal::parse_line(&line(&check)), None, "{check:?}");
+        }
+    }
+
+    // The four folds `History` replaced, verbatim: the model it must equal.
+
+    fn epoch_in(history: &[Value]) -> i64 {
+        1 + history
+            .iter()
+            .filter(|e| e.get("event").and_then(Value::as_str) == Some("run_start"))
+            .count() as i64
+    }
+
+    /// The ids of jobs some run *started but never finished*: a `job_start`
+    /// with no later `job_done` for the same id. These jobs died
+    /// mid-execution — recovery must distrust any state they left (cache
+    /// entries included) and re-run them.
+    #[must_use]
+    pub(crate) fn interrupted_in(events: &[Value]) -> Vec<String> {
+        let mut open: Vec<String> = Vec::new();
+        for e in events {
+            let Some(id) = e.get("id").and_then(Value::as_str) else {
+                continue;
+            };
+            match e.get("event").and_then(Value::as_str) {
+                Some("job_start") if !open.iter().any(|o| o == id) => {
+                    open.push(id.to_string());
+                }
+                Some("job_done") => open.retain(|o| o != id),
+                _ => {}
+            }
+        }
+        open
+    }
+
+    /// Per-kind execution tallies aggregated from every `job_done` record
+    /// across **all** epochs of the journal, sorted by kind — the per-stage
+    /// timing detail a resumed campaign would otherwise lose (its own epoch
+    /// sees only cache hits). Records without a `kind` field are skipped.
+    #[must_use]
+    pub(crate) fn stage_tallies_in(events: &[Value]) -> Vec<StageTally> {
+        let mut tallies: Vec<StageTally> = Vec::new();
+        for e in events {
+            if e.get("event").and_then(Value::as_str) != Some("job_done") {
+                continue;
+            }
+            let Some(kind) = e.get("kind").and_then(Value::as_str) else {
+                continue;
+            };
+            let secs = e.get("secs").and_then(Value::as_f64).unwrap_or(0.0);
+            let hit = e.get("cache_hit") == Some(&Value::Bool(true));
+            let t = match tallies.iter_mut().find(|t| t.kind == kind) {
+                Some(t) => t,
+                None => {
+                    tallies.push(StageTally {
+                        kind: kind.to_string(),
+                        jobs: 0,
+                        executed: 0,
+                        secs: 0.0,
+                    });
+                    tallies.last_mut().expect("just pushed")
+                }
+            };
+            t.jobs += 1;
+            if !hit {
+                t.executed += 1;
+            }
+            t.secs += secs;
+        }
+        tallies.sort_by(|a, b| a.kind.cmp(&b.kind));
+        tallies
+    }
+
+    /// The ids of jobs a prior (possibly interrupted) run already completed
+    /// successfully: `job_done` records with `"ok":true`.
+    #[must_use]
+    pub(crate) fn completed_in(events: &[Value]) -> Vec<String> {
+        events
+            .iter()
+            .filter(|e| e.get("event").and_then(Value::as_str) == Some("job_done"))
+            .filter(|e| e.get("ok") == Some(&Value::Bool(true)))
+            .filter_map(|e| e.get("id")?.as_str().map(ToString::to_string))
+            .collect()
+    }
+
+    const EVENTS: &[&str] = &[
+        "run_start",
+        "job_start",
+        "job_start",
+        "job_done",
+        "job_done",
+        "job_done",
+        "job_recovered",
+        "stage",
+    ];
+    const IDS: &[&str] = &["a", "b", "c", "d", "fig3-é"];
+    const KINDS: &[&str] = &["fig3", "sweep", "opt"];
+
+    fn pick<T: Clone>(rng: &mut proptest::TestRng, xs: &[T]) -> T {
+        xs[rng.below(xs.len() as u64) as usize].clone()
+    }
+
+    /// A record with a random event, and random (sometimes missing or
+    /// mistyped) `id`, `kind`, `ok`, `cache_hit` and `secs`.
+    fn arb_record(rng: &mut proptest::TestRng) -> Value {
+        let event = pick(rng, EVENTS);
+        let id = match rng.below(8) {
+            0 => None,
+            1 => Some(Value::Int(7)),
+            _ => Some(Value::Str(pick(rng, IDS).into())),
+        };
+        let kind = (rng.below(6) != 0).then(|| Value::Str(pick(rng, KINDS).into()));
+        let bools = [None, Some(Value::Bool(true)), Some(Value::Bool(false))];
+        let ok = if rng.below(8) == 0 {
+            Some(Value::Int(1))
+        } else {
+            pick(rng, &bools)
+        };
+        let cache_hit = pick(rng, &bools);
+        let secs = match rng.below(3) {
+            0 => None,
+            1 => Some(Value::Int(2)),
+            _ => Some(Value::Num(rng.unit_f64())),
+        };
+        let mut pairs = vec![
+            ("event", Value::Str(event.into())),
+            ("ts_ms", Value::Int(0)),
+            ("epoch", Value::Int(1)),
+        ];
+        let fields = [
+            ("id", id),
+            ("kind", kind),
+            ("ok", ok),
+            ("cache_hit", cache_hit),
+            ("secs", secs),
+        ];
+        pairs.extend(fields.into_iter().filter_map(|(k, v)| Some((k, v?))));
+        Value::obj(pairs)
+    }
+
+    /// One journal line: mostly intact frames, else a torn frame, an
+    /// unframed payload, a frame with one bit flipped, or a blank line.
+    fn arb_line(rng: &mut proptest::TestRng) -> Vec<u8> {
+        let payload = arb_record(rng).render();
+        let mut line = frame_v2(&payload).into_bytes();
+        match rng.below(10) {
+            0 => {
+                line.truncate(rng.below(line.len() as u64 - 1) as usize);
+                line.push(b'\n');
+            }
+            1 => line = format!("{payload}\n").into_bytes(),
+            2 => {
+                let i = rng.below(line.len() as u64 - 1) as usize;
+                line[i] ^= 1 << rng.below(7);
+            }
+            3 => line = b"  \n".to_vec(),
+            _ => {}
+        }
+        line
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn history_equals_the_folds_it_replaced(
+            seed in proptest::prelude::any::<u64>(),
+            lines in 0u64..48,
+        ) {
+            let mut rng = proptest::TestRng::from_state(seed);
+            let bytes: Vec<u8> = (0..lines).flat_map(|_| arb_line(&mut rng)).collect();
+            let path = tmpfile("history-model");
+            fs::write(&path, &bytes).unwrap();
+            let (events, corrupt) = Journal::read_events_stats(&path).unwrap();
+            let history = History::read(&path).unwrap();
+            let _ = fs::remove_file(&path);
+            proptest::prop_assert_eq!(history.epoch, epoch_in(&events));
+            proptest::prop_assert_eq!(history.completed, completed_in(&events).len());
+            proptest::prop_assert_eq!(&history.interrupted, &interrupted_in(&events));
+            proptest::prop_assert_eq!(&history.tallies, &stage_tallies_in(&events));
+            proptest::prop_assert_eq!(history.corrupt, corrupt);
+        }
     }
 }

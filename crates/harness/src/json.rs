@@ -159,6 +159,7 @@ const MAX_DEPTH: usize = 64;
 /// input (the cache treats any parse failure as a miss).
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -173,7 +174,9 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
+    /// On a char boundary of `input`: tokens are ASCII, string runs end at one.
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -286,48 +289,40 @@ impl Parser<'_> {
         self.pos += 1;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy everything up to the next `"` or `\` in one piece: both
+            // are ASCII, so the run is whole scalars of `input`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                        16,
+                    )
+                    .map_err(|_| "bad \\u escape")?;
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -344,7 +339,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.input[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Num)
@@ -360,6 +355,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_object() {
@@ -407,5 +403,188 @@ mod tests {
         let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
         assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    impl Parser<'_> {
+        /// The char-at-a-time scanner [`Parser::string`] replaced, kept as
+        /// the model the run-copying one is checked against.
+        fn string_model(&mut self) -> Result<String, String> {
+            if self.peek() != Some(b'"') {
+                return Err(format!("expected string at byte {}", self.pos));
+            }
+            self.pos += 1;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err("unterminated string".into()),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos + 1..self.pos + 5)
+                                    .ok_or("truncated \\u escape")?;
+                                let code = u32::from_str_radix(
+                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                                    16,
+                                )
+                                .map_err(|_| "bad \\u escape")?;
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                self.pos += 4;
+                            }
+                            other => return Err(format!("bad escape {other:?}")),
+                        }
+                        self.pos += 1;
+                    }
+                    Some(_) => {
+                        // Consume one UTF-8 scalar (input came from &str, so the
+                        // byte stream is valid UTF-8).
+                        let rest = &self.bytes[self.pos..];
+                        let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
+                        let c = s.chars().next().unwrap();
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    fn parser(input: &str) -> Parser<'_> {
+        Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// [`parse`] of a document that starts with a string, scanned by the
+    /// model.
+    fn parse_string_doc_with_model(input: &str) -> Result<Value, String> {
+        let mut p = parser(input);
+        let v = p.string_model().map(Value::Str)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    /// Pieces of string bodies: escapes whole and torn, `\u` with good,
+    /// short and non-hex digits, multi-byte scalars, control characters.
+    const PIECES: &[&str] = &[
+        "a", "Z", " ", "0", "f", "u", "+", "\"", "\\", "\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t",
+        "\\b", "\\u", "\\u00e9", "\\u+0e9", "\\u12", "\\ud800", "\\uzzzz", "\\é", "é", "ß", "€",
+        "中", "😀", "\u{fffd}", "\n", "\t", "\u{0}", "\u{1f}", "\u{7f}",
+    ];
+
+    /// Characters for generated keys and strings.
+    const CHARS: &[char] = &[
+        'a',
+        'k',
+        '9',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{1}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        'ß',
+        '€',
+        '中',
+        '😀',
+        '\u{fffd}',
+        '\u{10ffff}',
+    ];
+
+    fn arb_string(rng: &mut proptest::TestRng) -> String {
+        let len = rng.below(12);
+        (0..len)
+            .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A random value nested at most `depth` levels deep. Floats are
+    /// finite: a non-finite `Num` renders as `null` by design.
+    fn arb_value(rng: &mut proptest::TestRng, depth: u32) -> Value {
+        let kinds = if depth == 0 { 6 } else { 8 };
+        match rng.below(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.next_u64() & 1 == 1),
+            2 => Value::Int(rng.next_u64() as i64),
+            3 => Value::Num(f64::from_bits(rng.next_u64())),
+            4 | 5 => Value::Str(arb_string(rng)),
+            6 => Value::Arr(
+                (0..rng.below(5))
+                    .map(|_| arb_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Obj(
+                (0..rng.below(5))
+                    .map(|_| (arb_string(rng), arb_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Replaces every non-finite float, which renders as `null`.
+    fn finite(v: Value) -> Value {
+        match v {
+            Value::Num(x) if !x.is_finite() => Value::Num(0.5),
+            Value::Arr(items) => Value::Arr(items.into_iter().map(finite).collect()),
+            Value::Obj(pairs) => {
+                Value::Obj(pairs.into_iter().map(|(k, v)| (k, finite(v))).collect())
+            }
+            v => v,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn string_scanner_agrees_with_the_char_at_a_time_model(
+            pieces in proptest::collection::vec(proptest::sample::select(PIECES.to_vec()), 0..24),
+            close in any::<bool>(),
+        ) {
+            let mut doc = format!("\"{}", pieces.concat());
+            if close {
+                doc.push('"');
+            }
+            let (mut fast, mut model) = (parser(&doc), parser(&doc));
+            let (got, want) = (fast.string(), model.string_model());
+            prop_assert_eq!(&got, &want, "{:?}", doc);
+            if got.is_ok() {
+                prop_assert_eq!(fast.pos, model.pos, "{:?}", doc);
+            }
+            prop_assert_eq!(parse(&doc), parse_string_doc_with_model(&doc), "{:?}", doc);
+        }
+
+        #[test]
+        fn nested_values_roundtrip_through_render_and_parse(
+            seed in any::<u64>(),
+        ) {
+            let v = finite(arb_value(&mut proptest::TestRng::from_state(seed), 4));
+            let text = v.render();
+            prop_assert_eq!(parse(&text), Ok(v), "{}", text);
+        }
     }
 }

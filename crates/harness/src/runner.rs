@@ -378,7 +378,9 @@ mod tests {
         assert_eq!(text.matches("\"event\":\"job_start\"").count(), jobs.len());
         assert_eq!(text.matches("\"event\":\"job_done\"").count(), jobs.len());
         assert!(
-            crate::journal::interrupted_in(&Journal::read_events(&journal_path).unwrap())
+            crate::journal::History::read(&journal_path)
+                .unwrap()
+                .interrupted
                 .is_empty(),
             "a clean run leaves no unbalanced starts"
         );
