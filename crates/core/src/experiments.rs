@@ -10,8 +10,6 @@ use htpb_noc::{Mesh2d, Network, NetworkConfig, NodeId, Packet, RoutingKind};
 use htpb_power::{AllocatorKind, DegradationCounters, DvfsTable, HardeningConfig};
 use htpb_trojan::{ActivationSchedule, BoostRule, TamperRule, TrojanFleet, TrojanMode};
 
-use crate::series::Series;
-
 /// Where the global manager sits — the locations compared in Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ManagerLocation {
@@ -106,7 +104,7 @@ impl InfectionExperiment {
     /// Averages [`InfectionExperiment::measure`] over random placements,
     /// draining every placement on one network.
     #[must_use]
-    pub fn measure_random_avg(&self, m: usize, seeds: &[u64]) -> f64 {
+    pub(crate) fn measure_random_avg(&self, m: usize, seeds: &[u64]) -> f64 {
         if seeds.is_empty() {
             return 0.0;
         }
@@ -155,16 +153,6 @@ impl InfectionExperiment {
     }
 }
 
-/// The legend label Fig. 3 uses for a manager location.
-#[must_use]
-pub fn fig3_label(manager: ManagerLocation) -> &'static str {
-    match manager {
-        ManagerLocation::Center => "The global manager in the center",
-        ManagerLocation::Corner => "The global manager in one corner",
-        ManagerLocation::At(_) => "The global manager at a custom node",
-    }
-}
-
 /// One data point of a Fig. 3 curve: the random-placement-averaged
 /// infection rate for `ht_count` Trojans. Points are independent of each
 /// other, so a job scheduler may compute them in any order or in parallel
@@ -176,60 +164,23 @@ pub fn fig3_point(nodes: u32, manager: ManagerLocation, ht_count: usize, seeds: 
         .measure_random_avg(ht_count, seeds)
 }
 
-/// Fig. 3 — one curve of infection rate vs. number of (randomly placed)
-/// Trojans for a given manager location. The paper shows sizes 64 (HT count
-/// 0–30) and 512 (0–60).
-#[must_use]
-pub fn fig3_series(
-    nodes: u32,
-    manager: ManagerLocation,
-    ht_counts: &[usize],
-    seeds: &[u64],
-) -> Series {
-    let mut series = Series::new(fig3_label(manager));
-    for &m in ht_counts {
-        series.push(m as f64, fig3_point(nodes, manager, m, seeds));
-    }
-    series
-}
-
-/// Fig. 4 — one curve of infection rate vs. system size for a given HT
-/// distribution, with the Trojan count a fixed fraction `1/denominator` of
-/// the system size (the paper uses 1/16 and 1/8). Manager at the center.
-#[must_use]
-pub fn fig4_series(
-    sizes: &[u32],
-    strategy_label: &str,
-    strategy_for: impl Fn(u64) -> PlacementStrategy,
-    denominator: u32,
-    seeds: &[u64],
-) -> Series {
-    let mut series = Series::new(strategy_label);
-    for &nodes in sizes {
-        series.push(
-            f64::from(nodes),
-            fig4_point(nodes, &strategy_for, denominator, seeds),
-        );
-    }
-    series
-}
-
 /// One data point of a Fig. 4 curve: the infection rate on a chip of
-/// `nodes` nodes with `nodes / denominator` Trojans placed by
-/// `strategy_for` (seed-averaged for random strategies). Independent per
-/// point — see [`fig3_point`].
+/// `nodes` nodes with `nodes / denominator` Trojans placed by `strategy`,
+/// manager at the center. A [`PlacementStrategy::Random`] strategy is
+/// averaged over `seeds` (its own seed is ignored); deterministic
+/// strategies ignore `seeds`. Independent per point — see [`fig3_point`].
 #[must_use]
 pub fn fig4_point(
     nodes: u32,
-    strategy_for: &impl Fn(u64) -> PlacementStrategy,
+    strategy: &PlacementStrategy,
     denominator: u32,
     seeds: &[u64],
 ) -> f64 {
     let exp = InfectionExperiment::new(nodes).manager(ManagerLocation::Center);
     let m = (nodes / denominator).max(1) as usize;
-    match strategy_for(0) {
+    match strategy {
         PlacementStrategy::Random { .. } => exp.measure_random_avg(m, seeds),
-        _ => exp.measure(&exp.placement(m, &strategy_for(0))),
+        _ => exp.measure(&exp.placement(m, strategy)),
     }
 }
 
@@ -557,18 +508,6 @@ pub fn attack_sweep_point_with_baseline(
     }
 }
 
-/// Sweeps the Trojan duty cycle and reports (infection rate, Q, per-app Θ)
-/// per point — the data behind Fig. 5 and Fig. 6. The clean baseline is
-/// computed once per call.
-#[must_use]
-pub fn attack_sweep(cfg: &CampaignConfig, duties: &[f64]) -> Vec<AttackSweepPoint> {
-    let clean = run_clean_baseline(cfg);
-    duties
-        .iter()
-        .map(|&duty| attack_sweep_point_with_baseline(cfg, duty, &clean))
-        .collect()
-}
-
 /// Result of the Section V-C placement comparison: the attack effect with
 /// the optimizer's placement vs. randomly placed Trojans.
 #[derive(Debug, Clone)]
@@ -874,16 +813,13 @@ mod tests {
         let cfg = CampaignConfig::tiny(Mix::Mix4);
         let clean = run_clean_baseline(&cfg);
 
-        let inline_point = &attack_sweep(&cfg, &[0.5])[0];
+        let inline = run_campaign(&cfg, 0.5).outcome;
         let shared_point = attack_sweep_point_with_baseline(&cfg, 0.5, &clean);
         assert_eq!(
-            inline_point.infection.to_bits(),
+            inline.infection_rate.to_bits(),
             shared_point.infection.to_bits()
         );
-        assert_eq!(
-            inline_point.q_value.to_bits(),
-            shared_point.q_value.to_bits()
-        );
+        assert_eq!(inline.q_value.to_bits(), shared_point.q_value.to_bits());
 
         let inline_cmp = optimal_vs_random(&cfg, 3, &[1, 2]);
         let shared_cmp = optimal_vs_random_with(&cfg, 3, &[1, 2], &clean);
@@ -974,14 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn fig3_series_shape() {
-        let s = fig3_series(64, ManagerLocation::Center, &[0, 4, 16], &[1, 2]);
-        assert_eq!(s.points.len(), 3);
-        assert_eq!(s.points[0].1, 0.0);
-        assert!(s.is_monotonic_nondecreasing());
-    }
-
-    #[test]
     fn resilience_point_faults_only_stays_near_baseline() {
         // 1% packet drops and no Trojan: the hardened manager's hold-last-
         // grant keeps victim throughput close to the equally-faulty
@@ -1015,25 +943,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fig4_center_beats_corner_distribution() {
-        let sizes = [64u32];
-        let center = fig4_series(
-            &sizes,
-            "HTs around the center",
-            |_| PlacementStrategy::CenterCluster,
-            16,
-            &[1],
-        );
-        let corner = fig4_series(
-            &sizes,
-            "HTs in one corner",
-            |_| PlacementStrategy::CornerCluster,
-            16,
-            &[1],
-        );
-        assert!(center.points[0].1 > corner.points[0].1);
     }
 }

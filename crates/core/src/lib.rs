@@ -10,16 +10,18 @@
 //!
 //! | Paper artefact | API |
 //! |---|---|
-//! | Fig. 3 (infection vs. #HTs, manager location)   | [`experiments::fig3_series`] |
-//! | Fig. 4 (infection vs. HT distribution)          | [`experiments::fig4_series`] |
-//! | Fig. 5 (Q vs. infection rate per mix)           | [`experiments::attack_sweep`] |
-//! | Fig. 6 (per-app Θ vs. infection rate)           | [`experiments::attack_sweep`] |
+//! | Fig. 3 (infection vs. #HTs, manager location)   | [`experiments::fig3_point`] |
+//! | Fig. 4 (infection vs. HT distribution)          | [`experiments::fig4_point`] |
+//! | Fig. 5 (Q vs. infection rate per mix)           | [`experiments::attack_sweep_point_with_baseline`] |
+//! | Fig. 6 (per-app Θ vs. infection rate)           | [`experiments::attack_sweep_point_with_baseline`] |
 //! | Section V-C optimal-vs-random placement         | [`experiments::optimal_vs_random`] |
 //! | Eq. 9 regression                                | [`experiments::regression_dataset`] |
 //! | Section III-D area/power                        | re-exported [`htpb_trojan::area`] |
 //!
-//! The crate re-exports the most-used types of every layer so downstream
-//! code can depend on `htpb_core` alone.
+//! Each function computes one point; `htpb_harness::ReproPlan` enumerates
+//! every point of every figure as a job, and `repro_all` assembles them
+//! into the `results/*.tsv` artefacts. The crate re-exports the most-used
+//! types of every layer so downstream code can depend on `htpb_core` alone.
 //!
 //! ```
 //! use htpb_core::{InfectionExperiment, ManagerLocation, PlacementStrategy};
@@ -35,16 +37,14 @@
 
 pub mod experiments;
 pub mod platform;
-mod series;
 
 pub use experiments::{
-    attack_sweep, fig3_label, fig3_point, fig3_series, fig4_point, fig4_series, optimal_vs_random,
+    attack_sweep_point_with_baseline, fig3_point, fig4_point, optimal_vs_random,
     regression_dataset, regression_placements, resilience_point, run_campaign,
     run_campaign_with_baseline, run_clean_baseline, AttackSweepPoint, CampaignConfig,
     CampaignResult, InfectionExperiment, ManagerLocation, OptComparison, ResiliencePoint,
 };
 pub use platform::{describe_benchmarks, describe_mixes, describe_platform};
-pub use series::Series;
 
 // Facade re-exports: one `use htpb_core::…` serves most downstream code.
 pub use htpb_attack::{

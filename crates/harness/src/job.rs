@@ -86,11 +86,13 @@ impl Fig4Strategy {
         }
     }
 
-    /// The strategy constructor [`fig4_point`] expects.
-    pub fn strategy_for(self) -> impl Fn(u64) -> PlacementStrategy {
-        move |seed| match self {
+    /// The placement strategy [`fig4_point`] runs (the random one is
+    /// averaged over the job's seeds, so its own seed is unused).
+    #[must_use]
+    pub fn strategy(self) -> PlacementStrategy {
+        match self {
             Fig4Strategy::Center => PlacementStrategy::CenterCluster,
-            Fig4Strategy::Random => PlacementStrategy::Random { seed },
+            Fig4Strategy::Random => PlacementStrategy::Random { seed: 0 },
             Fig4Strategy::Corner => PlacementStrategy::CornerCluster,
         }
     }
@@ -317,7 +319,7 @@ impl JobSpec {
                 seeds,
             } => JobOutput::Rate(fig4_point(
                 *nodes,
-                &strategy.strategy_for(),
+                &strategy.strategy(),
                 *denominator,
                 seeds,
             )),

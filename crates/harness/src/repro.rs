@@ -14,8 +14,6 @@ use std::path::Path;
 use std::time::Instant;
 
 use htpb_attack::{AttackModel, AttackSample, Mix};
-use htpb_core::experiments::{fig3_label, ManagerLocation};
-use htpb_core::Series;
 use htpb_trojan::AreaReport;
 
 use crate::campaign::Campaign;
@@ -318,12 +316,7 @@ impl ReproPlan {
             .iter()
             .map(|p| {
                 let series_for = |idx: &[usize], corner: bool| {
-                    let loc = if corner {
-                        ManagerLocation::Corner
-                    } else {
-                        ManagerLocation::Center
-                    };
-                    let mut s = Series::new(fig3_label(loc));
+                    let mut s = Series::new(fig3_label(corner));
                     for (&m, &i) in p.counts.iter().zip(idx) {
                         s.push(m as f64, rate(i));
                     }
@@ -424,6 +417,57 @@ impl ReproPlan {
             opt,
             samples,
         }
+    }
+}
+
+/// The legend label of a Fig. 3 curve: manager in a corner or the center.
+fn fig3_label(corner: bool) -> &'static str {
+    if corner {
+        "The global manager in one corner"
+    } else {
+        "The global manager in the center"
+    }
+}
+
+/// A labelled (x, y) data series — one line of a paper figure, written as
+/// a `# label` line plus `x<TAB>y` rows into the `results/*.tsv` artefacts.
+#[derive(Debug, Clone, PartialEq)]
+struct Series {
+    /// Legend label (e.g. "HTs around the center").
+    label: String,
+    /// (x, y) points in x order.
+    points: Vec<(f64, f64)>,
+}
+
+impl Series {
+    fn new(label: impl Into<String>) -> Self {
+        Series {
+            label: label.into(),
+            points: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, x: f64, y: f64) {
+        self.points.push((x, y));
+    }
+
+    /// The y value at the largest x, if any.
+    fn last_y(&self) -> Option<f64> {
+        self.points.last().map(|(_, y)| *y)
+    }
+
+    /// Whether y never decreases along x (the SUMMARY shape checks).
+    fn is_monotonic_nondecreasing(&self) -> bool {
+        self.points.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-9)
+    }
+
+    /// The artefact format: `# label`, then one `x<TAB>y` line per point.
+    fn to_table(&self) -> String {
+        let mut s = format!("# {}\n", self.label);
+        for (x, y) in &self.points {
+            s.push_str(&format!("{x:.4}\t{y:.4}\n"));
+        }
+        s
     }
 }
 
@@ -604,7 +648,7 @@ fn emit(artefacts: &Artefacts, scale: ReproScale, campaign: &Campaign) -> io::Re
 
     let mut peak = (0.0f64, "");
     for (mix, q_series, theta) in &artefacts.fig5 {
-        if let Some(&(_, q)) = q_series.points.last() {
+        if let Some(q) = q_series.last_y() {
             if q > peak.0 {
                 peak = (q, mix.name());
             }
@@ -742,5 +786,33 @@ mod tests {
         let plan = ReproPlan::plan(ReproScale::Tiny);
         // 2x3 fig3 + 2x3x2 fig4 + 2x3 sweep + 1 opt + 2 regression.
         assert_eq!(plan.jobs.len(), 6 + 12 + 6 + 1 + 2);
+    }
+
+    #[test]
+    fn push_and_shape_checks() {
+        let mut s = Series::new("test");
+        s.push(0.0, 0.1);
+        s.push(1.0, 0.5);
+        s.push(2.0, 0.5);
+        assert!(s.is_monotonic_nondecreasing());
+        assert_eq!(s.last_y(), Some(0.5));
+        s.push(3.0, 0.2);
+        assert!(!s.is_monotonic_nondecreasing());
+    }
+
+    #[test]
+    fn table_format() {
+        let mut s = Series::new("lbl");
+        s.push(1.0, 2.0);
+        let t = s.to_table();
+        assert!(t.starts_with("# lbl\n"));
+        assert!(t.contains("1.0000\t2.0000"));
+    }
+
+    #[test]
+    fn clone_and_eq() {
+        let mut s = Series::new("x");
+        s.push(1.0, 2.0);
+        assert_eq!(s.clone(), s);
     }
 }

@@ -42,7 +42,7 @@ fn main() {
     let mesh = Mesh2d::new(8, 8).unwrap();
     let manager = mesh.center();
     // The optimizer's favourite spot: a ring on the manager's doorstep
-    // catches every request (cf. `optimal_placement`).
+    // catches every request (cf. `PlacementOptimizer`).
     let trojans: Vec<NodeId> = htpb_core::Direction::ALL
         .into_iter()
         .filter_map(|d| mesh.neighbor(manager, d))

@@ -74,5 +74,5 @@ fn main() {
     println!("\nstealth: {report}");
     println!("\nNext steps:");
     println!("  cargo run --release -p htpb-bench --bin repro_all -- --quick   # every figure, to results/");
-    println!("  cargo run --release --example optimal_placement");
+    println!("  cargo run --release --example infection_heatmap                # who gets hit");
 }

@@ -162,9 +162,9 @@ fn metamorphic_metrics_do_not_perturb_corpus_or_random_scenarios() {
 /// victim's request-to-grant ratio Q stays ≈ 1 (no starvation).
 #[test]
 fn metamorphic_duty_zero_trojan_is_harmless() {
-    use htpb_core::{attack_sweep, CampaignConfig, Mix};
+    use htpb_core::{attack_sweep_point_with_baseline, run_clean_baseline, CampaignConfig, Mix};
     let cfg = CampaignConfig::tiny(Mix::Mix1);
-    let p = &attack_sweep(&cfg, &[0.0])[0];
+    let p = attack_sweep_point_with_baseline(&cfg, 0.0, &run_clean_baseline(&cfg));
     assert!(
         p.q_value > 0.95,
         "duty-0 Trojans must not starve the victim, got Q = {}",

@@ -1,10 +1,21 @@
-//! Shape tests for every reproduced figure/table, at test-friendly scale.
-//! The full-scale regenerations live in `crates/bench/src/bin/`.
+//! Shape tests for every reproduced figure/table, at test-friendly scale,
+//! through the same per-point drivers the `repro_all` jobs run
+//! (`htpb_harness::ReproPlan`).
 
 use htpb_core::{
-    attack_sweep, fig3_series, fig4_series, optimal_vs_random, regression_dataset, AreaReport,
-    AttackModel, CampaignConfig, ManagerLocation, Mesh2d, Mix, Placement, PlacementStrategy,
+    attack_sweep_point_with_baseline, fig3_point, fig4_point, optimal_vs_random,
+    regression_dataset, run_clean_baseline, AreaReport, AttackModel, AttackSweepPoint,
+    CampaignConfig, ManagerLocation, Mesh2d, Mix, Placement, PlacementStrategy,
 };
+
+/// One Fig. 5/6 point per duty, all against one clean baseline.
+fn sweep(cfg: &CampaignConfig, duties: &[f64]) -> Vec<AttackSweepPoint> {
+    let clean = run_clean_baseline(cfg);
+    duties
+        .iter()
+        .map(|&d| attack_sweep_point_with_baseline(cfg, d, &clean))
+        .collect()
+}
 
 #[test]
 fn fig3_shape_monotonic_and_corner_dominates() {
@@ -13,13 +24,23 @@ fn fig3_shape_monotonic_and_corner_dominates() {
     // individual random placements), so average over a seed window whose
     // per-count margins are comfortably positive.
     let seeds: Vec<u64> = (12..20).collect();
-    let center = fig3_series(64, ManagerLocation::Center, &counts, &seeds);
-    let corner = fig3_series(64, ManagerLocation::Corner, &counts, &seeds);
-    assert!(center.is_monotonic_nondecreasing());
-    assert!(corner.is_monotonic_nondecreasing());
+    let curve = |manager| -> Vec<f64> {
+        counts
+            .iter()
+            .map(|&m| fig3_point(64, manager, m, &seeds))
+            .collect()
+    };
+    let center = curve(ManagerLocation::Center);
+    let corner = curve(ManagerLocation::Corner);
+    for ys in [&center, &corner] {
+        assert!(
+            ys.windows(2).all(|w| w[1] >= w[0] - 1e-9),
+            "not monotonic: {ys:?}"
+        );
+    }
     // Beyond ~8 HTs the corner curve dominates (paper: >20% beyond 10 HTs).
-    for ((m, c), (_, k)) in center.points.iter().zip(&corner.points) {
-        if *m >= 8.0 {
+    for ((m, c), k) in counts.iter().zip(&center).zip(&corner) {
+        if *m >= 8 {
             assert!(k > c, "at {m} HTs corner {k} <= center {c}");
         }
     }
@@ -27,31 +48,12 @@ fn fig3_shape_monotonic_and_corner_dominates() {
 
 #[test]
 fn fig4_shape_distribution_ordering() {
-    let sizes = [64u32, 128];
     let seeds = [1u64, 2, 3];
-    let center = fig4_series(
-        &sizes,
-        "center",
-        |_| PlacementStrategy::CenterCluster,
-        16,
-        &seeds,
-    );
-    let random = fig4_series(
-        &sizes,
-        "random",
-        |seed| PlacementStrategy::Random { seed },
-        16,
-        &seeds,
-    );
-    let corner = fig4_series(
-        &sizes,
-        "corner",
-        |_| PlacementStrategy::CornerCluster,
-        16,
-        &seeds,
-    );
-    for (i, &size) in sizes.iter().enumerate() {
-        let (c, r, k) = (center.points[i].1, random.points[i].1, corner.points[i].1);
+    for size in [64u32, 128] {
+        let rate = |strategy| fig4_point(size, &strategy, 16, &seeds);
+        let c = rate(PlacementStrategy::CenterCluster);
+        let r = rate(PlacementStrategy::Random { seed: 0 });
+        let k = rate(PlacementStrategy::CornerCluster);
         assert!(c >= r, "size {size}: center {c} < random {r}");
         assert!(r >= k, "size {size}: random {r} < corner {k}");
         assert!(c / k.max(1e-9) > 2.0, "center should dwarf corner");
@@ -61,7 +63,7 @@ fn fig4_shape_distribution_ordering() {
 #[test]
 fn fig5_shape_q_rises_with_infection() {
     let cfg = CampaignConfig::small(Mix::Mix4);
-    let points = attack_sweep(&cfg, &[0.0, 0.5, 0.9]);
+    let points = sweep(&cfg, &[0.0, 0.5, 0.9]);
     assert_eq!(points.len(), 3);
     assert!((points[0].q_value - 1.0).abs() < 1e-6);
     assert!(points[1].q_value > points[0].q_value);
@@ -77,7 +79,7 @@ fn fig5_shape_q_rises_with_infection() {
 #[test]
 fn fig6_shape_attackers_up_victims_down() {
     let cfg = CampaignConfig::small(Mix::Mix1);
-    let points = attack_sweep(&cfg, &[0.5]);
+    let points = sweep(&cfg, &[0.5]);
     let p = &points[0];
     // Paper call-outs at infection 0.5: attackers up to ~1.2x, victims
     // around 0.6x.

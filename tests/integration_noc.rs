@@ -5,6 +5,7 @@ use htpb_core::{
     ActivationSignal, Direction, Mesh2d, Network, NetworkConfig, NodeId, Packet, PacketKind,
     RoutingKind, TamperRule, TrojanFleet,
 };
+use htpb_noc::{TrafficPattern, UniformTraffic};
 
 #[test]
 fn config_broadcast_reaches_every_trojan_in_band() {
@@ -178,4 +179,58 @@ fn saturating_bursts_preserve_every_packet() {
     }
     assert!(net.run_until_idle(500_000));
     assert_eq!(net.stats().delivered_packets(), injected);
+}
+
+/// Uniform-random traffic (seed 99) at `rate` packets/node/cycle for
+/// 3000 cycles on an 8x8 mesh, then drained. Returns (mean latency,
+/// delivered fraction of injected packets); a full injection queue sheds
+/// the packet instead of counting it as injected.
+fn load_latency(routing: RoutingKind, rate: f64) -> (f64, f64) {
+    let mesh = Mesh2d::new(8, 8).unwrap();
+    let mut net = Network::new(NetworkConfig::new(mesh).with_routing(routing));
+    let mut traffic = UniformTraffic::new(mesh, rate, PacketKind::Meta, 99);
+    for cycle in 0..3_000 {
+        for packet in traffic.generate(cycle) {
+            let _ = net.inject(packet);
+        }
+        net.step();
+    }
+    assert!(
+        net.run_until_idle(1_000_000),
+        "{routing:?} @ {rate} failed to drain"
+    );
+    let stats = net.stats();
+    let delivered = stats.delivered_packets() as f64 / stats.injected_packets() as f64;
+    (stats.latency().mean(), delivered)
+}
+
+#[test]
+fn load_latency_is_flat_at_low_load_and_knees_toward_saturation() {
+    // Substrate validation: a wormhole mesh sits at the zero-load bound
+    // (mean hops x 3-cycle router pipeline) at low load and bends upward
+    // as offered load nears saturation. Measured XY / odd-even /
+    // west-first: 16.7 / 16.7 / 16.7 cycles at 0.01, 20.5 / 20.5 / 21.1 at
+    // 0.2, 40.2 / 42.7 / 56.6 at 0.4, every packet delivered.
+    // Mean XY hop count over all ordered pairs of an 8x8 mesh:
+    // 2 x (8^2 - 1) / (3 x 8).
+    let zero_load_bound = 3.0 * 5.25;
+    for routing in RoutingKind::ALL {
+        let [low, mid, high] = [0.01, 0.2, 0.4].map(|rate| {
+            let (latency, delivered) = load_latency(routing, rate);
+            assert_eq!(delivered, 1.0, "{routing:?} @ {rate} lost packets");
+            latency
+        });
+        assert!(
+            (zero_load_bound..=zero_load_bound + 2.0).contains(&low),
+            "{routing:?}: latency {low} at 0.01 is off the zero-load bound"
+        );
+        assert!(
+            mid <= 1.3 * low,
+            "{routing:?}: {mid} at 0.2 vs {low} at 0.01"
+        );
+        assert!(
+            high >= 2.0 * low,
+            "{routing:?}: {high} at 0.4 vs {low} at 0.01"
+        );
+    }
 }
