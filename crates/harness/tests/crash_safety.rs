@@ -11,7 +11,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -406,12 +406,20 @@ fn result_cache_survives_a_two_process_store_race() {
                     "--test-threads=1",
                 ])
                 .env(ENV_DIR, &dir)
+                // The children's own test report stays off this binary's
+                // stdout, where it would interleave with the parent's.
+                .stdout(Stdio::piped())
                 .spawn()
                 .expect("spawn racing child")
         })
         .collect();
-    for mut child in children {
-        assert!(child.wait().unwrap().success(), "racing child failed");
+    for child in children {
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "racing child failed:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
     // The racing stores must have left a complete committed entry with the
     // canonical content.
