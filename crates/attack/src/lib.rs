@@ -26,7 +26,6 @@ pub mod model;
 pub mod optimize;
 pub mod placement;
 pub mod scenario;
-pub mod surface;
 
 pub use analytic::analytic_infection_rate;
 pub use metrics::{attack_effect, performance_change, sensitivity_phi, AttackOutcome};
@@ -34,4 +33,3 @@ pub use model::{AttackModel, AttackSample, LinearModel};
 pub use optimize::{PlacementCandidate, PlacementOptimizer};
 pub use placement::{density_eta, distance_rho, virtual_center, Placement, PlacementStrategy};
 pub use scenario::Mix;
-pub use surface::AttackSurface;

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use htpb_attack::{
-    analytic_infection_rate, density_eta, distance_rho, virtual_center, AttackSurface, Placement,
+    analytic_infection_rate, density_eta, distance_rho, virtual_center, Placement,
     PlacementOptimizer, PlacementStrategy,
 };
 use htpb_noc::{Mesh2d, NodeId};
@@ -112,17 +112,5 @@ proptest! {
                 opt.infection
             );
         }
-    }
-
-    /// Attack-surface criticality is consistent with the analytic
-    /// single-Trojan infection rate (they are the same quantity).
-    #[test]
-    fn surface_equals_single_trojan_infection(mesh in arb_mesh(), node_seed in 0u32..256) {
-        let manager = mesh.center();
-        let node = NodeId((node_seed % mesh.nodes()) as u16);
-        prop_assume!(node != manager);
-        let surface = AttackSurface::compute(mesh, manager);
-        let infection = analytic_infection_rate(mesh, manager, &[node], None);
-        prop_assert!((surface.criticality(node) - infection).abs() < 1e-12);
     }
 }

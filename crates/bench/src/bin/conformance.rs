@@ -14,7 +14,7 @@
 //! (valued flags also as `--flag=V`; an unknown flag is a usage error)
 //!   --smoke        200 scenarios (CI budget, well under a minute in release)
 //!   --scenarios N  explicit scenario count (default 1000)
-//!   --seed S       master seed (default 0x5EED)
+//!   --seed S       master seed, `0x`-prefixed hex or decimal (default 0x5EED)
 //!   --jobs N       worker threads for the random sweep (default 1)
 //!   --out DIR      output directory for the failure artifact (default results)
 //!   --metrics      collect runtime metrics and print the stderr summary
@@ -30,6 +30,7 @@ use std::path::PathBuf;
 
 use htpb_harness::cli::flag_value;
 use htpb_harness::{run_jobs, JobOutput, JobSpec, Journal, RunOptions};
+use htpb_noc::spec_u64;
 use htpb_testkit::{run_differential, run_metrics_identity, DiffConfig, Scenario};
 
 fn usage(e: String) -> ! {
@@ -46,10 +47,8 @@ fn main() {
             scenarios = Some(v.unwrap_or_else(|e| usage(e)));
         } else if let Some(v) = flag_value::<String>("--seed", &arg, &mut args) {
             let text = v.unwrap_or_else(|e| usage(e));
-            let digits = text.strip_prefix("0x").unwrap_or(&text);
-            seed = u64::from_str_radix(digits, 16)
-                .or_else(|_| digits.parse())
-                .unwrap_or_else(|_| usage(format!("--seed: invalid value `{text}`")));
+            seed =
+                spec_u64(&text).unwrap_or_else(|| usage(format!("--seed: invalid value `{text}`")));
         } else if let Some(v) = flag_value("--jobs", &arg, &mut args) {
             workers = v.unwrap_or_else(|e| usage(e));
         } else if let Some(v) = flag_value("--out", &arg, &mut args) {

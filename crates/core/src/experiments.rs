@@ -41,7 +41,6 @@ impl ManagerLocation {
 pub struct InfectionExperiment {
     mesh: Mesh2d,
     manager: NodeId,
-    routing: RoutingKind,
 }
 
 impl InfectionExperiment {
@@ -57,7 +56,6 @@ impl InfectionExperiment {
         InfectionExperiment {
             mesh,
             manager: mesh.center(),
-            routing: RoutingKind::Xy,
         }
     }
 
@@ -65,13 +63,6 @@ impl InfectionExperiment {
     #[must_use]
     pub fn manager(mut self, at: ManagerLocation) -> Self {
         self.manager = at.resolve(self.mesh);
-        self
-    }
-
-    /// Selects the routing algorithm.
-    #[must_use]
-    pub fn routing(mut self, routing: RoutingKind) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -133,7 +124,7 @@ impl InfectionExperiment {
                 net
             }
             None => net.insert(Network::with_inspector(
-                NetworkConfig::new(self.mesh).with_routing(self.routing),
+                NetworkConfig::new(self.mesh),
                 fleet,
             )),
         };

@@ -44,13 +44,13 @@ pub use experiments::{
     run_campaign_with_baseline, run_clean_baseline, AttackSweepPoint, CampaignConfig,
     CampaignResult, InfectionExperiment, ManagerLocation, OptComparison, ResiliencePoint,
 };
-pub use platform::{describe_benchmarks, describe_mixes, describe_platform};
+pub use platform::{describe_mixes, describe_platform};
 
 // Facade re-exports: one `use htpb_core::…` serves most downstream code.
 pub use htpb_attack::{
     analytic_infection_rate, attack_effect, density_eta, distance_rho, performance_change,
-    sensitivity_phi, virtual_center, AttackModel, AttackOutcome, AttackSample, AttackSurface,
-    LinearModel, Mix, Placement, PlacementCandidate, PlacementOptimizer, PlacementStrategy,
+    sensitivity_phi, virtual_center, AttackModel, AttackOutcome, AttackSample, LinearModel, Mix,
+    Placement, PlacementCandidate, PlacementOptimizer, PlacementStrategy,
 };
 pub use htpb_defense::{
     AnomalyEvent, DetectorConfig, LocalizationReport, ProbeCampaign, ProbePlan,

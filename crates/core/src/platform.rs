@@ -2,10 +2,10 @@
 //! configuration tables rendered from the *actual* defaults in code, so the
 //! printed platform can never drift from the simulated one.
 
-use htpb_attack::{sensitivity_phi, Mix};
-use htpb_manycore::{Benchmark, SystemConfig};
+use htpb_attack::Mix;
+use htpb_manycore::{SystemConfig, L2_HIT_LATENCY};
 use htpb_noc::RouterConfig;
-use htpb_power::{DvfsTable, PowerModel};
+use htpb_power::PowerModel;
 
 /// Renders the Table-I-equivalent platform configuration.
 #[must_use]
@@ -42,7 +42,7 @@ pub fn describe_platform(config: &SystemConfig) -> String {
     ));
     s.push_str(&format!(
         "  memory               : L2 hit {} cycles, memory {} cycles, {} traffic model\n",
-        config.l2_hit_latency,
+        L2_HIT_LATENCY,
         config.memory_latency,
         if config.detailed_caches {
             "detailed (L1 + MESI directory)"
@@ -50,33 +50,6 @@ pub fn describe_platform(config: &SystemConfig) -> String {
             "rate-based"
         },
     ));
-    s
-}
-
-/// Renders the Table-II benchmark suite with each profile's key parameters
-/// and power-budget sensitivity (Definition 5).
-#[must_use]
-pub fn describe_benchmarks() -> String {
-    let table = DvfsTable::default_six_level();
-    let mut s = String::new();
-    s.push_str("Benchmark suite (cf. paper Table II)\n");
-    s.push_str("  name            CPI_comp  t_mem(ns)  L2/kinstr  sensitivity Phi\n");
-    let mut rows: Vec<(Benchmark, f64)> = Benchmark::ALL
-        .iter()
-        .map(|b| (*b, sensitivity_phi(&b.profile(), &table)))
-        .collect();
-    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    for (b, phi) in rows {
-        let p = b.profile();
-        s.push_str(&format!(
-            "  {:<15} {:>8.2} {:>10.3} {:>10.1} {:>14.3}\n",
-            b.name(),
-            p.cpi_compute,
-            p.mem_ns_per_instr,
-            p.l2_accesses_per_kinstr,
-            phi,
-        ));
-    }
     s
 }
 
@@ -113,18 +86,6 @@ mod tests {
         assert!(s.contains("123456 mW"));
         assert!(s.contains("greedy allocator"));
         assert!(s.contains("4 VCs x 5-flit buffers"));
-    }
-
-    #[test]
-    fn benchmark_table_lists_all_eleven_sorted_by_sensitivity() {
-        let s = describe_benchmarks();
-        for b in Benchmark::ALL {
-            assert!(s.contains(b.name()), "{} missing", b.name());
-        }
-        // Most sensitive (compute-bound) first.
-        let swaptions = s.find("swaptions").unwrap();
-        let canneal = s.find("canneal").unwrap();
-        assert!(swaptions < canneal);
     }
 
     #[test]

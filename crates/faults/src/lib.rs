@@ -6,17 +6,13 @@
 //! bits, packets are lost — and any claim about detecting the Trojan is only
 //! credible against that noisy baseline. This crate provides the noise:
 //!
-//! * [`FaultPlan`] — a seeded, serializable description of *which* faults
-//!   occur *when*, implementing [`htpb_noc::FaultHook`]. Every decision is a
+//! * [`FaultPlan`] — a seeded description of *which* faults occur *when*,
+//!   implementing [`htpb_noc::FaultHook`]. Every decision is a
 //!   pure hash of `(seed, entity, time)`, so the same plan replays the same
 //!   faults bit for bit, independently of call order or platform.
 //! * [`FaultCounters`] — ground-truth tallies of the faults actually applied
 //!   during a run, read back with [`FaultPlan::counters`] (via
 //!   [`htpb_noc::Network::take_fault_hook`]).
-//!
-//! Fault windows are gated by a [`htpb_trojan::ActivationSchedule`], the
-//! same scheduling vocabulary used for Trojan activation, so experiments can
-//! align or de-align fault bursts with attack windows.
 //!
 //! An **empty** plan (all rates zero — [`FaultPlan::new`]) reports "no
 //! faults" from its per-cycle gate, which keeps the simulator's fault path
@@ -41,4 +37,4 @@
 
 mod plan;
 
-pub use plan::{FaultCounterHandle, FaultCounters, FaultPlan, FaultSpecError, PPM_SCALE};
+pub use plan::{FaultCounterHandle, FaultCounters, FaultPlan, PPM_SCALE};

@@ -1,10 +1,6 @@
-use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use htpb_noc::{
-    spec_fields, spec_rate, spec_u64, Direction, FaultAction, FaultHook, NodeId, Packet,
-};
-use htpb_trojan::ActivationSchedule;
+use htpb_noc::{Direction, FaultAction, FaultHook, NodeId, Packet};
 
 /// Rates are expressed in parts per million: `1_000_000` = always,
 /// `10_000` = 1%, `0` = never.
@@ -78,15 +74,9 @@ impl FaultCounterHandle {
 ///   single-cycle glitches.
 /// * **Bit flips** and **packet drops** are decided per packet per router,
 ///   at the inspection point of the pipeline.
-///
-/// The plan is gated by an [`ActivationSchedule`] (default: always on), and
-/// serializes to a compact `key=value` spec string via
-/// [`FaultPlan::to_spec`] / [`FaultPlan::from_spec`] so harness jobs can
-/// carry plans in their cache keys and journals.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
-    schedule: ActivationSchedule,
     link_down_ppm: u32,
     link_granularity: u64,
     stall_ppm: u32,
@@ -98,30 +88,12 @@ pub struct FaultPlan {
     counters: Arc<Mutex<FaultCounters>>,
 }
 
-/// Configuration equality only — two plans are equal when they would inject
-/// the same faults, regardless of how many they already have.
-impl PartialEq for FaultPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.seed == other.seed
-            && self.schedule == other.schedule
-            && self.link_down_ppm == other.link_down_ppm
-            && self.link_granularity == other.link_granularity
-            && self.stall_ppm == other.stall_ppm
-            && self.stall_granularity == other.stall_granularity
-            && self.flip_ppm == other.flip_ppm
-            && self.drop_ppm == other.drop_ppm
-    }
-}
-
-impl Eq for FaultPlan {}
-
 impl FaultPlan {
     /// A plan with every fault rate at zero (inert until configured).
     #[must_use]
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            schedule: ActivationSchedule::AlwaysOn,
             link_down_ppm: 0,
             link_granularity: 200,
             stall_ppm: 0,
@@ -130,13 +102,6 @@ impl FaultPlan {
             drop_ppm: 0,
             counters: Arc::new(Mutex::new(FaultCounters::default())),
         }
-    }
-
-    /// Gates all fault modes with `schedule` (default: always on).
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: ActivationSchedule) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// Takes each link down with probability `ppm`/million per window of
@@ -172,18 +137,6 @@ impl FaultPlan {
         self
     }
 
-    /// The seed all fault decisions derive from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The schedule gating all fault modes.
-    #[must_use]
-    pub fn schedule(&self) -> ActivationSchedule {
-        self.schedule
-    }
-
     /// Whether every fault rate is zero (the plan can never fire).
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -207,7 +160,7 @@ impl FaultPlan {
         FaultCounterHandle(Arc::clone(&self.counters))
     }
 
-    /// A copy of this plan (same seed, schedule and rates — so the same
+    /// A copy of this plan (same seed and rates — so the same
     /// fault decisions) with its own zeroed counters, detached from this
     /// plan's. `clone()` shares the counter cell; use this when running the
     /// same plan in several networks whose tallies must stay separate.
@@ -220,52 +173,6 @@ impl FaultPlan {
 
     fn tally(&self, bump: impl FnOnce(&mut FaultCounters)) {
         bump(&mut self.counters.lock().expect("fault counter lock poisoned"));
-    }
-
-    /// Serializes the plan (configuration, not counters) to a compact,
-    /// order-stable spec string, e.g.
-    /// `seed=0xfa017;sched=duty:30/100;link=500@200;stall=100@50;flip=0;drop=10000`.
-    #[must_use]
-    pub fn to_spec(&self) -> String {
-        let sched = match self.schedule {
-            ActivationSchedule::AlwaysOn => "always".to_string(),
-            ActivationSchedule::DutyCycle { on, period } => format!("duty:{on}/{period}"),
-            ActivationSchedule::Window { start, end } => format!("window:{start}..{end}"),
-        };
-        format!(
-            "seed={:#x};sched={};link={}@{};stall={}@{};flip={};drop={}",
-            self.seed,
-            sched,
-            self.link_down_ppm,
-            self.link_granularity,
-            self.stall_ppm,
-            self.stall_granularity,
-            self.flip_ppm,
-            self.drop_ppm,
-        )
-    }
-
-    /// Parses a spec string produced by [`FaultPlan::to_spec`]. Fields may
-    /// appear in any order; missing fields keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultSpecError`] on unknown keys or malformed values.
-    pub fn from_spec(spec: &str) -> Result<Self, FaultSpecError> {
-        let mut plan = FaultPlan::new(0);
-        for field in spec_fields(spec) {
-            let (key, value) = field.map_err(|f| FaultSpecError::Malformed(f.to_string()))?;
-            match key {
-                "seed" => plan.seed = parse_u64(value)?,
-                "sched" => plan.schedule = parse_schedule(value)?,
-                "link" => (plan.link_down_ppm, plan.link_granularity) = parse_rate(value)?,
-                "stall" => (plan.stall_ppm, plan.stall_granularity) = parse_rate(value)?,
-                "flip" => plan.flip_ppm = parse_ppm(value)?,
-                "drop" => plan.drop_ppm = parse_ppm(value)?,
-                other => return Err(FaultSpecError::UnknownKey(other.to_string())),
-            }
-        }
-        Ok(plan)
     }
 
     /// One decision: hash `(seed, domain, a, b)` and compare against `ppm`.
@@ -301,8 +208,8 @@ impl FaultPlan {
 }
 
 impl FaultHook for FaultPlan {
-    fn any_faults_at(&mut self, cycle: u64) -> bool {
-        !self.is_empty() && self.schedule.active_at(cycle)
+    fn any_faults_at(&mut self, _cycle: u64) -> bool {
+        !self.is_empty()
     }
 
     fn link_down(&mut self, node: NodeId, dir: Direction, cycle: u64) -> bool {
@@ -346,123 +253,10 @@ impl FaultHook for FaultPlan {
     }
 }
 
-/// Why a fault-plan spec string failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSpecError {
-    /// A field without a `key=value` shape.
-    Malformed(String),
-    /// A key this version does not know.
-    UnknownKey(String),
-    /// A value that does not parse as the expected number or schedule.
-    BadValue(String),
-}
-
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultSpecError::Malformed(field) => write!(f, "malformed fault spec field {field:?}"),
-            FaultSpecError::UnknownKey(key) => write!(f, "unknown fault spec key {key:?}"),
-            FaultSpecError::BadValue(value) => write!(f, "bad fault spec value {value:?}"),
-        }
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
-
-fn parse_u64(value: &str) -> Result<u64, FaultSpecError> {
-    spec_u64(value).ok_or_else(|| FaultSpecError::BadValue(value.to_string()))
-}
-
-fn parse_ppm(value: &str) -> Result<u32, FaultSpecError> {
-    u32::try_from(parse_u64(value)?).map_err(|_| FaultSpecError::BadValue(value.to_string()))
-}
-
-fn parse_rate(value: &str) -> Result<(u32, u64), FaultSpecError> {
-    let (ppm, granularity) =
-        spec_rate(value).ok_or_else(|| FaultSpecError::BadValue(value.to_string()))?;
-    Ok((ppm, granularity.max(1)))
-}
-
-fn parse_schedule(value: &str) -> Result<ActivationSchedule, FaultSpecError> {
-    if value == "always" {
-        return Ok(ActivationSchedule::AlwaysOn);
-    }
-    if let Some(rest) = value.strip_prefix("duty:") {
-        let (on, period) = rest
-            .split_once('/')
-            .ok_or_else(|| FaultSpecError::BadValue(value.to_string()))?;
-        return Ok(ActivationSchedule::DutyCycle {
-            on: parse_u64(on)?,
-            period: parse_u64(period)?,
-        });
-    }
-    if let Some(rest) = value.strip_prefix("window:") {
-        let (start, end) = rest
-            .split_once("..")
-            .ok_or_else(|| FaultSpecError::BadValue(value.to_string()))?;
-        return Ok(ActivationSchedule::Window {
-            start: parse_u64(start)?,
-            end: parse_u64(end)?,
-        });
-    }
-    Err(FaultSpecError::BadValue(value.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use htpb_noc::PacketKind;
-
-    fn sample_plans() -> Vec<FaultPlan> {
-        vec![
-            FaultPlan::new(0),
-            FaultPlan::new(0xFA_017)
-                .with_link_down(500, 200)
-                .with_stalls(100, 50)
-                .with_flips(42)
-                .with_drops(10_000),
-            FaultPlan::new(u64::MAX).with_schedule(ActivationSchedule::DutyCycle {
-                on: 30,
-                period: 100,
-            }),
-            FaultPlan::new(7)
-                .with_schedule(ActivationSchedule::Window { start: 10, end: 99 })
-                .with_drops(1_000_000),
-        ]
-    }
-
-    #[test]
-    fn spec_roundtrip() {
-        for plan in sample_plans() {
-            let spec = plan.to_spec();
-            let parsed = FaultPlan::from_spec(&spec).expect("roundtrip parse");
-            assert_eq!(parsed, plan, "spec {spec}");
-        }
-    }
-
-    #[test]
-    fn spec_rejects_garbage() {
-        assert!(matches!(
-            FaultPlan::from_spec("bogus"),
-            Err(FaultSpecError::Malformed(_))
-        ));
-        assert!(matches!(
-            FaultPlan::from_spec("turbo=9"),
-            Err(FaultSpecError::UnknownKey(_))
-        ));
-        assert!(matches!(
-            FaultPlan::from_spec("drop=many"),
-            Err(FaultSpecError::BadValue(_))
-        ));
-        assert!(matches!(
-            FaultPlan::from_spec("sched=duty:nope"),
-            Err(FaultSpecError::BadValue(_))
-        ));
-        assert!(matches!(
-            FaultPlan::from_spec("link=5"),
-            Err(FaultSpecError::BadValue(_))
-        ));
-    }
 
     #[test]
     fn empty_plan_never_engages() {
@@ -522,17 +316,6 @@ mod tests {
         }
         let rate = fired as f64 / trials as f64;
         assert!((rate - 0.10).abs() < 0.02, "observed drop rate {rate}");
-    }
-
-    #[test]
-    fn schedule_gates_the_plan() {
-        let mut plan = FaultPlan::new(1)
-            .with_drops(1_000_000)
-            .with_schedule(ActivationSchedule::Window { start: 10, end: 20 });
-        assert!(!plan.any_faults_at(9));
-        assert!(plan.any_faults_at(10));
-        assert!(plan.any_faults_at(19));
-        assert!(!plan.any_faults_at(20));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the fault layer's zero-overhead contract: a seeded
 //! but **empty** `FaultPlan`, installed as a live hook, must leave the
 //! network's observable behaviour bit-identical to a build with no hook at
-//! all — for any seed, traffic shape and schedule. This is the guard on the
+//! all — for any seed and traffic shape. This is the guard on the
 //! `any_faults_at` fast path that also keeps the NoC golden digests valid.
 
 use proptest::prelude::*;
@@ -10,7 +10,6 @@ use htpb_faults::FaultPlan;
 use htpb_noc::{
     HotspotTraffic, Mesh2d, Network, NetworkConfig, PacketKind, TrafficPattern, UniformTraffic,
 };
-use htpb_trojan::ActivationSchedule;
 
 /// Runs `cycles` of traffic plus a bounded drain, returning the stats
 /// fingerprint (counters, latency histogram) and final cycle.
@@ -38,18 +37,6 @@ fn run_fingerprint(
     )
 }
 
-fn arb_schedule() -> impl Strategy<Value = ActivationSchedule> {
-    prop_oneof![
-        Just(ActivationSchedule::AlwaysOn),
-        (0u64..200, 1u64..200)
-            .prop_map(|(on, period)| ActivationSchedule::DutyCycle { on, period }),
-        (0u64..500, 0u64..500).prop_map(|(start, len)| ActivationSchedule::Window {
-            start,
-            end: start + len
-        }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -59,7 +46,6 @@ proptest! {
     fn empty_plan_is_invisible_uniform(
         seed in any::<u64>(),
         traffic_seed in any::<u64>(),
-        schedule in arb_schedule(),
         w in 2u16..=6,
         h in 2u16..=6,
         rate in 1u32..=60,
@@ -75,7 +61,7 @@ proptest! {
         let bare = run_fingerprint(Network::new(NetworkConfig::new(mesh)), traffic(), 400);
 
         let mut hooked_net = Network::new(NetworkConfig::new(mesh));
-        hooked_net.set_fault_hook(Box::new(FaultPlan::new(seed).with_schedule(schedule)));
+        hooked_net.set_fault_hook(Box::new(FaultPlan::new(seed)));
         let hooked = run_fingerprint(hooked_net, traffic(), 400);
 
         prop_assert_eq!(bare, hooked);
@@ -100,28 +86,6 @@ proptest! {
         let hooked = run_fingerprint(hooked_net, traffic(), 900);
 
         prop_assert_eq!(bare, hooked);
-    }
-
-    /// Spec strings round-trip for arbitrary configurations.
-    #[test]
-    fn spec_roundtrips(
-        seed in any::<u64>(),
-        link in any::<u32>(),
-        link_gran in 1u64..10_000,
-        stall in any::<u32>(),
-        stall_gran in 1u64..10_000,
-        flip in any::<u32>(),
-        drop in any::<u32>(),
-        schedule in arb_schedule(),
-    ) {
-        let plan = FaultPlan::new(seed)
-            .with_link_down(link, link_gran)
-            .with_stalls(stall, stall_gran)
-            .with_flips(flip)
-            .with_drops(drop)
-            .with_schedule(schedule);
-        let parsed = FaultPlan::from_spec(&plan.to_spec()).expect("roundtrip");
-        prop_assert_eq!(parsed, plan);
     }
 
     /// A non-empty plan still conserves packets: everything injected is
@@ -152,26 +116,5 @@ proptest! {
             stats.injected_packets(),
             "conservation violated under faults"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
-
-    /// The spec parser is total: a valid spec with one byte overwritten,
-    /// or arbitrary bytes, parses to a plan or an error, never a panic.
-    #[test]
-    fn from_spec_is_total(
-        schedule in arb_schedule(),
-        at in 0usize..256,
-        byte in any::<u8>(),
-        bytes in proptest::collection::vec(any::<u8>(), 0..128),
-    ) {
-        let plan = FaultPlan::new(7).with_link_down(500, 200).with_schedule(schedule);
-        let mut edited = plan.to_spec().into_bytes();
-        let at = at % edited.len();
-        edited[at] = byte;
-        let _ = FaultPlan::from_spec(&String::from_utf8_lossy(&edited));
-        let _ = FaultPlan::from_spec(&String::from_utf8_lossy(&bytes));
     }
 }

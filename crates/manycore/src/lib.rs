@@ -55,5 +55,5 @@ pub use cache::{
 pub use error::ManycoreError;
 pub use metrics::{SysMetrics, UTIL_DECILES};
 pub use report::{AppPerformance, PerformanceReport};
-pub use system::{ManyCoreSystem, RequestProtection, SystemBuilder, SystemConfig};
+pub use system::{ManyCoreSystem, RequestProtection, SystemBuilder, SystemConfig, L2_HIT_LATENCY};
 pub use tile::Tile;

@@ -19,6 +19,13 @@ use crate::metrics::SysMetrics;
 use crate::report::{AppPerformance, PerformanceReport};
 use crate::tile::{Assignment, Tile};
 
+/// Shared-L2 hit service latency in cycles (Table I: six cycles).
+pub const L2_HIT_LATENCY: u64 = 6;
+
+/// Throughput efficiency threshold honest cores use to pick the DVFS level
+/// they request power for.
+const EFFICIENCY: f64 = 0.90;
+
 /// Static configuration of a many-core system (Table I defaults).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -40,13 +47,8 @@ pub struct SystemConfig {
     pub budget_fraction: f64,
     /// Explicit chip budget in mW (overrides `budget_fraction`).
     pub budget_mw: Option<f64>,
-    /// Throughput efficiency threshold used by honest cores to pick the
-    /// DVFS level they request power for.
-    pub efficiency: f64,
     /// Whether tiles generate shared-L2/memory background traffic.
     pub memory_traffic: bool,
-    /// Shared-L2 hit service latency in cycles (Table I: six cycles).
-    pub l2_hit_latency: u64,
     /// Main-memory service latency in cycles (Table I: 200 cycles).
     pub memory_latency: u64,
     /// Fraction of time the runtime wakes a *starved* core (grant below the
@@ -89,9 +91,7 @@ impl SystemConfig {
             epoch_cycles: 2_000,
             budget_fraction: 0.5,
             budget_mw: None,
-            efficiency: 0.90,
             memory_traffic: true,
-            l2_hit_latency: 6,
             memory_latency: 200,
             starvation_duty: 0.25,
             protection: None,
@@ -309,11 +309,6 @@ impl SystemBuilder {
                 reason: "budget fraction out of range",
             });
         }
-        if !(0.0..=1.0).contains(&cfg.efficiency) {
-            return Err(ManycoreError::InvalidConfig {
-                reason: "efficiency must be within [0, 1]",
-            });
-        }
         let available = cfg.mesh.nodes() as usize - 1;
         let requested = self.workload.total_threads();
         if requested > available {
@@ -348,7 +343,7 @@ impl SystemBuilder {
             .iter()
             .filter_map(|t| {
                 t.assignment().map(|a| {
-                    let level = a.profile.desired_level(model.table(), cfg.efficiency);
+                    let level = a.profile.desired_level(model.table(), EFFICIENCY);
                     model.power_mw(level)
                 })
             })
@@ -737,14 +732,13 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
 
     fn inject_power_requests(&mut self) {
         let manager = self.config.manager;
-        let efficiency = self.config.efficiency;
         let protection = self.config.protection;
         for t in &self.tiles {
             let node = t.node();
             if node == manager {
                 continue;
             }
-            let Some(mw) = t.desired_request_mw(&self.model, efficiency) else {
+            let Some(mw) = t.desired_request_mw(&self.model, EFFICIENCY) else {
                 continue;
             };
             let mw = mw.round() as u32;
@@ -872,7 +866,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
                     let delay = if self.rng.gen_bool(miss_rate.clamp(0.0, 1.0)) {
                         self.config.memory_latency
                     } else {
-                        self.config.l2_hit_latency
+                        L2_HIT_LATENCY
                     };
                     self.event_seq += 1;
                     self.events.push(Reverse((
@@ -917,7 +911,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         let l2 = &mut self.l2_slices[home.0 as usize];
         let hit = l2.access(line).hit && was_tracked;
         let delay = if hit {
-            self.config.l2_hit_latency
+            L2_HIT_LATENCY
         } else {
             self.config.memory_latency
         };

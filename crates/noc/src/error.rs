@@ -27,11 +27,6 @@ pub enum NocError {
         /// The node whose queue overflowed.
         node: NodeId,
     },
-    /// A raw packet could not be decoded into a typed [`crate::Packet`].
-    MalformedPacket {
-        /// Human-readable reason.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for NocError {
@@ -46,7 +41,6 @@ impl fmt::Display for NocError {
             NocError::InjectionQueueFull { node } => {
                 write!(f, "injection queue full at node {}", node.0)
             }
-            NocError::MalformedPacket { reason } => write!(f, "malformed packet: {reason}"),
         }
     }
 }
@@ -79,9 +73,6 @@ mod tests {
             NocError::InjectionQueueFull { node: NodeId(3) }.to_string(),
             "injection queue full at node 3"
         );
-        assert!(NocError::MalformedPacket { reason: "short" }
-            .to_string()
-            .contains("short"));
     }
 
     #[test]

@@ -57,10 +57,8 @@ pub use flit::{Flit, FlitKind, FLITS_PER_DATA_PACKET, FLITS_PER_META_PACKET, FLI
 pub use fnv::{Digest, FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use inspect::{InspectOutcome, NullInspector, PacketInspector};
 pub use metrics::{NocMetrics, VC_OCCUPANCY_BUCKETS};
-pub use network::{DeliveredPacket, Network, NetworkConfig};
-pub use packet::{
-    ActivationSignal, ConfigCommand, Packet, PacketKind, RawPacket, PACKET_HEADER_WORDS,
-};
+pub use network::{DeliveredPacket, Network, NetworkConfig, INJECTION_QUEUE_CAPACITY};
+pub use packet::{ActivationSignal, ConfigCommand, Packet, PacketKind};
 pub use router::{Router, RouterConfig, VcSnapshot};
 pub use routing::{
     OddEvenRouting, RouteCandidates, RoutingAlgorithm, RoutingKind, WestFirstRouting, XyRouting,

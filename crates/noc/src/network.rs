@@ -12,6 +12,10 @@ use crate::store::{PacketStore, NIL};
 use crate::topology::{Coord, Direction, Mesh2d, NodeId};
 use crate::trace::{TraceBuffer, TraceEvent};
 
+/// Maximum number of flits a node's injection queue may hold before
+/// [`Network::inject`] reports back-pressure.
+pub const INJECTION_QUEUE_CAPACITY: usize = 4096;
+
 /// Construction parameters of a [`Network`].
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
@@ -21,9 +25,6 @@ pub struct NetworkConfig {
     pub router: RouterConfig,
     /// Routing algorithm.
     pub routing: RoutingKind,
-    /// Maximum number of flits a node's injection queue may hold before
-    /// [`Network::inject`] reports back-pressure.
-    pub injection_queue_capacity: usize,
     /// Packet-lifecycle tracing: `Some(capacity)` retains the newest
     /// `capacity` [`TraceEvent`]s in a ring buffer; `None` (default)
     /// disables tracing entirely.
@@ -39,7 +40,6 @@ impl NetworkConfig {
             mesh,
             router: RouterConfig::default(),
             routing: RoutingKind::default(),
-            injection_queue_capacity: 4096,
             trace_capacity: None,
         }
     }
@@ -175,7 +175,6 @@ pub struct Network<I: PacketInspector = NullInspector> {
     /// `links[node * 4 + dir]`: flit in flight from `node` towards `dir`.
     links: Vec<LinkSlot>,
     inject_q: Vec<InjectQueue>,
-    injection_capacity: usize,
     /// Slab owning every in-flight packet: frame, id, injection cycle,
     /// hops, tamper flag. Flits carry only the slot index.
     store: PacketStore,
@@ -242,7 +241,6 @@ impl<I: PacketInspector> Network<I> {
             routers: Routers::new(nodes, config.router),
             links: vec![LinkSlot::EMPTY; nodes * 4],
             inject_q: vec![InjectQueue::EMPTY; nodes],
-            injection_capacity: config.injection_queue_capacity,
             store: PacketStore::new(),
             ejected: Vec::new(),
             inspector,
@@ -418,7 +416,7 @@ impl<I: PacketInspector> Network<I> {
         let src = packet.src().0 as usize;
         let n = packet.flit_count();
         let queue = &mut self.inject_q[src];
-        if queue.flits as usize + n > self.injection_capacity {
+        if queue.flits as usize + n > INJECTION_QUEUE_CAPACITY {
             return Err(NocError::InjectionQueueFull { node: packet.src() });
         }
         let id = self.next_packet_id;

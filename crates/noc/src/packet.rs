@@ -1,11 +1,6 @@
 use std::fmt;
 
-use crate::error::NocError;
 use crate::topology::NodeId;
-
-/// Number of mandatory 32-bit words in a packet frame (Fig. 1): the
-/// source/destination header word, the packet-type word and the payload word.
-pub const PACKET_HEADER_WORDS: usize = 3;
 
 /// Wire value of the `POWER_REQ` packet type (Fig. 1a).
 const TYPE_POWER_REQ: u8 = 0x01;
@@ -39,17 +34,6 @@ impl ActivationSignal {
         match self {
             ActivationSignal::Off => 0,
             ActivationSignal::On => 1,
-        }
-    }
-
-    /// Decodes a wire byte; any non-zero value activates (fail-active keeps
-    /// the Trojan circuit minimal — a single OR over the byte).
-    #[must_use]
-    pub(crate) fn from_wire(b: u8) -> Self {
-        if b == 0 {
-            ActivationSignal::Off
-        } else {
-            ActivationSignal::On
         }
     }
 }
@@ -99,28 +83,6 @@ impl PacketKind {
             PacketKind::PowerGrant => (TYPE_POWER_GRANT as u32) << 24,
             PacketKind::Data => (TYPE_DATA as u32) << 24,
             PacketKind::Meta => (TYPE_META as u32) << 24,
-        }
-    }
-
-    /// Decodes a 32-bit packet-type word.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::MalformedPacket`] on an unknown opcode.
-    pub(crate) fn from_type_word(word: u32) -> Result<Self, NocError> {
-        let opcode = (word >> 24) as u8;
-        match opcode {
-            TYPE_POWER_REQ => Ok(PacketKind::PowerReq),
-            TYPE_CONFIG_CMD => Ok(PacketKind::ConfigCmd(ConfigCommand {
-                manager: NodeId(((word >> 8) & 0xFFFF) as u16),
-                activation: ActivationSignal::from_wire((word & 0xFF) as u8),
-            })),
-            TYPE_POWER_GRANT => Ok(PacketKind::PowerGrant),
-            TYPE_DATA => Ok(PacketKind::Data),
-            TYPE_META => Ok(PacketKind::Meta),
-            _ => Err(NocError::MalformedPacket {
-                reason: "unknown packet-type opcode",
-            }),
         }
     }
 
@@ -246,43 +208,6 @@ impl Packet {
             crate::flit::FLITS_PER_DATA_PACKET
         }
     }
-
-    /// Serialises the packet into its wire words (Fig. 1 layout).
-    #[must_use]
-    pub fn encode(&self) -> RawPacket {
-        let mut words = [0u32; 4];
-        words[0] = ((self.src.0 as u32) << 16) | self.dst.0 as u32;
-        words[1] = self.kind.to_type_word();
-        words[2] = self.payload;
-        let mut len = PACKET_HEADER_WORDS;
-        if let Some(opt) = self.options {
-            words[3] = opt;
-            len = 4;
-        }
-        RawPacket { words, len }
-    }
-
-    /// Deserialises a packet from its wire words.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::MalformedPacket`] if the frame is too short or the
-    /// packet-type word is unknown.
-    pub fn decode(raw: &RawPacket) -> Result<Self, NocError> {
-        if raw.len < PACKET_HEADER_WORDS {
-            return Err(NocError::MalformedPacket {
-                reason: "frame shorter than mandatory three words",
-            });
-        }
-        let kind = PacketKind::from_type_word(raw.words[1])?;
-        Ok(Packet {
-            src: NodeId((raw.words[0] >> 16) as u16),
-            dst: NodeId((raw.words[0] & 0xFFFF) as u16),
-            kind,
-            payload: raw.words[2],
-            options: (raw.len > PACKET_HEADER_WORDS).then(|| raw.words[3]),
-        })
-    }
 }
 
 impl fmt::Display for Packet {
@@ -295,68 +220,23 @@ impl fmt::Display for Packet {
     }
 }
 
-/// The wire representation of a packet: up to four 32-bit words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawPacket {
-    /// Frame words; only the first `len` are meaningful.
-    pub words: [u32; 4],
-    /// Number of valid words (3 without options, 4 with).
-    pub len: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn power_request_roundtrip() {
-        let p = Packet::power_request(NodeId(42), NodeId(136), 2_750);
-        let raw = p.encode();
-        assert_eq!(raw.len, 3);
-        let q = Packet::decode(&raw).unwrap();
-        assert_eq!(p, q);
-        assert_eq!(q.payload(), 2_750);
-        assert_eq!(q.kind(), PacketKind::PowerReq);
-    }
-
-    #[test]
     fn config_command_roundtrip() {
         let p = Packet::config_command(NodeId(7), NodeId(99), NodeId(136), ActivationSignal::On);
-        let q = Packet::decode(&p.encode()).unwrap();
-        assert_eq!(p, q);
-        match q.kind() {
+        match p.kind() {
             PacketKind::ConfigCmd(cmd) => {
                 assert_eq!(cmd.manager, NodeId(136));
                 assert_eq!(cmd.activation, ActivationSignal::On);
             }
             other => panic!("wrong kind {other:?}"),
         }
-        assert_eq!(q.src(), NodeId(7), "source carries the attacker id");
-    }
-
-    #[test]
-    fn options_word_roundtrip() {
-        let p = Packet::power_request(NodeId(1), NodeId(2), 3).with_options(0xDEAD_BEEF);
-        let raw = p.encode();
-        assert_eq!(raw.len, 4);
-        let q = Packet::decode(&raw).unwrap();
-        assert_eq!(q.options(), Some(0xDEAD_BEEF));
-    }
-
-    #[test]
-    fn unknown_opcode_rejected() {
-        let mut raw = Packet::power_request(NodeId(1), NodeId(2), 3).encode();
-        raw.words[1] = 0xFF00_0000;
-        assert!(Packet::decode(&raw).is_err());
-    }
-
-    #[test]
-    fn short_frame_rejected() {
-        let raw = RawPacket {
-            words: [0; 4],
-            len: 2,
-        };
-        assert!(Packet::decode(&raw).is_err());
+        assert_eq!(p.src(), NodeId(7), "source carries the attacker id");
+        assert_eq!(p.dst(), NodeId(99));
+        assert_eq!(p.payload(), 0, "the payload word is #EMPTY#");
     }
 
     #[test]
@@ -373,13 +253,6 @@ mod tests {
             Packet::new(NodeId(0), NodeId(1), PacketKind::Meta, 0).flit_count(),
             1
         );
-    }
-
-    #[test]
-    fn activation_signal_fail_active() {
-        assert_eq!(ActivationSignal::from_wire(0), ActivationSignal::Off);
-        assert_eq!(ActivationSignal::from_wire(1), ActivationSignal::On);
-        assert_eq!(ActivationSignal::from_wire(0x80), ActivationSignal::On);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The one-line `key=value;key=value` grammar behind every spec string in
-//! the workspace: `htpb_faults::FaultPlan` and `htpb_testkit::Scenario`
-//! both serialize to it. These helpers only split and read numbers; each
-//! parser keeps its own keys, defaults and error type.
+//! The one-line `key=value;key=value` grammar of the conformance oracle's
+//! spec strings: `htpb_testkit::Scenario` is its only consumer, and the
+//! `conformance` bin reads its `--seed` with [`spec_u64`]. These helpers
+//! only split and read numbers; the parser keeps its own keys, defaults
+//! and error type.
 
 /// Splits a spec into its `(key, value)` fields, in order. Whitespace
 /// around the spec and empty fields (`a=1;;b=2;`) are skipped; a field

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use htpb_noc::{
     Digest, Direction, InspectOutcome, Mesh2d, Network, NetworkConfig, NodeId, Packet,
-    PacketInspector, PacketKind, PacketStore, RawPacket, RoutingKind,
+    PacketInspector, PacketKind, PacketStore, RoutingKind,
 };
 
 /// Drops every packet whose id hash lands under the threshold, at one node.
@@ -239,18 +239,6 @@ proptest! {
         }
     }
 
-    /// Decoding arbitrary wire words never panics: it either yields a valid
-    /// packet (which re-encodes to the same prefix) or a structured error.
-    #[test]
-    fn decode_is_total(words in proptest::array::uniform4(any::<u32>()), len in 0usize..=4) {
-        let raw = RawPacket { words, len };
-        if let Ok(p) = Packet::decode(&raw) {
-            let re = p.encode();
-            prop_assert_eq!(re.words[0], words[0]);
-            prop_assert_eq!(re.words[2], words[2]);
-        }
-    }
-
     /// [`PacketStore`] recycling never aliases a live packet: under an
     /// arbitrary interleaving of allocations, frees and in-place rewrites,
     /// `alloc` never hands out a slot that a live packet still occupies,
@@ -457,22 +445,5 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(fresh, reused);
-    }
-
-    /// Packet wire encoding round-trips for every representable frame.
-    #[test]
-    fn packet_encode_decode_roundtrip(
-        s in any::<u16>(),
-        d in any::<u16>(),
-        kind in arb_kind(),
-        payload in any::<u32>(),
-        opt in proptest::option::of(any::<u32>()),
-    ) {
-        let mut p = Packet::new(NodeId(s), NodeId(d), kind, payload);
-        if let Some(o) = opt {
-            p = p.with_options(o);
-        }
-        let q = Packet::decode(&p.encode()).expect("decode");
-        prop_assert_eq!(p, q);
     }
 }

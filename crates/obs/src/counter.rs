@@ -1,58 +1,19 @@
-//! Sharded atomic counters and gauges.
+//! Atomic counters and gauges.
 //!
-//! A single shared `AtomicU64` serializes every incrementing core on one
-//! cache line; under the harness worker pool that contention would make the
-//! cost of observability proportional to parallelism. [`Counter`] instead
-//! spreads increments over a small fixed set of cache-line-padded shards,
-//! picked per thread, and sums them on read. Reads are rare (exposition
-//! time), writes are hot — the classic LongAdder trade.
+//! Every instrumented layer adds its counts once, when its run ends, and
+//! the harness pool increments once per job, so nothing contends on a
+//! counter: each one is a single relaxed `AtomicU64`.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// Number of shards per counter. A small power of two: enough to keep the
-/// harness worker pool (capped well below 64 threads) off each other's
-/// cache lines, small enough that read-time summation stays trivial.
-const SHARDS: usize = 8;
-
-/// One cache line worth of counter shard, padded so neighbouring shards
-/// never share a line (the whole point of sharding).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Shard(AtomicU64);
-
-/// Round-robin assignment of threads to shards: each thread latches a shard
-/// index on first use and keeps it for life. Deterministic *values* do not
-/// require deterministic shard assignment — `get()` sums all shards, and
-/// addition commutes.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-#[inline]
-fn shard_index() -> usize {
-    THREAD_SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(v);
-            v
-        }
-    })
-}
-
-/// A monotonically increasing counter, sharded across cache lines.
+/// A monotonically increasing counter.
 ///
 /// `inc`/`add` are wait-free relaxed atomic adds with no allocation;
-/// [`Counter::get`] sums the shards (exact once writers quiesce — the
-/// conservation property pinned by `tests/proptest_obs.rs`).
+/// [`Counter::get`] is exact once writers quiesce — the conservation
+/// property pinned by `tests/proptest_obs.rs`.
 #[derive(Debug, Default)]
 pub struct Counter {
-    shards: [Shard; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -72,29 +33,23 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
     // htpb-lint: end-hot
 
-    /// The current total across all shards.
+    /// The current total.
     ///
     /// Concurrent readers see a value between the total before and after
-    /// any in-flight increments — never a torn or decreasing one (each
-    /// shard is read atomically and shards only grow).
+    /// any in-flight increments — never a torn or decreasing one.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Resets the counter to zero (exposition tooling only — never called
     /// from instrumented code).
     pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 

@@ -4,10 +4,9 @@
 //! what a Trojan does to per-tile requests and NoC occupancy; runtime
 //! monitoring defenses (MacLeR-style power telemetry, Prasad et al.'s
 //! packet-drop mitigation) all hinge on cheap, always-on instrumentation.
-//! This crate is that instrumentation layer: a static registry of sharded
-//! atomic [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s, plus
-//! lightweight [`span`] timers — designed so that *observing
-//! the system never changes it*.
+//! This crate is that instrumentation layer: a static registry of atomic
+//! [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s — designed so
+//! that *observing the system never changes it*.
 //!
 //! # The non-perturbation contract
 //!
@@ -52,7 +51,6 @@ mod counter;
 mod histogram;
 mod registry;
 mod snapshot;
-pub mod span;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{pow2_bounds, Histogram, HistogramSnapshot};

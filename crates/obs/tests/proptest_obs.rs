@@ -1,7 +1,7 @@
 //! Property-based tests of the registry primitives — the algebra the
 //! non-perturbation contract leans on:
 //!
-//! * sharded counter sums are **exact** under concurrent increments
+//! * counter sums are **exact** under concurrent increments
 //!   (no lost updates, however threads interleave);
 //! * histogram merge is associative and commutative with bucket counts
 //!   conserved (absorbing per-job simulator histograms in any order gives

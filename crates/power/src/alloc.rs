@@ -63,7 +63,7 @@ impl AllocatorKind {
             AllocatorKind::Greedy => Box::new(GreedyAllocator::new()),
             AllocatorKind::FairShare => Box::new(FairShareAllocator::new()),
             AllocatorKind::Pi => Box::new(PiAllocator::default()),
-            AllocatorKind::Dp => Box::new(DpAllocator::default()),
+            AllocatorKind::Dp => Box::new(DpAllocator),
             AllocatorKind::Market => Box::new(MarketAllocator::default()),
         }
     }
@@ -81,14 +81,6 @@ impl AllocatorKind {
     }
 }
 
-/// Clamps grants so they satisfy the allocator contract exactly: each grant
-/// in `[0, request]` and the total within `budget_mw`.
-///
-/// Hostile inputs must not escape: a `NaN` request caps its grant at zero, a
-/// `NaN` grant becomes zero, and every grant is additionally capped at the
-/// budget so an infinite request can never push the total to `∞` (where the
-/// rescale `budget / total` would turn *other* cores' grants into
-/// `∞ × 0 = NaN`).
 /// Audits a finished grant vector against the allocator contract: one grant
 /// per request (same cores, same order), every grant finite and within
 /// `[0, request]`, and the total within `budget_mw` — up to a small
@@ -149,6 +141,14 @@ pub fn audit_grant_contract(
     None
 }
 
+/// Clamps grants so they satisfy the allocator contract exactly: each grant
+/// in `[0, request]` and the total within `budget_mw`.
+///
+/// Hostile inputs must not escape: a `NaN` request caps its grant at zero, a
+/// `NaN` grant becomes zero, and every grant is additionally capped at the
+/// budget so an infinite request can never push the total to `∞` (where the
+/// rescale `budget / total` would turn *other* cores' grants into
+/// `∞ × 0 = NaN`).
 fn enforce_contract(grants: &mut [PowerGrant], requests: &[PowerRequest], budget_mw: f64) {
     let budget = if budget_mw.is_nan() {
         0.0
@@ -279,31 +279,25 @@ impl PowerAllocator for FairShareAllocator {
 /// of recomputing an exact division every epoch.
 #[derive(Debug, Clone)]
 pub struct PiAllocator {
-    kp: f64,
-    ki: f64,
     throttle: f64,
     integral: f64,
 }
 
+/// [`PiAllocator`]'s proportional gain, relative to the budget magnitude.
+const PI_KP: f64 = 0.6;
+/// [`PiAllocator`]'s integral gain, relative to the budget magnitude.
+const PI_KI: f64 = 0.2;
+
 impl Default for PiAllocator {
     fn default() -> Self {
-        PiAllocator::new(0.6, 0.2)
-    }
-}
-
-impl PiAllocator {
-    /// Creates a controller with the given proportional and integral gains
-    /// (both relative to the budget magnitude).
-    #[must_use]
-    pub fn new(kp: f64, ki: f64) -> Self {
         PiAllocator {
-            kp,
-            ki,
             throttle: 1.0,
             integral: 0.0,
         }
     }
+}
 
+impl PiAllocator {
     /// The current throttle factor (diagnostics).
     #[must_use]
     pub fn throttle(&self) -> f64 {
@@ -325,7 +319,7 @@ impl PowerAllocator for PiAllocator {
             let error = (budget_mw - demand * self.throttle) / budget_mw;
             self.integral = (self.integral + error).clamp(-5.0, 5.0);
             self.throttle =
-                (self.throttle + self.kp * error + self.ki * self.integral).clamp(0.01, 1.0);
+                (self.throttle + PI_KP * error + PI_KI * self.integral).clamp(0.01, 1.0);
         }
         let mut grants: Vec<PowerGrant> = requests
             .iter()
@@ -353,25 +347,11 @@ impl PowerAllocator for PiAllocator {
 /// The concave utility makes the optimum spread power across cores
 /// (diminishing returns), which is the qualitative behaviour of
 /// performance-optimal budgeting.
-#[derive(Debug, Clone)]
-pub struct DpAllocator {
-    bins: usize,
-}
+#[derive(Debug, Clone, Default)]
+pub struct DpAllocator;
 
-impl Default for DpAllocator {
-    fn default() -> Self {
-        DpAllocator::new(256)
-    }
-}
-
-impl DpAllocator {
-    /// Creates an allocator that discretises the budget into `bins` bins
-    /// (at least 8).
-    #[must_use]
-    pub fn new(bins: usize) -> Self {
-        DpAllocator { bins: bins.max(8) }
-    }
-}
+/// The number of bins [`DpAllocator`] discretises the budget into.
+const DP_BINS: usize = 256;
 
 impl PowerAllocator for DpAllocator {
     fn allocate(
@@ -387,7 +367,7 @@ impl PowerAllocator for DpAllocator {
         if requests.is_empty() || budget_mw <= 0.0 {
             return grants;
         }
-        let bin_mw = budget_mw / self.bins as f64;
+        let bin_mw = budget_mw / DP_BINS as f64;
         // Candidate operating points per request: every DVFS level whose
         // power fits the request, expressed in whole bins.
         let options: Vec<Vec<(usize, f64)>> = requests
@@ -398,7 +378,7 @@ impl PowerAllocator for DpAllocator {
                     let p = model.power_mw(level);
                     if p <= r.milliwatts {
                         let w = (p / bin_mw).ceil() as usize;
-                        if w <= self.bins {
+                        if w <= DP_BINS {
                             opts.push((w, p.sqrt()));
                         }
                     }
@@ -408,11 +388,11 @@ impl PowerAllocator for DpAllocator {
             .collect();
         // dp[j] = best value using at most j bins; choice[i][j] = option index.
         let neg = f64::NEG_INFINITY;
-        let mut dp = vec![0.0f64; self.bins + 1];
-        let mut choice = vec![vec![0usize; self.bins + 1]; requests.len()];
+        let mut dp = vec![0.0f64; DP_BINS + 1];
+        let mut choice = vec![vec![0usize; DP_BINS + 1]; requests.len()];
         for (i, opts) in options.iter().enumerate() {
-            let mut next = vec![neg; self.bins + 1];
-            for j in 0..=self.bins {
+            let mut next = vec![neg; DP_BINS + 1];
+            for j in 0..=DP_BINS {
                 for (oi, &(w, v)) in opts.iter().enumerate() {
                     if w <= j {
                         let cand = dp[j - w] + v;
@@ -426,9 +406,9 @@ impl PowerAllocator for DpAllocator {
             dp = next;
         }
         // Backtrack from the best bin count.
-        let mut j = (0..=self.bins)
+        let mut j = (0..=DP_BINS)
             .max_by(|&a, &b| dp[a].total_cmp(&dp[b]))
-            .unwrap_or(self.bins);
+            .unwrap_or(DP_BINS);
         for i in (0..requests.len()).rev() {
             let oi = choice[i][j];
             let (w, _) = options[i][oi];
@@ -457,31 +437,17 @@ impl PowerAllocator for DpAllocator {
 /// case the victim's *budget currency piles up uselessly while its power
 /// grant stays capped by the tampered bid* — exactly the
 /// "irrespective of the algorithm" property the paper exploits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MarketAllocator {
     /// Per-core currency balance (defaults to 1.0 for new bidders),
     /// sorted by core id so lookups bisect and iteration is deterministic.
     balances: Vec<(u16, f64)>,
-    /// Rebate rate for unmet demand, per epoch.
-    rebate: f64,
 }
 
-impl Default for MarketAllocator {
-    fn default() -> Self {
-        MarketAllocator::new(0.1)
-    }
-}
+/// [`MarketAllocator`]'s rebate rate for unmet demand, per epoch.
+const MARKET_REBATE: f64 = 0.1;
 
 impl MarketAllocator {
-    /// Creates a market with the given rebate rate.
-    #[must_use]
-    pub fn new(rebate: f64) -> Self {
-        MarketAllocator {
-            balances: Vec::new(),
-            rebate: rebate.clamp(0.0, 1.0),
-        }
-    }
-
     /// A core's current currency balance.
     fn balance(&self, core: u16) -> f64 {
         match self.balances.binary_search_by_key(&core, |&(c, _)| c) {
@@ -543,7 +509,6 @@ impl PowerAllocator for MarketAllocator {
         enforce_contract(&mut grants, requests, budget_mw);
         // Rebate unmet demand into balances; satisfied bidders decay back
         // towards the neutral balance of 1.0.
-        let rebate = self.rebate;
         for (g, r) in grants.iter().zip(requests) {
             let bid = if r.milliwatts.is_nan() {
                 0.0
@@ -560,7 +525,7 @@ impl PowerAllocator for MarketAllocator {
                 } else {
                     1.0
                 };
-                *balance += rebate * unmet;
+                *balance += MARKET_REBATE * unmet;
             } else {
                 *balance = 1.0 + (*balance - 1.0) * 0.5;
             }
@@ -694,7 +659,7 @@ mod tests {
     fn dp_grants_are_operating_points_or_zero() {
         let m = model();
         let requests = reqs(&[2_600.0, 2_600.0, 2_600.0, 400.0]);
-        let grants = DpAllocator::default().allocate(&requests, 4_000.0, &m);
+        let grants = DpAllocator.allocate(&requests, 4_000.0, &m);
         let level_powers: Vec<f64> = m.table().iter_levels().map(|l| m.power_mw(l)).collect();
         for g in &grants {
             let is_point = g.milliwatts.abs() < 1e-9
@@ -712,7 +677,7 @@ mod tests {
         // Budget for roughly two mid-level cores; concave utility should
         // power at least two requesters rather than one at max.
         let requests = reqs(&[2_600.0, 2_600.0, 2_600.0]);
-        let grants = DpAllocator::default().allocate(&requests, 2_400.0, &m);
+        let grants = DpAllocator.allocate(&requests, 2_400.0, &m);
         let powered = grants.iter().filter(|g| g.milliwatts > 1.0).count();
         assert!(powered >= 2, "DP concentrated power: {grants:?}");
     }

@@ -1,12 +1,12 @@
-//! Property-based verification of the allocator contract shared by all four
+//! Property-based verification of the allocator contract shared by all five
 //! budgeting policies: grants are per-request bounded, budget-bounded and
 //! non-negative — the invariants the false-data attack relies on.
 
 use proptest::prelude::*;
 
 use htpb_power::{
-    DpAllocator, FairShareAllocator, GreedyAllocator, MarketAllocator, PiAllocator, PowerAllocator,
-    PowerModel, PowerRequest,
+    audit_grant_contract, AllocatorKind, DpAllocator, FairShareAllocator, GreedyAllocator,
+    MarketAllocator, PiAllocator, PowerAllocator, PowerModel, PowerRequest,
 };
 
 fn arb_requests() -> impl Strategy<Value = Vec<PowerRequest>> {
@@ -73,7 +73,7 @@ proptest! {
 
     #[test]
     fn dp_contract(requests in arb_requests(), budget in 0.0f64..100_000.0) {
-        check_contract(&mut DpAllocator::default(), &requests, budget)?;
+        check_contract(&mut DpAllocator, &requests, budget)?;
     }
 
     #[test]
@@ -95,7 +95,7 @@ proptest! {
         for mk in [
             || Box::new(GreedyAllocator::new()) as Box<dyn PowerAllocator>,
             || Box::new(FairShareAllocator::new()) as Box<dyn PowerAllocator>,
-            || Box::new(DpAllocator::default()) as Box<dyn PowerAllocator>,
+            || Box::new(DpAllocator) as Box<dyn PowerAllocator>,
             || Box::new(MarketAllocator::default()) as Box<dyn PowerAllocator>,
         ] {
             let mut clean_alloc = mk();
@@ -111,6 +111,52 @@ proptest! {
                 clean[0].milliwatts,
                 tampered[0].milliwatts
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The contract at chip scale, for every policy over five epochs:
+    /// 64–1024 requesters, budgets from zero to twice the mean demand.
+    /// `GlobalManager::run_epoch` audits grants only in debug builds, so
+    /// this is the release-mode check. Greedy and fair-share must also be
+    /// work-conserving: they grant `min(Σ requests, budget)`.
+    #[test]
+    #[ignore = "release-scale allocator sweep; CI runs it with --release -- --ignored"]
+    fn contract_holds_at_release_scale(
+        mws in proptest::collection::vec(0.0f64..6_000.0, 64..1025),
+        budget_frac in 0.0f64..2.0,
+    ) {
+        let requests: Vec<PowerRequest> = mws
+            .iter()
+            .enumerate()
+            .map(|(i, &mw)| PowerRequest::new(i as u16, mw))
+            .collect();
+        let demand: f64 = mws.iter().sum();
+        let budget = budget_frac * 3_000.0 * mws.len() as f64;
+        let model = PowerModel::default_45nm();
+        for kind in AllocatorKind::ALL {
+            let mut allocator = kind.build();
+            for epoch in 0..5 {
+                let grants = allocator.allocate(&requests, budget, &model);
+                if let Some(violation) = audit_grant_contract(&grants, &requests, budget) {
+                    return Err(TestCaseError::fail(format!(
+                        "{} epoch {epoch}: {violation}",
+                        kind.name()
+                    )));
+                }
+                if matches!(kind, AllocatorKind::Greedy | AllocatorKind::FairShare) {
+                    let granted: f64 = grants.iter().map(|g| g.milliwatts).sum();
+                    let expected = demand.min(budget);
+                    prop_assert!(
+                        (granted - expected).abs() <= 1e-9 * expected.max(1.0),
+                        "{} epoch {epoch}: granted {granted}, expected {expected}",
+                        kind.name()
+                    );
+                }
+            }
         }
     }
 }

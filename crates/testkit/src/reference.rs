@@ -25,6 +25,7 @@ use std::collections::{HashMap, VecDeque};
 use htpb_noc::{
     DeliveredPacket, Digest, FaultAction, FaultHook, Flit, Mesh2d, NetworkConfig, NocError, NodeId,
     Packet, PacketInspector, PacketKind, RoutingAlgorithm, TraceBuffer, TraceEvent, VcSnapshot,
+    INJECTION_QUEUE_CAPACITY,
 };
 
 use htpb_noc::Direction;
@@ -206,7 +207,6 @@ pub struct ReferenceNet {
     links: Vec<Option<(Flit, usize)>>,
     queues: Vec<VecDeque<Flit>>,
     injection_vc: Vec<Option<usize>>,
-    injection_capacity: usize,
     neighbor_tbl: Vec<Option<NodeId>>,
     in_flight: HashMap<u64, RefMeta>,
     pending_heads: HashMap<u64, Packet>,
@@ -236,7 +236,6 @@ impl ReferenceNet {
             links: vec![None; nodes * 4],
             queues: (0..nodes).map(|_| VecDeque::new()).collect(),
             injection_vc: vec![None; nodes],
-            injection_capacity: config.injection_queue_capacity,
             neighbor_tbl: config.mesh.neighbor_table(),
             in_flight: HashMap::new(),
             pending_heads: HashMap::new(),
@@ -320,7 +319,7 @@ impl ReferenceNet {
             }
         }
         let queue = &mut self.queues[packet.src().0 as usize];
-        if queue.len() + packet.flit_count() > self.injection_capacity {
+        if queue.len() + packet.flit_count() > INJECTION_QUEUE_CAPACITY {
             return Err(NocError::InjectionQueueFull { node: packet.src() });
         }
         let id = self.next_packet_id;

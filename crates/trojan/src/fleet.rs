@@ -304,15 +304,15 @@ mod tests {
     #[test]
     fn schedule_gates_the_whole_fleet() {
         let mut fleet = TrojanFleet::new(&[NodeId(1)], TamperRule::Zero).with_schedule(
-            ActivationSchedule::Window {
-                start: 100,
-                end: 200,
+            ActivationSchedule::DutyCycle {
+                on: 100,
+                period: 200,
             },
         );
         fleet.configure_all(&[ATTACKER], MANAGER, true);
         let mut req = Packet::power_request(NodeId(3), MANAGER, 1_000);
-        assert!(!fleet.inspect(NodeId(1), 50, &mut req).modified);
-        assert!(fleet.inspect(NodeId(1), 150, &mut req).modified);
+        assert!(!fleet.inspect(NodeId(1), 150, &mut req).modified);
+        assert!(fleet.inspect(NodeId(1), 250, &mut req).modified);
         assert_eq!(req.payload(), 0);
     }
 

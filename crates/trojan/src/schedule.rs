@@ -22,13 +22,6 @@ pub enum ActivationSchedule {
         /// as always-on).
         period: u64,
     },
-    /// Armed only inside `[start, end)` — a one-shot attack window.
-    Window {
-        /// First armed cycle.
-        start: u64,
-        /// First cycle past the window.
-        end: u64,
-    },
 }
 
 impl ActivationSchedule {
@@ -56,7 +49,6 @@ impl ActivationSchedule {
                     cycle % period < on
                 }
             }
-            ActivationSchedule::Window { start, end } => cycle >= start && cycle < end,
         }
     }
 }
@@ -99,15 +91,6 @@ mod tests {
             ActivationSchedule::duty(-1.0, 10),
             ActivationSchedule::DutyCycle { on: 0, period: 10 }
         );
-    }
-
-    #[test]
-    fn window_bounds_are_half_open() {
-        let s = ActivationSchedule::Window { start: 10, end: 20 };
-        assert!(!s.active_at(9));
-        assert!(s.active_at(10));
-        assert!(s.active_at(19));
-        assert!(!s.active_at(20));
     }
 
     #[test]
