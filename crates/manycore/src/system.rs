@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use htpb_noc::{
-    DeliveredPacket, FaultHook, Mesh2d, Network, NetworkConfig, NocError, NodeId, NullInspector,
-    Packet, PacketInspector, PacketKind, RoutingKind,
+    DeliveredPacket, FaultHook, Mesh2d, Network, NetworkConfig, NodeId, NullInspector, Packet,
+    PacketInspector, PacketKind, RoutingKind,
 };
 use htpb_power::{
     AllocatorKind, DegradationCounters, GlobalManager, HardeningConfig, PowerModel, PowerRequest,
@@ -996,10 +996,6 @@ impl<I: PacketInspector + std::fmt::Debug> std::fmt::Debug for ManyCoreSystem<I>
             .finish_non_exhaustive()
     }
 }
-
-/// Re-exported so builders can speak NoC errors without importing htpb-noc.
-#[allow(unused)]
-type _NocErrorAlias = NocError;
 
 #[cfg(test)]
 mod tests {

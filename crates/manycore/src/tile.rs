@@ -32,8 +32,46 @@ pub struct Tile {
     retired_window: f64,
     /// Fractional accumulator of pending shared-L2 accesses.
     l2_credit: f64,
+    /// The per-tick rates at the `(level, starved)` they were computed for;
+    /// `None` until the first tick. Only a grant changes that key: the
+    /// power model, the profile and the starvation duty a tile is ticked
+    /// with are fixed for its system's life, so a key match means the
+    /// cached rates are the very f64s a recomputation would produce.
+    rates: Option<TickRates>,
     /// Detailed L1 + reference stream (None in rate-based mode).
     detailed: Option<DetailedL1>,
+}
+
+/// What one tick adds at a given operating point.
+#[derive(Debug, Clone, Copy)]
+struct TickRates {
+    level: FrequencyLevel,
+    starved: bool,
+    /// Instructions retired per ns.
+    retired: f64,
+    /// Shared-L2 accesses per ns.
+    l2_accesses: f64,
+}
+
+impl TickRates {
+    fn new(
+        profile: &BenchmarkProfile,
+        model: &PowerModel,
+        level: FrequencyLevel,
+        starved: bool,
+        starvation_duty: f64,
+    ) -> Self {
+        let mut retired = profile.throughput(model.table().freq_ghz(level));
+        if starved {
+            retired *= starvation_duty.clamp(0.0, 1.0);
+        }
+        TickRates {
+            level,
+            starved,
+            retired,
+            l2_accesses: retired * profile.l2_accesses_per_kinstr / 1_000.0,
+        }
+    }
 }
 
 /// Detailed per-tile memory state: a real L1 data cache fed by a synthetic
@@ -74,6 +112,7 @@ impl Tile {
             retired_total: 0.0,
             retired_window: 0.0,
             l2_credit: 0.0,
+            rates: None,
             detailed: None,
         }
     }
@@ -235,16 +274,10 @@ impl Tile {
     /// forward progress, and it retires instructions at that duty-cycled
     /// rate.
     pub(crate) fn tick(&mut self, model: &PowerModel, starvation_duty: f64) -> u32 {
-        let Some(retired) = self.retire(model, starvation_duty) else {
+        let Some(rates) = self.retire(model, starvation_duty) else {
             return 0;
         };
-        let rate = self
-            .assignment
-            .as_ref()
-            .expect("retire() returned Some")
-            .profile
-            .l2_accesses_per_kinstr;
-        self.l2_credit += retired * rate / 1_000.0;
+        self.l2_credit += rates.l2_accesses;
         let whole = self.l2_credit.floor();
         self.l2_credit -= whole;
         whole as u32
@@ -271,13 +304,13 @@ impl Tile {
                 return (misses, 0);
             }
         }
-        let Some(retired) = self.retire(model, starvation_duty) else {
+        let Some(rates) = self.retire(model, starvation_duty) else {
             return (misses, 0);
         };
         let Some(d) = self.detailed.as_mut() else {
             return (misses, 0);
         };
-        d.ref_credit += retired * REFS_PER_KINSTR / 1_000.0;
+        d.ref_credit += rates.retired * REFS_PER_KINSTR / 1_000.0;
         let whole = d.ref_credit.floor() as usize;
         d.ref_credit -= whole as f64;
         let mut n = 0;
@@ -293,17 +326,22 @@ impl Tile {
     }
     // htpb-lint: end-hot
 
-    /// Retires one nanosecond of instructions; `None` for idle tiles.
-    fn retire(&mut self, model: &PowerModel, starvation_duty: f64) -> Option<f64> {
+    /// Retires one nanosecond of instructions and returns the rates it
+    /// retired at; `None` for idle tiles.
+    fn retire(&mut self, model: &PowerModel, starvation_duty: f64) -> Option<TickRates> {
         let a = self.assignment.as_ref()?;
-        let f = model.table().freq_ghz(self.level);
-        let mut retired = a.profile.throughput(f); // instructions per ns
-        if self.starved {
-            retired *= starvation_duty.clamp(0.0, 1.0);
-        }
-        self.retired_total += retired;
-        self.retired_window += retired;
-        Some(retired)
+        let rates = match self.rates {
+            Some(r) if r.level == self.level && r.starved == self.starved => r,
+            _ => {
+                let r =
+                    TickRates::new(&a.profile, model, self.level, self.starved, starvation_duty);
+                self.rates = Some(r);
+                r
+            }
+        };
+        self.retired_total += rates.retired;
+        self.retired_window += rates.retired;
+        Some(rates)
     }
 }
 
@@ -409,6 +447,49 @@ mod tests {
         // quarter of its throughput.
         let ratio = starved.retired_total() / healthy.retired_total();
         assert!((ratio - 0.25).abs() < 1e-9, "ratio {ratio}");
+    }
+
+    #[test]
+    fn cached_rates_match_a_per_tick_recomputation_bit_for_bit() {
+        let model = PowerModel::default_45nm();
+        let duty = 0.25;
+        let mut t = assigned_tile(Benchmark::Canneal, AppRole::Legitimate, 1.0);
+        let profile = Benchmark::Canneal.profile();
+        // The model: every f64 recomputed from scratch on every tick.
+        let (mut total, mut window, mut l2_credit) = (0.0f64, 0.0f64, 0.0f64);
+        let grants = [
+            None,                                    // MIN, never granted
+            Some(model.peak_power_mw()),             // level up
+            Some(model.power_mw(FrequencyLevel(2))), // level down
+            Some(0.0),                               // starve
+            Some(model.min_power_mw() + 1.0),        // un-starve
+        ];
+        let mut seen = Vec::new();
+        for grant in grants {
+            if let Some(mw) = grant {
+                t.apply_grant(mw, &model);
+            }
+            seen.push((t.level(), t.is_starved()));
+            for _ in 0..300 {
+                let accesses = t.tick(&model, duty);
+                let mut retired = profile.throughput(model.table().freq_ghz(t.level()));
+                if t.is_starved() {
+                    retired *= duty;
+                }
+                total += retired;
+                window += retired;
+                l2_credit += retired * profile.l2_accesses_per_kinstr / 1_000.0;
+                let whole = l2_credit.floor();
+                l2_credit -= whole;
+                assert_eq!(t.retired_total().to_bits(), total.to_bits());
+                assert_eq!(t.retired_window().to_bits(), window.to_bits());
+                assert_eq!(accesses, whole as u32);
+            }
+        }
+        // The grants really moved the operating point four times.
+        assert!(seen[1].0 > seen[0].0 && seen[2].0 < seen[1].0);
+        assert_eq!(seen[3], (FrequencyLevel::MIN, true));
+        assert!(!seen[4].1);
     }
 
     #[test]

@@ -663,6 +663,8 @@ impl<I: PacketInspector> Network<I> {
     /// the router stays in the active set) and take links down (the output
     /// port skips arbitration this cycle).
     fn stage_switch_traversal(&mut self, faults_engaged: bool) {
+        /// All five output ports, N/S/E/W/Local, as a port mask.
+        const ALL_PORTS: u64 = (1 << Direction::ALL.len()) - 1;
         // Credit returns are deferred to the end of the stage: a credit
         // freed by router r this cycle must not be spendable by a router
         // visited after r in the same cycle.
@@ -680,11 +682,17 @@ impl<I: PacketInspector> Network<I> {
         for w in 0..self.active.words() {
             for b in BitsIter(self.active.word(w)) {
                 let ri = w * 64 + b;
-                // Nothing to grant and nothing to sink: every output port
-                // would find an empty request mask. Faulted cycles still
-                // visit every active router, so the hook is asked about the
-                // same routers and links in the same order.
-                if !faults_engaged && !self.routers.has_switch_work(ri) {
+                // Only output ports with a switch request can grant. Faulted
+                // cycles still visit every port of every active router, so
+                // the hook is asked about the same routers and links in the
+                // same order.
+                let ports = if faults_engaged {
+                    ALL_PORTS
+                } else {
+                    self.routers.requesting_ports(ri)
+                };
+                // Nothing to grant and nothing to sink.
+                if ports == 0 && self.routers.core[ri].dropping_vcs == 0 {
                     continue;
                 }
                 let node = NodeId(ri as u16);
@@ -722,8 +730,8 @@ impl<I: PacketInspector> Network<I> {
                         }
                     }
                 }
-                for out_dir in Direction::ALL {
-                    let od = out_dir.index();
+                for od in BitsIter(ports) {
+                    let out_dir = Direction::ALL[od];
                     if out_dir != Direction::Local {
                         // No busy-link test: link delivery ran first this
                         // cycle and took every occupied link, and a link is

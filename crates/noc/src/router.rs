@@ -382,15 +382,19 @@ impl Routers {
         core.occupied & core.route_req[od] & !core.va_pending
     }
 
-    /// Whether switch traversal can do anything at router `r` this cycle:
-    /// some occupied slot is routed and (for a mesh port) holds a
-    /// downstream VC — the union of the five [`Routers::switch_requests`]
-    /// masks is non-empty — or some VC is sinking a dropped packet. O(1).
+    /// The output ports of router `r` with a switch request: bit `od` is set
+    /// iff [`Routers::switch_requests`]`(r, od)` is non-empty. Granting at
+    /// one port pops only a slot routed there, so the mask taken before the
+    /// first grant stays exact for the rest of the router's visit.
     #[inline]
-    pub(crate) fn has_switch_work(&self, r: usize) -> bool {
+    pub(crate) fn requesting_ports(&self, r: usize) -> u64 {
         let core = &self.core[r];
-        let routed = core.route_req.iter().fold(0, |acc, &m| acc | m);
-        core.occupied & !core.va_pending & routed != 0 || core.dropping_vcs != 0
+        let ready = core.occupied & !core.va_pending;
+        let mut ports = 0;
+        for (od, &req) in core.route_req.iter().enumerate() {
+            ports |= u64::from(req & ready != 0) << od;
+        }
+        ports
     }
 
     /// Occupied slots with a non-local route still awaiting a downstream
@@ -410,8 +414,8 @@ impl Routers {
     }
 
     /// Switch allocation for output port `od` of router `r`: round-robin
-    /// over the requesting slots `req` — slots `>= sa_rr[od]` ascending,
-    /// then the wrap-around below it, the same visit order as the dense
+    /// over the requesting slots `req` from `sa_rr[od]` (see
+    /// [`round_robin`]), the same visit order as the dense
     /// `(start + off) % slots` scan minus the slots it could never have
     /// granted. A candidate is skipped while its downstream VC has no
     /// credit (checked first: one byte next to the masks) or its front flit
@@ -420,8 +424,7 @@ impl Routers {
     #[inline]
     pub(crate) fn arbitrate(&self, r: usize, od: usize, req: u64, now: u64) -> Option<usize> {
         let base = r * self.slots;
-        let low = (1u64 << self.core[r].sa_rr[od]) - 1;
-        BitsIter(req & !low).chain(BitsIter(req & low)).find(|&s| {
+        round_robin(req, self.core[r].sa_rr[od]).find(|&s| {
             let st = &self.vc[base + s];
             debug_assert!(st.len > 0, "occupied slot holds no flit");
             debug_assert_eq!(
@@ -441,9 +444,10 @@ impl Routers {
 
     /// Crosses the flit at the front of the granted slot `s` of router `r`
     /// over the switch to output port `od`: advances the RR pointer past
-    /// `s` by `bump`, pops the flit and, for a mesh port, spends one credit
-    /// of the packet's downstream VC (released for reallocation when the
-    /// tail leaves). Returns the flit and that downstream VC.
+    /// `s` by `bump` (at most 2, so one wrap at `slots` suffices), pops the
+    /// flit and, for a mesh port, spends one credit of the packet's
+    /// downstream VC (released for reallocation when the tail leaves).
+    /// Returns the flit and that downstream VC.
     #[inline]
     pub(crate) fn cross_switch(
         &mut self,
@@ -454,8 +458,13 @@ impl Routers {
     ) -> (FlitHandle, Option<u8>) {
         let out_vc = self.vc[r * self.slots + s].out_vc;
         let flit = self.pop_flit(r, s).expect("granted VC nonempty");
+        debug_assert!(s < self.slots && bump <= 2, "RR bump out of range");
+        let mut next = s + bump;
+        if next >= self.slots {
+            next -= self.slots;
+        }
         let core = &mut self.core[r];
-        core.sa_rr[od] = ((s + bump) % self.slots) as u8;
+        core.sa_rr[od] = next as u8;
         core.flits_forwarded += 1;
         if od != LOCAL {
             let o = od * self.config.vcs
@@ -536,6 +545,17 @@ impl Routers {
         assert_eq!(core.buffered, buffered, "flit counter drifted");
         assert_eq!(core.dropping_vcs, dropping, "dropping-VC counter drifted");
     }
+}
+
+/// The slots of `req` in round-robin order from `start`: slots `>= start`
+/// ascending, then the wrap-around below it. Rotating `req` right by `start`
+/// lays them out in that order: slot `s` lands on bit `(s - start) mod 64`,
+/// and every slot is below 64 (at most 60), so the wrapped slots sort after
+/// the rest.
+#[inline]
+fn round_robin(req: u64, start: u8) -> impl Iterator<Item = usize> {
+    let start = u32::from(start);
+    BitsIter(req.rotate_right(start)).map(move |b| (b + start as usize) & 63)
 }
 
 /// Read-only view of one mesh router: five input ports (N/S/E/W/Local)
@@ -834,6 +854,72 @@ mod tests {
         assert_eq!(r.arbitrate(0, od, req, 6), None);
         r.return_credit(r.credit_index(0, od, 1));
         assert_eq!(r.arbitrate(0, od, req, 6), Some(b));
+    }
+
+    #[test]
+    fn rotated_round_robin_matches_the_two_pass_walk() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a5a);
+        for slots in [5u32, 10, 20, 60] {
+            let all = (1u64 << slots) - 1;
+            for start in 0..slots as u8 {
+                // The walk `arbitrate` ran before the rotation, kept as the
+                // model: slots `>= start`, then the wrap-around below it.
+                let low = (1u64 << start) - 1;
+                let mut masks = vec![0, all, 1 << start, low];
+                masks.extend((0..1_000).map(|_| rng.next_u64() & all));
+                for req in masks {
+                    let model: Vec<usize> =
+                        BitsIter(req & !low).chain(BitsIter(req & low)).collect();
+                    let rotated: Vec<usize> = round_robin(req, start).collect();
+                    assert_eq!(rotated, model, "slots {slots}, start {start}, req {req:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn requesting_ports_is_the_union_of_switch_requests() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xa5a5);
+        for _ in 0..500 {
+            let config = RouterConfig {
+                vcs: rng.gen_range(1..=12),
+                buffer_depth: rng.gen_range(1..=5),
+            };
+            let (mut r, _store, flits) = rig(config);
+            for s in 0..r.slots() {
+                // Head and body flits only: a pop below never clears the
+                // route, so routed slots can also be empty.
+                let pushed = rng.gen_range(0..=config.buffer_depth);
+                for i in 0..pushed {
+                    r.push_flit(0, s, flits[i % 4], 0);
+                }
+                if rng.gen_bool(0.7) {
+                    let dir = Direction::ALL[rng.gen_range(0..5)];
+                    r.set_route(0, s, dir);
+                    if dir != Direction::Local && rng.gen_bool(0.6) {
+                        if let Some(ovc) = r.free_out_vc(0, dir.index()) {
+                            r.grant_out_vc(0, s, ovc);
+                        }
+                    }
+                }
+                for _ in 0..rng.gen_range(0..=pushed) {
+                    r.pop_flit(0, s);
+                }
+            }
+            r.debug_consistent(0);
+            let ports = r.requesting_ports(0);
+            assert!(ports < 1 << 5);
+            for od in 0..5 {
+                assert_eq!(
+                    ports >> od & 1 == 1,
+                    r.switch_requests(0, od) != 0,
+                    "port {od} of {:?}",
+                    r.core[0]
+                );
+            }
+        }
     }
 
     #[test]
