@@ -38,7 +38,7 @@ pub fn analytic_infection_rate(
             continue;
         }
         sources += 1;
-        if mesh.xy_path(src, manager).iter().any(|n| set.contains(n)) {
+        if xy_route_touches(mesh, src, manager, |n| set.contains(&n)) {
             infected += 1;
         }
     }
@@ -47,6 +47,20 @@ pub fn analytic_infection_rate(
     } else {
         f64::from(infected) / f64::from(sources)
     }
+}
+
+/// Whether the XY route `src → manager` passes a router in a node set,
+/// given as its membership test `in_set`. The route includes both end
+/// routers: a Trojan at the source or at the manager sees the request
+/// like one in between.
+#[must_use]
+pub fn xy_route_touches(
+    mesh: Mesh2d,
+    src: NodeId,
+    manager: NodeId,
+    in_set: impl Fn(NodeId) -> bool,
+) -> bool {
+    mesh.xy_path(src, manager).into_iter().any(in_set)
 }
 
 #[cfg(test)]

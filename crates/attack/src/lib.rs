@@ -27,7 +27,7 @@ pub mod optimize;
 pub mod placement;
 pub mod scenario;
 
-pub use analytic::analytic_infection_rate;
+pub use analytic::{analytic_infection_rate, xy_route_touches};
 pub use metrics::{attack_effect, performance_change, sensitivity_phi, AttackOutcome};
 pub use model::{AttackModel, AttackSample, LinearModel};
 pub use optimize::{PlacementCandidate, PlacementOptimizer};

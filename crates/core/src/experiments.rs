@@ -1,8 +1,8 @@
 //! Drivers for every experiment in the paper's evaluation (Section V).
 
 use htpb_attack::{
-    sensitivity_phi, AttackOutcome, AttackSample, Mix, Placement, PlacementOptimizer,
-    PlacementStrategy,
+    sensitivity_phi, xy_route_touches, AttackOutcome, AttackSample, Mix, Placement,
+    PlacementOptimizer, PlacementStrategy,
 };
 use htpb_faults::FaultPlan;
 use htpb_manycore::{AppRole, ManyCoreSystem, PerformanceReport, SystemBuilder};
@@ -416,7 +416,11 @@ pub fn run_campaign_with_baseline(
     clean: &PerformanceReport,
 ) -> CampaignResult {
     let mut attacked_sys = build_attacked_system(cfg, duty, None);
-    let attacked = run_to_report(cfg, &mut attacked_sys);
+    let attacked = if fleet_is_inert(cfg, &attacked_sys) {
+        clean.clone()
+    } else {
+        run_to_report(cfg, &mut attacked_sys)
+    };
 
     let outcome = AttackOutcome::compare(&attacked, clean)
         .expect("mixes always contain attackers and victims with live baselines");
@@ -464,6 +468,44 @@ fn build_attacked_system(
         .inspector_mut()
         .configure_all(&agents, manager, true);
     attacked_sys
+}
+
+/// Whether the built attacked chip's Trojan fleet can never change a
+/// packet, so that the chip would run bit-identically to its clean baseline.
+///
+/// A Trojan rewrites or drops nothing but `POWER_REQ`s addressed to the
+/// manager it was configured with, and only while the fleet's schedule arms
+/// it (`HardwareTrojan::scan`); every other packet passes untouched, and
+/// inspection costs no cycle. A fleet that never acts therefore leaves
+/// every flit, grant and retired instruction as on the clean chip. It never
+/// acts if either
+/// - (a) its schedule never arms ([`ActivationSchedule::never_arms`]), or
+/// - (b) routing is XY, so a request's route depends only on its source
+///   and destination (paper §IV; [`htpb_attack::analytic_infection_rate`]
+///   predicts the simulator exactly), and no Trojan lies on the XY route,
+///   end routers included, from any tile whose request a Trojan could
+///   rewrite to the manager. Those are the assigned non-manager tiles,
+///   which alone send requests, except the attacker agents: comparator 3
+///   exempts them unless the fleet carries a boost. `PacketDrop` sinks
+///   exactly the requests `FalseData` rewrites, so the same tiles count.
+///
+/// Adaptive routes depend on congestion, so under them an armed fleet is
+/// never inert. Tile roles and Trojan nodes are read from the built chip.
+fn fleet_is_inert(cfg: &CampaignConfig, sys: &ManyCoreSystem<TrojanFleet>) -> bool {
+    let fleet = sys.network().inspector();
+    if fleet.schedule().never_arms() {
+        return true;
+    }
+    let chip = sys.config();
+    if chip.routing != RoutingKind::Xy {
+        return false;
+    }
+    !sys.tiles().iter().any(|t| {
+        t.node() != chip.manager
+            && t.assignment()
+                .is_some_and(|a| a.role != AppRole::Malicious || cfg.ht_boost.is_some())
+            && xy_route_touches(chip.mesh, t.node(), chip.manager, |n| fleet.contains(n))
+    })
 }
 
 /// One point of the Fig. 5 / Fig. 6 sweep.
@@ -883,21 +925,119 @@ mod tests {
 
     #[test]
     fn analytic_matches_simulation_for_xy() {
-        let exp = InfectionExperiment::new(64);
-        for seed in [5u64, 9] {
-            let p = exp.placement(6, &PlacementStrategy::Random { seed });
-            let simulated = exp.measure(&p);
-            let analytic = htpb_attack::analytic_infection_rate(
-                exp.mesh(),
-                exp.manager_node(),
-                p.nodes(),
-                None,
-            );
-            assert!(
-                (simulated - analytic).abs() < 1e-9,
-                "seed {seed}: sim {simulated} vs analytic {analytic}"
-            );
+        // Every quick-scale Fig. 3 placement: 64 nodes, both manager
+        // locations, 0..=30 Trojans in steps of 5, seeds 0..3.
+        for at in [ManagerLocation::Center, ManagerLocation::Corner] {
+            let exp = InfectionExperiment::new(64).manager(at);
+            for m in (0..=30).step_by(5) {
+                for seed in 0u64..3 {
+                    let p = exp.placement(m, &PlacementStrategy::Random { seed });
+                    let simulated = exp.measure(&p);
+                    let analytic = htpb_attack::analytic_infection_rate(
+                        exp.mesh(),
+                        exp.manager_node(),
+                        p.nodes(),
+                        None,
+                    );
+                    assert!(
+                        (simulated - analytic).abs() < 1e-9,
+                        "{at:?}, {m} Trojans, seed {seed}: sim {simulated} vs analytic {analytic}"
+                    );
+                }
+            }
         }
+    }
+
+    /// Asserts two reports equal field by field, f64 fields by bit pattern.
+    fn assert_bit_identical(a: &PerformanceReport, b: &PerformanceReport, what: &str) {
+        let counts = |r: &PerformanceReport| {
+            (
+                r.window_cycles,
+                r.power_requests_delivered,
+                r.power_requests_modified,
+                r.requests_timed_out,
+                r.requests_rejected,
+                r.requests_clamped,
+                r.apps.len(),
+            )
+        };
+        assert_eq!(counts(a), counts(b), "{what}");
+        for (x, y) in a.apps.iter().zip(&b.apps) {
+            assert_eq!(
+                (x.id, x.benchmark, x.role, x.threads, x.starved_cores),
+                (y.id, y.benchmark, y.role, y.threads, y.starved_cores),
+                "{what}"
+            );
+            assert_eq!(x.theta.to_bits(), y.theta.to_bits(), "{what}: {:?}", x.id);
+        }
+    }
+
+    #[test]
+    fn chips_with_inert_fleets_simulate_bit_identically_to_their_baseline() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        // Simulation stays the oracle: every chip the elision would skip is
+        // run anyway and must reproduce its clean baseline exactly.
+        let mut rng = StdRng::seed_from_u64(0x1E27_F1EE7);
+        let mut baselines = std::collections::BTreeMap::new();
+        let (mut inert, mut armed_inert, mut live) = (0, 0, 0);
+        for case in 0..300 {
+            let mix = Mix::ALL[rng.gen_range(0..4)];
+            let mut cfg = CampaignConfig::tiny(mix);
+            cfg.nodes = [16, 24, 32, 48, 64][rng.gen_range(0..5)];
+            // Every policy: under fair share a boosted attacker request
+            // rarely changes a grant, so a boost needs the other four to show.
+            cfg.allocator = AllocatorKind::ALL[rng.gen_range(0..AllocatorKind::ALL.len())];
+            if rng.gen_bool(1.0 / 3.0) {
+                cfg.routing = RoutingKind::OddEven;
+            }
+            if rng.gen_bool(0.5) {
+                cfg.ht_mode = TrojanMode::PacketDrop;
+            }
+            if rng.gen_bool(0.5) {
+                cfg.ht_boost = Some(BoostRule::new(150));
+            }
+            let mesh = cfg.mesh();
+            let manager = cfg.manager.resolve(mesh);
+            let m = rng.gen_range(1..=8);
+            let strategy = if rng.gen_bool(0.5) {
+                PlacementStrategy::Random {
+                    seed: rng.next_u64(),
+                }
+            } else {
+                let anchor = NodeId(rng.gen_range(0..cfg.nodes) as u16);
+                PlacementStrategy::ClusterAround { anchor }
+            };
+            cfg.placement = Some(Placement::generate(mesh, m, &strategy, &[manager]));
+            // Duty 0 is inert by its schedule alone; the route argument
+            // needs the armed cases.
+            let duty = [0.0, 0.5, 0.5, 1.0, 1.0, 1.0][rng.gen_range(0..6)];
+
+            let mut attacked_sys = build_attacked_system(&cfg, duty, None);
+            if !fleet_is_inert(&cfg, &attacked_sys) {
+                live += 1;
+                continue;
+            }
+            inert += 1;
+            if duty > 0.0 {
+                armed_inert += 1;
+            }
+            let what = format!("case {case}, duty {duty}, {cfg:?}");
+            let attacked = run_to_report(&cfg, &mut attacked_sys);
+            let clean = baselines
+                .entry(cfg.baseline_id())
+                .or_insert_with(|| run_clean_baseline(&cfg));
+            assert_bit_identical(&attacked, clean, &what);
+            // The driver skips this chip and reports what it just simulated.
+            let elided = run_campaign_with_baseline(&cfg, duty, clean);
+            assert_bit_identical(&elided.attacked, clean, &what);
+            assert_eq!(elided.outcome.q_value, 1.0, "{what}");
+            assert_eq!(elided.outcome.infection_rate, 0.0, "{what}");
+        }
+        assert!(
+            inert >= 20 && live >= 20 && armed_inert >= 10,
+            "sweep must cover both sides: {inert} inert ({armed_inert} armed), {live} live"
+        );
     }
 
     #[test]

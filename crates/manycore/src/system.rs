@@ -1,5 +1,4 @@
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -389,8 +388,7 @@ impl SystemBuilder {
             net,
             tiles,
             manager,
-            events: BinaryHeap::new(),
-            event_seq: 0,
+            replies: ReplyLines::default(),
             window_start: 0,
             window_requests_delivered: 0,
             window_requests_modified: 0,
@@ -409,9 +407,64 @@ impl SystemBuilder {
     }
 }
 
-/// A deferred cache/memory reply: at `fire`, node `from` sends a data packet
-/// back to node `to`.
-type ReplyEvent = Reverse<(u64, u64, u16, u16)>;
+/// Deferred cache/memory replies, `(fire, seq, from, to)`: at `fire`, node
+/// `from` sends a data packet back to node `to`; `seq` numbers replies in
+/// scheduling order.
+///
+/// A reply fires at `now + L2_HIT_LATENCY` or at `now + memory_latency`,
+/// and both latencies are fixed for a system's life, so each latency's
+/// replies are scheduled in fire order: one FIFO delay line per latency
+/// holds them sorted. The next reply is the front with the smaller
+/// `(fire, seq)`, the order a priority queue over all replies pops.
+#[derive(Debug, Default)]
+struct ReplyLines {
+    l2_hit: VecDeque<(u64, u64, u16, u16)>,
+    memory: VecDeque<(u64, u64, u16, u16)>,
+    seq: u64,
+}
+
+impl ReplyLines {
+    fn line(&mut self, memory: bool) -> &mut VecDeque<(u64, u64, u16, u16)> {
+        if memory {
+            &mut self.memory
+        } else {
+            &mut self.l2_hit
+        }
+    }
+
+    /// Schedules a reply `from → to` at `fire` on the L2-hit line, or on
+    /// the memory line when `memory` is set.
+    fn schedule(&mut self, memory: bool, fire: u64, from: u16, to: u16) {
+        self.seq += 1;
+        let seq = self.seq;
+        let line = self.line(memory);
+        debug_assert!(
+            line.back().is_none_or(|&(last, ..)| last <= fire),
+            "a delay line's fire times never go down"
+        );
+        line.push_back((fire, seq, from, to));
+    }
+
+    /// The next reply's fire time, and whether it waits on the memory line.
+    fn next(&self) -> Option<(u64, bool)> {
+        match (self.l2_hit.front(), self.memory.front()) {
+            (Some(h), Some(m)) if (m.0, m.1) < (h.0, h.1) => Some((m.0, true)),
+            (Some(h), _) => Some((h.0, false)),
+            (None, m) => m.map(|m| (m.0, true)),
+        }
+    }
+
+    /// Removes and returns `(from, to)` of the next reply if it fires at
+    /// or before `cycle`.
+    fn pop_due(&mut self, cycle: u64) -> Option<(u16, u16)> {
+        let (fire, memory) = self.next()?;
+        if fire > cycle {
+            return None;
+        }
+        let (_, _, from, to) = self.line(memory).pop_front()?;
+        Some((from, to))
+    }
+}
 
 /// The full chip: cycle-accurate NoC + analytic tiles + the power budgeting
 /// protocol, advanced in lock-step (one cycle = 1 ns of wall-clock time).
@@ -432,8 +485,7 @@ pub struct ManyCoreSystem<I: PacketInspector = NullInspector> {
     net: Network<I>,
     tiles: Vec<Tile>,
     manager: GlobalManager,
-    events: BinaryHeap<ReplyEvent>,
-    event_seq: u64,
+    replies: ReplyLines,
     window_start: u64,
     window_requests_delivered: u64,
     window_requests_modified: u64,
@@ -630,7 +682,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         } else {
             base + epoch
         };
-        if let Some(&Reverse((fire, _, _, _))) = self.events.peek() {
+        if let Some((fire, _)) = self.replies.next() {
             next = next.min(fire.max(cycle));
         }
         next
@@ -782,11 +834,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
 
     // htpb-lint: hot
     fn fire_due_replies(&mut self, cycle: u64) {
-        while let Some(&Reverse((fire, _, from, to))) = self.events.peek() {
-            if fire > cycle {
-                break;
-            }
-            self.events.pop();
+        while let Some((from, to)) = self.replies.pop_due(cycle) {
             let _ = self
                 .net
                 .inject(Packet::new(NodeId(from), NodeId(to), PacketKind::Data, 0));
@@ -863,18 +911,8 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
                     let miss_rate = self.tiles[p.src().0 as usize]
                         .assignment()
                         .map_or(0.2, |a| a.profile.l2_miss_rate);
-                    let delay = if self.rng.gen_bool(miss_rate.clamp(0.0, 1.0)) {
-                        self.config.memory_latency
-                    } else {
-                        L2_HIT_LATENCY
-                    };
-                    self.event_seq += 1;
-                    self.events.push(Reverse((
-                        self.net.cycle() + delay,
-                        self.event_seq,
-                        p.dst().raw(),
-                        p.src().raw(),
-                    )));
+                    let miss = self.rng.gen_bool(miss_rate.clamp(0.0, 1.0));
+                    self.schedule_reply(miss, p.dst(), p.src());
                 }
                 _ => {}
             }
@@ -910,18 +948,19 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         }
         let l2 = &mut self.l2_slices[home.0 as usize];
         let hit = l2.access(line).hit && was_tracked;
-        let delay = if hit {
-            L2_HIT_LATENCY
-        } else {
+        self.schedule_reply(!hit, home, requester);
+    }
+
+    /// Schedules a data reply `from → to` after the memory latency on a
+    /// miss, else after the L2 hit latency.
+    fn schedule_reply(&mut self, miss: bool, from: NodeId, to: NodeId) {
+        let delay = if miss {
             self.config.memory_latency
+        } else {
+            L2_HIT_LATENCY
         };
-        self.event_seq += 1;
-        self.events.push(Reverse((
-            self.net.cycle() + delay,
-            self.event_seq,
-            home.raw(),
-            requester.raw(),
-        )));
+        self.replies
+            .schedule(miss, self.net.cycle() + delay, from.raw(), to.raw());
     }
 
     fn tick_tiles(&mut self) {

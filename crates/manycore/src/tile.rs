@@ -278,9 +278,12 @@ impl Tile {
             return 0;
         };
         self.l2_credit += rates.l2_accesses;
-        let whole = self.l2_credit.floor();
-        self.l2_credit -= whole;
-        whole as u32
+        // The credit was in [0, 1) and grew by a finite, non-negative rate,
+        // so truncation is `floor` and the whole part fits a `u32`.
+        debug_assert!((0.0..=1.0 + rates.l2_accesses).contains(&self.l2_credit));
+        let whole = self.l2_credit as u32;
+        self.l2_credit -= f64::from(whole);
+        whole
     }
 
     /// Detailed-mode tick: retires instructions, then runs the tick's

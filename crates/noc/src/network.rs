@@ -6,7 +6,7 @@ use crate::inspect::{NullInspector, PacketInspector};
 use crate::metrics::NocMetrics;
 use crate::packet::{Packet, PacketKind};
 use crate::router::{Router, RouterConfig, Routers};
-use crate::routing::{RoutingAlgorithm, RoutingKind};
+use crate::routing::RoutingKind;
 use crate::stats::NetworkStats;
 use crate::store::{PacketStore, NIL};
 use crate::topology::{Coord, Direction, Mesh2d, NodeId};
@@ -170,7 +170,7 @@ impl InjectQueue {
 /// [`RouterConfig`]. See `docs/PERF.md`, *Data layout & arenas*.
 pub struct Network<I: PacketInspector = NullInspector> {
     mesh: Mesh2d,
-    routing: Box<dyn RoutingAlgorithm>,
+    routing: RoutingKind,
     routers: Routers,
     /// `links[node * 4 + dir]`: flit in flight from `node` towards `dir`.
     links: Vec<LinkSlot>,
@@ -237,7 +237,7 @@ impl<I: PacketInspector> Network<I> {
         let nodes = config.mesh.nodes() as usize;
         Network {
             mesh: config.mesh,
-            routing: config.routing.build(),
+            routing: config.routing,
             routers: Routers::new(nodes, config.router),
             links: vec![LinkSlot::EMPTY; nodes * 4],
             inject_q: vec![InjectQueue::EMPTY; nodes],

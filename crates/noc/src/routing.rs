@@ -26,13 +26,16 @@ impl RoutingKind {
         RoutingKind::WestFirst,
     ];
 
-    /// Instantiates the algorithm.
+    /// Routes with the selected algorithm: [`RoutingAlgorithm::route`],
+    /// dispatched by a `match` the per-hop call inlines instead of through
+    /// a trait object.
+    #[inline]
     #[must_use]
-    pub fn build(self) -> Box<dyn RoutingAlgorithm> {
+    pub fn route(self, current: Coord, dst: Coord, in_dir: Direction) -> RouteCandidates {
         match self {
-            RoutingKind::Xy => Box::new(XyRouting),
-            RoutingKind::OddEven => Box::new(OddEvenRouting),
-            RoutingKind::WestFirst => Box::new(WestFirstRouting),
+            RoutingKind::Xy => XyRouting.route(current, dst, in_dir),
+            RoutingKind::OddEven => OddEvenRouting.route(current, dst, in_dir),
+            RoutingKind::WestFirst => WestFirstRouting.route(current, dst, in_dir),
         }
     }
 }
@@ -86,6 +89,7 @@ impl RouteCandidates {
     }
 
     /// The candidates as a slice, in preference order.
+    #[inline]
     #[must_use]
     pub(crate) fn as_slice(&self) -> &[Direction] {
         &self.dirs[..usize::from(self.len)]
@@ -95,6 +99,7 @@ impl RouteCandidates {
 impl std::ops::Deref for RouteCandidates {
     type Target = [Direction];
 
+    #[inline]
     fn deref(&self) -> &[Direction] {
         self.as_slice()
     }
@@ -310,9 +315,7 @@ mod tests {
     fn routes_at_destination_are_local() {
         let m = mesh();
         for kind in RoutingKind::ALL {
-            let dirs =
-                kind.build()
-                    .route(m.coord(NodeId(20)), m.coord(NodeId(20)), Direction::North);
+            let dirs = kind.route(m.coord(NodeId(20)), m.coord(NodeId(20)), Direction::North);
             assert_eq!(dirs.as_slice(), [Direction::Local], "{kind:?}");
         }
     }

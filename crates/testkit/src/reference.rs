@@ -24,7 +24,7 @@ use std::collections::{HashMap, VecDeque};
 
 use htpb_noc::{
     DeliveredPacket, Digest, FaultAction, FaultHook, Flit, Mesh2d, NetworkConfig, NocError, NodeId,
-    Packet, PacketInspector, PacketKind, RoutingAlgorithm, TraceBuffer, TraceEvent, VcSnapshot,
+    Packet, PacketInspector, PacketKind, RoutingKind, TraceBuffer, TraceEvent, VcSnapshot,
     INJECTION_QUEUE_CAPACITY,
 };
 
@@ -201,7 +201,7 @@ struct RefMeta {
 pub struct ReferenceNet {
     mesh: Mesh2d,
     vcs: usize,
-    routing: Box<dyn RoutingAlgorithm>,
+    routing: RoutingKind,
     routers: Vec<RefRouter>,
     /// `links[node * 4 + dir]`, flit plus its allocated downstream VC.
     links: Vec<Option<(Flit, usize)>>,
@@ -229,7 +229,7 @@ impl ReferenceNet {
         ReferenceNet {
             mesh: config.mesh,
             vcs: config.router.vcs,
-            routing: config.routing.build(),
+            routing: config.routing,
             routers: (0..nodes)
                 .map(|_| RefRouter::new(config.router.vcs, config.router.buffer_depth))
                 .collect(),

@@ -37,6 +37,14 @@ impl ActivationSchedule {
         }
     }
 
+    /// Whether the schedule arms the Trojans at no cycle at all: a duty
+    /// cycle of zero `on` cycles per non-empty window, which is what
+    /// [`ActivationSchedule::duty`] builds for a fraction of 0.
+    #[must_use]
+    pub fn never_arms(self) -> bool {
+        matches!(self, ActivationSchedule::DutyCycle { on: 0, period } if period > 0)
+    }
+
     /// Whether the schedule arms the Trojans at `cycle`.
     #[must_use]
     pub fn active_at(self, cycle: u64) -> bool {
@@ -91,6 +99,25 @@ mod tests {
             ActivationSchedule::duty(-1.0, 10),
             ActivationSchedule::DutyCycle { on: 0, period: 10 }
         );
+    }
+
+    #[test]
+    fn never_arms_exactly_when_no_cycle_is_active() {
+        assert!(ActivationSchedule::duty(0.0, 4_000).never_arms());
+        assert!(ActivationSchedule::duty(-1.0, 10).never_arms());
+        for s in [
+            ActivationSchedule::AlwaysOn,
+            ActivationSchedule::duty(0.5, 10),
+            ActivationSchedule::DutyCycle { on: 0, period: 0 },
+        ] {
+            assert!(!s.never_arms(), "{s:?}");
+        }
+        // The predicate agrees with `active_at` over whole windows.
+        for (on, period) in [(0u64, 1u64), (0, 7), (1, 7), (0, 0), (3, 3)] {
+            let s = ActivationSchedule::DutyCycle { on, period };
+            let armed = (0..2 * period.max(1)).any(|c| s.active_at(c));
+            assert_eq!(s.never_arms(), !armed, "{s:?}");
+        }
     }
 
     #[test]
