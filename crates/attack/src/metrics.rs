@@ -11,7 +11,7 @@ use htpb_power::DvfsTable;
 /// Returns `None` when the clean baseline is zero (the app never ran) or
 /// the app is missing from either report.
 #[must_use]
-pub fn performance_change(
+pub(crate) fn performance_change(
     under_attack: &PerformanceReport,
     clean: &PerformanceReport,
     app: AppId,
@@ -31,7 +31,10 @@ pub fn performance_change(
 /// [`AppRole::Malicious`] form Δ). Returns `None` if either set is empty or
 /// any baseline θ is zero.
 #[must_use]
-pub fn attack_effect(under_attack: &PerformanceReport, clean: &PerformanceReport) -> Option<f64> {
+pub(crate) fn attack_effect(
+    under_attack: &PerformanceReport,
+    clean: &PerformanceReport,
+) -> Option<f64> {
     let mut sum_attackers = 0.0;
     let mut sum_victims = 0.0;
     let mut attackers = 0usize;
@@ -96,7 +99,8 @@ pub struct AttackOutcome {
 impl AttackOutcome {
     /// Builds the outcome from an attacked report and its clean baseline.
     ///
-    /// Returns `None` under the same conditions as [`attack_effect`].
+    /// Returns `None` if either application set is empty or any baseline θ
+    /// is zero.
     #[must_use]
     pub fn compare(under_attack: &PerformanceReport, clean: &PerformanceReport) -> Option<Self> {
         let q_value = attack_effect(under_attack, clean)?;

@@ -14,7 +14,7 @@ use crate::linalg::{least_squares, r_squared};
 /// vectors (first weight is the intercept if callers put a constant 1
 /// column first — [`AttackModel`] does).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinearModel {
+pub(crate) struct LinearModel {
     weights: Vec<f64>,
     r2: f64,
 }
@@ -48,7 +48,8 @@ impl LinearModel {
     ///
     /// Panics if `features` has a different length than the training rows.
     #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.weights.len(), "feature arity");
         dot(&self.weights, features)
     }
@@ -157,7 +158,8 @@ impl AttackModel {
 
     /// Predicts Q for a prospective configuration.
     #[must_use]
-    pub fn predict(&self, sample: &AttackSample) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, sample: &AttackSample) -> f64 {
         self.inner.predict(&sample.features())
     }
 }

@@ -4,9 +4,8 @@ use htpb_attack::{
     sensitivity_phi, xy_route_touches, AttackOutcome, AttackSample, Mix, Placement,
     PlacementOptimizer, PlacementStrategy,
 };
-use htpb_faults::FaultPlan;
 use htpb_manycore::{AppRole, ManyCoreSystem, PerformanceReport, SystemBuilder};
-use htpb_noc::{Mesh2d, Network, NetworkConfig, NodeId, Packet, RoutingKind};
+use htpb_noc::{FaultPlan, Mesh2d, Network, NetworkConfig, NodeId, Packet, RoutingKind};
 use htpb_power::{AllocatorKind, DegradationCounters, DvfsTable, HardeningConfig};
 use htpb_trojan::{ActivationSchedule, BoostRule, TamperRule, TrojanFleet, TrojanMode};
 

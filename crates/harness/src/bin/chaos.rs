@@ -20,7 +20,7 @@
 //! operation indices, then re-runs clean and asserts convergence.
 //!
 //! Usage:
-//! `cargo run --release -p htpb-bench --bin chaos [-- FLAGS]`
+//! `cargo run --release --bin chaos [-- FLAGS]`
 //!
 //! - `--trials N`    SIGKILL trials (default 50);
 //! - `--fs-trials N` in-process fault-injection trials (default 12);

@@ -3,7 +3,7 @@
 //! plus a `results/SUMMARY.txt` with the shape checks.
 //!
 //! Usage:
-//! `cargo run --release -p htpb-bench --bin repro_all [-- FLAGS]`
+//! `cargo run --release --bin repro_all [-- FLAGS]`
 //!
 //! - `--quick`      shrink the platforms (64 nodes, fewer seeds) for a fast
 //!   smoke-reproduction (~1 min); default is paper scale;

@@ -2,7 +2,7 @@
 //! faults, swept over *fault rate × allocator policy × hardening × duty*.
 //!
 //! Usage:
-//! `cargo run --release -p htpb-bench --bin resilience [-- FLAGS]`
+//! `cargo run --release --bin resilience [-- FLAGS]`
 //!
 //! - `--quick`        the default: small campaigns (64 nodes, fewer epochs);
 //! - `--tiny`         seconds-scale smoke run (CI / integration scale);

@@ -27,7 +27,7 @@ use crate::json::{self, Value};
 /// Bump when the meaning or encoding of any cached result changes; every
 /// existing entry then misses and is recomputed. v2: entries are
 /// checksummed and committed durably.
-pub const SCHEMA_VERSION: u32 = 2;
+pub(crate) const SCHEMA_VERSION: u32 = 2;
 
 /// Handle to a cache directory.
 #[derive(Debug, Clone)]

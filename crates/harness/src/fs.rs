@@ -15,7 +15,7 @@
 //! - [`commit_append`] — *single durable append*: the record is written
 //!   with one `O_APPEND` write and fsynced. A crash can tear at most the
 //!   record being written, and only at the tail; the journal's per-record
-//!   framing ([`crate::journal`]) detects exactly that.
+//!   framing (`journal.rs`) detects exactly that.
 //!
 //! Production uses [`StdFs`]. Tests and the chaos harness inject
 //! [`FaultyFs`], which fails deterministic operation indices with ENOSPC,

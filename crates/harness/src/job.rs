@@ -15,7 +15,7 @@ use htpb_core::experiments::{
     regression_dataset_with, regression_placements, resilience_point, run_clean_baseline,
     CampaignConfig, ManagerLocation,
 };
-use htpb_core::AllocatorKind;
+use htpb_power::AllocatorKind;
 
 use crate::baseline::BaselineCache;
 use crate::json::Value;

@@ -382,7 +382,7 @@ impl History {
 
 /// Aggregated `job_done` history for one job kind (`fig3`, `sweep`, ...).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageTally {
+pub(crate) struct StageTally {
     /// The job kind ([`crate::JobSpec::kind`]).
     pub kind: String,
     /// `job_done` records seen for this kind (cache hits included).

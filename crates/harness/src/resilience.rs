@@ -20,7 +20,7 @@ use std::io;
 use std::path::Path;
 
 use htpb_attack::Mix;
-use htpb_core::AllocatorKind;
+use htpb_power::AllocatorKind;
 
 use crate::campaign::Campaign;
 use crate::job::{CampaignScale, JobOutput, JobSpec};
@@ -29,12 +29,12 @@ use crate::runner::{JobReport, RunOptions};
 
 /// Fault-plan seed shared by every cell of the standard sweep, so runs are
 /// reproducible and cells differ only in their declared parameters.
-pub const FAULT_SEED: u64 = 0xFA17;
+pub(crate) const FAULT_SEED: u64 = 0xFA17;
 
 /// Victim-throughput retention bound the summary asserts for the
 /// faults-only hardened cells: θ must stay within `[RETENTION_BOUND, 1 /
 /// RETENTION_BOUND]` of the fault-free cell.
-pub const RETENTION_BOUND: f64 = 0.7;
+pub(crate) const RETENTION_BOUND: f64 = 0.7;
 
 /// The resilience sweep as an explicit job grid.
 pub(crate) struct ResiliencePlan {
@@ -67,7 +67,7 @@ impl ResiliencePlan {
 
     /// A fully parameterized grid (tests and ad-hoc studies).
     #[must_use]
-    pub fn custom(
+    pub(crate) fn custom(
         scale: CampaignScale,
         mix: Mix,
         drops: &[u32],

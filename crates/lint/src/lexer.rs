@@ -10,7 +10,7 @@
 //! Comments are not discarded: they are returned as a parallel stream so
 //! the waiver grammar (`// htpb-lint: allow(<rule>) -- <why>`) and the
 //! hot-region markers (`// htpb-lint: hot` / `// htpb-lint: end-hot`) can
-//! be resolved against the token stream (see [`crate::rules`]).
+//! be resolved against the token stream (see `rules.rs`).
 
 /// What a significant token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

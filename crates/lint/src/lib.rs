@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod lexer;
-pub mod rules;
+mod rules;
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -191,8 +191,8 @@ mod tests {
         let c = classify("crates/harness/tests/crash_safety.rs");
         assert!(c.in_test_dir);
 
-        let c = classify("crates/bench/src/bin/repro_all.rs");
-        assert_eq!(c.crate_name, "bench");
+        let c = classify("crates/harness/src/bin/repro_all.rs");
+        assert_eq!(c.crate_name, "harness");
         assert!(c.is_crate_root);
         assert!(!c.in_test_dir);
 

@@ -108,7 +108,7 @@ const FIRING: &[(&str, &str, &str)] = &[
         include_str!("../tests/fixtures/hot_alloc_fire.rs"),
     ),
     (
-        "crates/bench/src/seeded.rs",
+        "crates/harness/src/emit.rs",
         "fs/choke-point",
         include_str!("../tests/fixtures/choke_fire.rs"),
     ),
@@ -133,7 +133,7 @@ const FIRING: &[(&str, &str, &str)] = &[
         include_str!("../tests/fixtures/forbid_unsafe_fire.rs"),
     ),
     (
-        "crates/faults/src/seeded.rs",
+        "crates/noc/src/waived.rs",
         "lint/marker",
         include_str!("../tests/fixtures/waiver_unjustified_fire.rs"),
     ),
@@ -157,7 +157,7 @@ const CLEAN: &[(&str, &str)] = &[
         include_str!("../tests/fixtures/hot_alloc_clean.rs"),
     ),
     (
-        "crates/bench/src/a.rs",
+        "crates/harness/src/emit.rs",
         include_str!("../tests/fixtures/choke_clean.rs"),
     ),
     (
@@ -177,7 +177,7 @@ const CLEAN: &[(&str, &str)] = &[
         include_str!("../tests/fixtures/forbid_unsafe_clean.rs"),
     ),
     (
-        "crates/faults/src/a.rs",
+        "crates/noc/src/waived.rs",
         include_str!("../tests/fixtures/waiver_ok.rs"),
     ),
     (

@@ -18,21 +18,22 @@ use crate::lexer::{lex, Lexed, Tok, TokKind};
 /// Crates whose simulation output feeds the paper's quantitative claims.
 /// Their sources may not consult wall clocks, entropy, or SipHash-keyed
 /// (iteration-order-randomized) collections.
-pub const SIM_CRATES: &[&str] = &[
-    "noc", "power", "manycore", "trojan", "attack", "defense", "faults", "core",
+pub(crate) const SIM_CRATES: &[&str] = &[
+    "noc", "power", "manycore", "trojan", "attack", "defense", "core",
 ];
 
 /// Crates that must never register a `Class::Sim` observability series:
 /// their instruments measure wall-clock scheduling, and a mislabelled
 /// series would leak nondeterminism into `results/metrics.prom`.
-pub const TIMING_ONLY_CRATES: &[&str] = &["harness", "bench"];
+pub(crate) const TIMING_ONLY_CRATES: &[&str] = &["harness"];
 
 /// Files holding the crash-recovery state machine and the durable-commit
 /// protocol; a panic there turns a recoverable fault into data loss.
-pub const RECOVERY_FILES: &[&str] = &["crates/harness/src/campaign.rs", "crates/harness/src/fs.rs"];
+pub(crate) const RECOVERY_FILES: &[&str] =
+    &["crates/harness/src/campaign.rs", "crates/harness/src/fs.rs"];
 
 /// The single file allowed to call raw filesystem mutation APIs.
-pub const FS_CHOKE_FILE: &str = "crates/harness/src/fs.rs";
+pub(crate) const FS_CHOKE_FILE: &str = "crates/harness/src/fs.rs";
 
 /// One catalog entry. `id` is `<category>/<name>`; the full rationale per
 /// rule lives in `docs/LINTS.md`.
@@ -78,7 +79,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "obs/sim-placement",
         summary: "Class::Sim series registered from a timing-only crate",
-        hint: "harness/bench instruments are scheduling-dependent: use Class::Timing",
+        hint: "harness instruments are scheduling-dependent: use Class::Timing",
     },
     RuleInfo {
         id: "panic/recovery-path",
@@ -816,15 +817,15 @@ mod tests {
 
     #[test]
     fn choke_point_exempts_fs_rs_and_tests() {
-        let bench = FileCtx {
-            path: "crates/bench/src/bin/x.rs",
-            crate_name: "bench",
+        let bin = FileCtx {
+            path: "crates/harness/src/bin/x.rs",
+            crate_name: "harness",
             in_test_dir: false,
             is_crate_root: true,
         };
         let src = "#![forbid(unsafe_code)]\nfn f() { std::fs::write(\"a\", b\"x\").ok(); }\n";
         assert_eq!(
-            rules_fired(&analyze_source(&bench, src)),
+            rules_fired(&analyze_source(&bin, src)),
             vec!["fs/choke-point"]
         );
         let fs = FileCtx {

@@ -59,7 +59,7 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         "choke_fire.rs",
         "choke_clean.rs",
         "fs/choke-point",
-        "crates/bench/src/seeded.rs",
+        "crates/harness/src/emit.rs",
     ),
     (
         "class_explicit_fire.rs",
@@ -89,7 +89,7 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         "waiver_unjustified_fire.rs",
         "waiver_ok.rs",
         "lint/marker",
-        "crates/faults/src/seeded.rs",
+        "crates/noc/src/waived.rs",
     ),
 ];
 
@@ -158,7 +158,7 @@ fn lexer_tricky_fixture_is_silent_in_the_strictest_context() {
 #[test]
 fn justified_waivers_suppress_and_tally() {
     let report = analyze_source(
-        &ctx("crates/faults/src/seeded.rs", false),
+        &ctx("crates/noc/src/waived.rs", false),
         &fixture("waiver_ok.rs"),
     );
     assert!(report.violations.is_empty());
@@ -172,7 +172,7 @@ fn justified_waivers_suppress_and_tally() {
 #[test]
 fn unjustified_waiver_leaves_the_finding_live() {
     let report = analyze_source(
-        &ctx("crates/faults/src/seeded.rs", false),
+        &ctx("crates/noc/src/waived.rs", false),
         &fixture("waiver_unjustified_fire.rs"),
     );
     let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();

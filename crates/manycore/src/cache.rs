@@ -515,7 +515,7 @@ impl Directory {
 /// derived from the benchmark's L2 miss rate so detailed-cache runs land
 /// near the profile's rates.
 #[derive(Debug, Clone)]
-pub struct AddressStream {
+pub(crate) struct AddressStream {
     state: u64,
     hot_base: u64,
     hot_lines: u64,

@@ -39,7 +39,7 @@
 
 mod app;
 mod benchmark;
-pub mod cache;
+mod cache;
 mod error;
 mod metrics;
 pub mod obs_bridge;
@@ -49,11 +49,8 @@ mod tile;
 
 pub use app::{AppId, AppRole, Application, Workload};
 pub use benchmark::{Benchmark, BenchmarkProfile};
-pub use cache::{
-    AccessResult, AddressStream, CacheConfig, Directory, DirectoryAction, LineState, SetAssocCache,
-};
+pub use cache::{AccessResult, CacheConfig, Directory, DirectoryAction, LineState, SetAssocCache};
 pub use error::ManycoreError;
-pub use metrics::{SysMetrics, UTIL_DECILES};
 pub use report::{AppPerformance, PerformanceReport};
 pub use system::{ManyCoreSystem, RequestProtection, SystemBuilder, SystemConfig, L2_HIT_LATENCY};
 pub use tile::Tile;

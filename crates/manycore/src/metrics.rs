@@ -11,11 +11,11 @@
 use htpb_noc::LatencyHistogram;
 
 /// Number of budget-utilization deciles tracked per epoch.
-pub const UTIL_DECILES: usize = 10;
+pub(crate) const UTIL_DECILES: usize = 10;
 
 /// Live power-protocol tallies, updated when metrics are enabled.
 #[derive(Debug, Clone, Default)]
-pub struct SysMetrics {
+pub(crate) struct SysMetrics {
     /// End-to-end latency of `POWER_GRANT` deliveries (manager to core),
     /// in cycles.
     pub grant_latency: LatencyHistogram,

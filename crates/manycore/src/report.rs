@@ -62,7 +62,8 @@ impl PerformanceReport {
     /// window — how hard the hardened manager had to work to keep budgeting
     /// sane.
     #[must_use]
-    pub fn degradation_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn degradation_total(&self) -> u64 {
         self.requests_timed_out + self.requests_rejected + self.requests_clamped
     }
 

@@ -555,7 +555,7 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
     }
 
     /// Installs a fault-injection hook on the underlying NoC (e.g. a seeded
-    /// `htpb_faults::FaultPlan`). Like the inspector, this is configured
+    /// `htpb_noc::FaultPlan`). Like the inspector, this is configured
     /// after `build()` because the builder stays `Clone`.
     pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
         self.net.set_fault_hook(hook);
@@ -730,7 +730,8 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
     /// every assigned, non-starved core (starved cores are power-gated down
     /// to a retention floor the budget does not manage).
     #[must_use]
-    pub fn power_draw_mw(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn power_draw_mw(&self) -> f64 {
         self.tiles
             .iter()
             .filter(|t| t.is_assigned() && !t.is_starved())
@@ -1316,7 +1317,7 @@ mod tests {
             }
             let mut sys = b.build().unwrap();
             sys.set_fault_hook(Box::new(
-                htpb_faults::FaultPlan::new(0xD1E).with_drops(200_000),
+                htpb_noc::FaultPlan::new(0xD1E).with_drops(200_000),
             ));
             sys.run_epochs(1);
             sys.begin_measurement();

@@ -148,7 +148,8 @@ impl Tile {
 
     /// Whether detailed-cache mode is active.
     #[must_use]
-    pub fn has_detailed_cache(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_detailed_cache(&self) -> bool {
         self.detailed.is_some()
     }
 
@@ -181,7 +182,8 @@ impl Tile {
 
     /// Current MSHR occupancy (detailed mode; 0 otherwise).
     #[must_use]
-    pub fn outstanding_misses(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn outstanding_misses(&self) -> u32 {
         self.detailed.as_ref().map_or(0, |d| d.outstanding)
     }
 

@@ -37,7 +37,7 @@ impl FaultAction {
 
     /// Drop the whole packet at this router.
     #[must_use]
-    pub fn drop_packet() -> Self {
+    pub(crate) fn drop_packet() -> Self {
         FaultAction {
             flip_mask: 0,
             drop: true,
@@ -72,7 +72,7 @@ impl FaultAction {
 /// [`FaultHook::any_faults_at`] gates all three: when it returns `false` for
 /// a cycle the pipeline makes **zero** per-entity hook calls, which is what
 /// keeps an empty fault plan bit-identical to a build with no hook installed
-/// (locked by the golden digests and the `htpb-faults` equivalence proptest).
+/// (locked by the golden digests and the fault-plan equivalence proptest).
 ///
 /// Implementations must be deterministic functions of their own state and
 /// the arguments — the simulator calls them in a fixed order and replays

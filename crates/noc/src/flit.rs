@@ -1,11 +1,8 @@
 use crate::packet::Packet;
 use crate::topology::NodeId;
 
-/// Flit width in bits (Table I: "NoC flit size 72-bit").
-pub const FLIT_SIZE_BITS: u32 = 72;
-
 /// Flits per data packet (Table I: "Data packet size 5 flits").
-pub const FLITS_PER_DATA_PACKET: usize = 5;
+pub(crate) const FLITS_PER_DATA_PACKET: usize = 5;
 
 /// Flits per meta packet (Table I: "Meta packet size 1 flit").
 pub const FLITS_PER_META_PACKET: usize = 1;
@@ -41,7 +38,7 @@ impl FlitKind {
     /// header, `i == n - 1` terminates the wormhole, `n == 1` is the
     /// combined `HeadTail` flit of a meta packet.
     #[must_use]
-    pub fn nth(i: usize, n: usize) -> FlitKind {
+    pub(crate) fn nth(i: usize, n: usize) -> FlitKind {
         if n == 1 {
             FlitKind::HeadTail
         } else if i == 0 {

@@ -44,7 +44,7 @@ impl Hasher for FnvHasher {
 }
 
 /// `BuildHasher` plugging [`FnvHasher`] into `HashMap`.
-pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
+pub(crate) type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// A `HashMap` keyed by FNV-1a — the simulator's hot-path map type.
 pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>; // htpb-lint: allow(determinism/std-hash) -- alias definition; the FNV hasher replaces SipHash here

@@ -41,6 +41,7 @@ mod inspect;
 mod metrics;
 mod network;
 mod packet;
+mod plan;
 mod router;
 mod routing;
 mod spec;
@@ -53,16 +54,15 @@ mod vc;
 
 pub use error::NocError;
 pub use fault::{FaultAction, FaultHook};
-pub use flit::{Flit, FlitKind, FLITS_PER_DATA_PACKET, FLITS_PER_META_PACKET, FLIT_SIZE_BITS};
-pub use fnv::{Digest, FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
+pub use flit::{Flit, FlitKind, FLITS_PER_META_PACKET};
+pub use fnv::{Digest, FnvHashMap, FnvHashSet, FnvHasher};
 pub use inspect::{InspectOutcome, NullInspector, PacketInspector};
-pub use metrics::{NocMetrics, VC_OCCUPANCY_BUCKETS};
+pub use metrics::NocMetrics;
 pub use network::{DeliveredPacket, Network, NetworkConfig, INJECTION_QUEUE_CAPACITY};
 pub use packet::{ActivationSignal, ConfigCommand, Packet, PacketKind};
+pub use plan::{FaultCounterHandle, FaultCounters, FaultPlan};
 pub use router::{Router, RouterConfig, VcSnapshot};
-pub use routing::{
-    OddEvenRouting, RouteCandidates, RoutingAlgorithm, RoutingKind, WestFirstRouting, XyRouting,
-};
+pub use routing::{RouteCandidates, RoutingKind};
 pub use spec::{spec_fields, spec_rate, spec_u64};
 pub use stats::{LatencyHistogram, NetworkStats};
 pub use store::PacketStore;

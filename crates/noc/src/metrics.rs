@@ -22,7 +22,7 @@
 /// Number of occupancy buckets in [`NocMetrics::vc_occupancy`]: bucket `i`
 /// counts pushes that left the VC holding `i + 1` flits, with the last
 /// bucket absorbing every deeper occupancy.
-pub const VC_OCCUPANCY_BUCKETS: usize = 8;
+pub(crate) const VC_OCCUPANCY_BUCKETS: usize = 8;
 
 /// Live tallies updated by the pipeline when metrics are enabled.
 ///

@@ -343,7 +343,8 @@ impl<I: PacketInspector> Network<I> {
 
     /// Whether a fault hook is currently installed.
     #[must_use]
-    pub fn has_fault_hook(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_fault_hook(&self) -> bool {
         self.faults.is_some()
     }
 
@@ -939,7 +940,6 @@ impl<I: PacketInspector> Network<I> {
     #[inline]
     fn route_head(&mut self, ri: usize, slot: usize, faults_engaged: bool) {
         let node = NodeId(ri as u16);
-        let in_dir = Direction::ALL[slot / self.routers.vcs()];
         let st = self.routers.vc(ri, slot);
         debug_assert!(st.route.is_none() && !st.dropping, "unrouted mask drifted");
         let needs_inspection = !st.inspected;
@@ -1008,9 +1008,9 @@ impl<I: PacketInspector> Network<I> {
             });
         }
         let dst = self.store.packet(meta).dst();
-        let candidates =
-            self.routing
-                .route(self.coords[ri], self.coords[usize::from(dst.0)], in_dir);
+        let candidates = self
+            .routing
+            .route(self.coords[ri], self.coords[usize::from(dst.0)]);
         debug_assert!(!candidates.is_empty());
         let chosen = if candidates.len() == 1 {
             candidates[0]

@@ -1,10 +1,45 @@
+//! Deterministic fault injection for the power-budgeting pipeline.
+//!
+//! The paper's attack model assumes a *perfect* NoC: every `POWER_REQ`
+//! either arrives intact or was tampered with by a Trojan. Real silicon is
+//! noisier — links go down, routers stall under voltage droop, buffers flip
+//! bits, packets are lost — and any claim about detecting the Trojan is only
+//! credible against that noisy baseline. This module provides the noise:
+//!
+//! * [`FaultPlan`] — a seeded description of *which* faults occur *when*,
+//!   implementing [`FaultHook`]. Every decision is a pure hash of
+//!   `(seed, entity, time)`, so the same plan replays the same faults bit
+//!   for bit, independently of call order or platform.
+//! * [`FaultCounters`] — ground-truth tallies of the faults actually applied
+//!   during a run, read back with [`FaultPlan::counters`] (via
+//!   [`crate::Network::take_fault_hook`]).
+//!
+//! An **empty** plan (all rates zero — [`FaultPlan::new`]) reports "no
+//! faults" from its per-cycle gate, which keeps the simulator's fault path
+//! to a single branch and the network bit-identical to a build with no hook
+//! installed. That equivalence is locked by `tests/proptest_faults.rs` and
+//! the NoC golden digests.
+//!
+//! ```
+//! use htpb_noc::{FaultPlan, Mesh2d, Network, NetworkConfig, NodeId, Packet};
+//!
+//! let plan = FaultPlan::new(0xFA_017).with_drops(10_000); // 1% of packets
+//! let mesh = Mesh2d::new(4, 4).unwrap();
+//! let mut net = Network::new(NetworkConfig::new(mesh));
+//! net.set_fault_hook(Box::new(plan));
+//! net.inject(Packet::power_request(NodeId(0), NodeId(15), 1500)).unwrap();
+//! net.run_until_idle(10_000);
+//! ```
+
 use std::sync::{Arc, Mutex};
 
-use htpb_noc::{Direction, FaultAction, FaultHook, NodeId, Packet};
+use crate::fault::{FaultAction, FaultHook};
+use crate::packet::Packet;
+use crate::topology::{Direction, NodeId};
 
 /// Rates are expressed in parts per million: `1_000_000` = always,
 /// `10_000` = 1%, `0` = never.
-pub const PPM_SCALE: u64 = 1_000_000;
+pub(crate) const PPM_SCALE: u64 = 1_000_000;
 
 /// Hash domains, one per fault mode, so decisions in different modes are
 /// statistically independent even for the same entity and cycle.
@@ -41,7 +76,7 @@ impl FaultCounters {
 
 /// A handle onto a [`FaultPlan`]'s live counters.
 ///
-/// [`htpb_noc::Network::set_fault_hook`] takes the plan by `Box<dyn
+/// [`crate::Network::set_fault_hook`] takes the plan by `Box<dyn
 /// FaultHook>`, which cannot be downcast back; grab a handle with
 /// [`FaultPlan::counter_handle`] *before* installing the plan and read the
 /// tallies any time, including mid-run.
@@ -256,7 +291,7 @@ impl FaultHook for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htpb_noc::PacketKind;
+    use crate::PacketKind;
 
     #[test]
     fn empty_plan_never_engages() {
@@ -348,7 +383,7 @@ mod tests {
 
     #[test]
     fn full_drop_plan_sinks_all_traffic() {
-        use htpb_noc::{Mesh2d, Network, NetworkConfig};
+        use crate::{Mesh2d, Network, NetworkConfig};
         let mesh = Mesh2d::new(4, 4).unwrap();
         let plan = FaultPlan::new(3).with_drops(1_000_000);
         let counters = plan.counter_handle();

@@ -257,6 +257,8 @@ impl Routers {
     }
 
     /// Free credits router `r` holds for downstream VC `vc` behind `od`.
+    /// Read only by the debug-build invariant check and by tests.
+    #[cfg(any(test, debug_assertions))]
     #[inline]
     pub(crate) fn credit(&self, r: usize, od: usize, vc: usize) -> usize {
         usize::from(self.credits[r * self.slots + od * self.config.vcs + vc])
@@ -602,7 +604,8 @@ impl<'a> Router<'a> {
 
     /// Whether an input VC has room for one more flit.
     #[must_use]
-    pub fn can_accept(&self, dir: Direction, vc: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn can_accept(&self, dir: Direction, vc: usize) -> bool {
         assert!(vc < self.routers.config.vcs);
         self.routers
             .has_space(self.index, dir.index() * self.routers.config.vcs + vc)
@@ -645,7 +648,8 @@ impl<'a> Router<'a> {
 
     /// Free credits this router holds for one downstream VC (diagnostics).
     #[must_use]
-    pub fn output_credit(&self, dir: Direction, vc: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn output_credit(&self, dir: Direction, vc: usize) -> usize {
         assert!(vc < self.routers.config.vcs);
         self.routers.credit(self.index, dir.index(), vc)
     }
@@ -653,7 +657,8 @@ impl<'a> Router<'a> {
     /// Whether a downstream VC is currently allocated to a packet
     /// (diagnostics).
     #[must_use]
-    pub fn output_allocated(&self, dir: Direction, vc: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn output_allocated(&self, dir: Direction, vc: usize) -> bool {
         assert!(vc < self.routers.config.vcs);
         self.routers.core[self.index].out_allocated >> (dir.index() * self.routers.config.vcs + vc)
             & 1
@@ -663,14 +668,16 @@ impl<'a> Router<'a> {
     /// Flits this router has pushed through its crossbar so far — a
     /// utilization measure for congestion heatmaps.
     #[must_use]
-    pub fn flits_forwarded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn flits_forwarded(&self) -> u64 {
         self.routers.core[self.index].flits_forwarded
     }
 
     /// Packet headers that ran routing computation here (= packets that
     /// transited or terminated at this router).
     #[must_use]
-    pub fn packets_routed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn packets_routed(&self) -> u64 {
         self.routers.core[self.index].packets_routed
     }
 }

@@ -26,16 +26,24 @@ impl RoutingKind {
         RoutingKind::WestFirst,
     ];
 
-    /// Routes with the selected algorithm: [`RoutingAlgorithm::route`],
-    /// dispatched by a `match` the per-hop call inlines instead of through
-    /// a trait object.
+    /// Computes the candidate output directions for a packet at mesh
+    /// coordinate `current` heading to `dst`, in preference order, with the
+    /// selected algorithm. Every algorithm is minimal (every returned
+    /// direction reduces the Manhattan distance to the destination) and
+    /// deadlock-free under wormhole switching with credit flow control.
+    /// Callers pass coordinates so the per-hop call does no id-to-coordinate
+    /// division ([`crate::Network`] reads them from a table built once;
+    /// other callers use [`crate::Mesh2d::coord`]).
+    ///
+    /// Returns [`Direction::Local`] as the single candidate when
+    /// `current == dst`.
     #[inline]
     #[must_use]
-    pub fn route(self, current: Coord, dst: Coord, in_dir: Direction) -> RouteCandidates {
+    pub fn route(self, current: Coord, dst: Coord) -> RouteCandidates {
         match self {
-            RoutingKind::Xy => XyRouting.route(current, dst, in_dir),
-            RoutingKind::OddEven => OddEvenRouting.route(current, dst, in_dir),
-            RoutingKind::WestFirst => WestFirstRouting.route(current, dst, in_dir),
+            RoutingKind::Xy => xy(current, dst),
+            RoutingKind::OddEven => odd_even(current, dst),
+            RoutingKind::WestFirst => west_first(current, dst),
         }
     }
 }
@@ -114,51 +122,20 @@ impl<'a> IntoIterator for &'a RouteCandidates {
     }
 }
 
-/// A mesh routing function.
-///
-/// Implementations must be minimal (every returned direction reduces the
-/// Manhattan distance to the destination) and deadlock-free under wormhole
-/// switching with credit flow control.
-pub trait RoutingAlgorithm: Send {
-    /// Computes the candidate output directions for a packet at mesh
-    /// coordinate `current` heading to `dst`, in preference order. `in_dir`
-    /// is the port the packet arrived on (`Local` for freshly injected
-    /// packets); adaptive algorithms may use it to enforce turn
-    /// restrictions. Callers pass coordinates so the per-hop call does no
-    /// id-to-coordinate division ([`crate::Network`] reads them from a
-    /// table built once; other callers use [`crate::Mesh2d::coord`]).
-    ///
-    /// Returns [`Direction::Local`] as the single candidate when
-    /// `current == dst`.
-    fn route(&self, current: Coord, dst: Coord, in_dir: Direction) -> RouteCandidates;
-
-    /// A short human-readable name for logs and bench output.
-    fn name(&self) -> &'static str;
-}
-
 /// Deterministic dimension-ordered XY routing: exhaust the X offset, then
 /// the Y offset. Deadlock-free because it never takes a Y→X turn.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct XyRouting;
-
-impl RoutingAlgorithm for XyRouting {
-    fn route(&self, c: Coord, d: Coord, _in_dir: Direction) -> RouteCandidates {
-        RouteCandidates::single(if c == d {
-            Direction::Local
-        } else if d.x > c.x {
-            Direction::East
-        } else if d.x < c.x {
-            Direction::West
-        } else if d.y > c.y {
-            Direction::South
-        } else {
-            Direction::North
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "xy"
-    }
+fn xy(c: Coord, d: Coord) -> RouteCandidates {
+    RouteCandidates::single(if c == d {
+        Direction::Local
+    } else if d.x > c.x {
+        Direction::East
+    } else if d.x < c.x {
+        Direction::West
+    } else if d.y > c.y {
+        Direction::South
+    } else {
+        Direction::North
+    })
 }
 
 /// Minimal-adaptive odd-even turn routing (Chiu, 2000).
@@ -168,71 +145,62 @@ impl RoutingAlgorithm for XyRouting {
 /// NW/SW turns are forbidden in odd columns. The candidate set returned is
 /// the set of minimal directions allowed by those rules, ordered so that the
 /// less-congested dimension (larger remaining offset) is preferred.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OddEvenRouting;
+fn odd_even(current: Coord, dst: Coord) -> RouteCandidates {
+    // The source-column hint is `current` itself, so `c.x == s.x`
+    // always holds in `odd_even_allowed` and E→N / E→S turns are offered in
+    // even columns too. The goldens and the conformance corpus pin exactly
+    // this behaviour; see docs/TESTING.md (single-VC wedge).
+    odd_even_allowed(current, dst, current)
+}
 
-impl OddEvenRouting {
-    fn allowed(c: Coord, d: Coord, s: Coord) -> RouteCandidates {
-        let mut out = RouteCandidates::new();
-        let ex = d.x as i32 - c.x as i32;
-        let ey = d.y as i32 - c.y as i32;
-        if ex == 0 && ey == 0 {
-            return RouteCandidates::single(Direction::Local);
-        }
-        let even_col = c.x.is_multiple_of(2);
-        if ex > 0 {
-            // Eastbound: turning off the E channel (E→N / E→S) is only legal
-            // in odd columns, so only offer the Y moves there — unless the
-            // packet is already aligned in X.
-            if ey == 0 {
-                out.push(Direction::East);
-            } else {
-                if !even_col || c.x == s.x {
-                    if ey > 0 {
-                        out.push(Direction::South);
-                    } else {
-                        out.push(Direction::North);
-                    }
-                }
-                out.push(Direction::East);
-            }
-        } else if ex < 0 {
-            // Westbound: N→W / S→W turns end in even columns only when the
-            // destination column is even-adjacent; the classic rule forbids
-            // NW/SW turns taken *into* odd columns. Minimal implementation:
-            // always allow West; allow the Y move only in even columns.
-            if ey != 0 && even_col {
+/// The odd-even candidates at `c` for a packet to `d` whose source column
+/// is `s.x`.
+fn odd_even_allowed(c: Coord, d: Coord, s: Coord) -> RouteCandidates {
+    let mut out = RouteCandidates::new();
+    let ex = d.x as i32 - c.x as i32;
+    let ey = d.y as i32 - c.y as i32;
+    if ex == 0 && ey == 0 {
+        return RouteCandidates::single(Direction::Local);
+    }
+    let even_col = c.x.is_multiple_of(2);
+    if ex > 0 {
+        // Eastbound: turning off the E channel (E→N / E→S) is only legal
+        // in odd columns, so only offer the Y moves there — unless the
+        // packet is already aligned in X.
+        if ey == 0 {
+            out.push(Direction::East);
+        } else {
+            if !even_col || c.x == s.x {
                 if ey > 0 {
                     out.push(Direction::South);
                 } else {
                     out.push(Direction::North);
                 }
             }
-            out.push(Direction::West);
-        } else {
-            // X aligned: go straight along Y.
+            out.push(Direction::East);
+        }
+    } else if ex < 0 {
+        // Westbound: N→W / S→W turns end in even columns only when the
+        // destination column is even-adjacent; the classic rule forbids
+        // NW/SW turns taken *into* odd columns. Minimal implementation:
+        // always allow West; allow the Y move only in even columns.
+        if ey != 0 && even_col {
             if ey > 0 {
                 out.push(Direction::South);
             } else {
                 out.push(Direction::North);
             }
         }
-        out
+        out.push(Direction::West);
+    } else {
+        // X aligned: go straight along Y.
+        if ey > 0 {
+            out.push(Direction::South);
+        } else {
+            out.push(Direction::North);
+        }
     }
-}
-
-impl RoutingAlgorithm for OddEvenRouting {
-    fn route(&self, current: Coord, dst: Coord, _in_dir: Direction) -> RouteCandidates {
-        // The source-column hint is `current` itself, so `c.x == s.x`
-        // always holds in `allowed` and E→N / E→S turns are offered in even
-        // columns too. The goldens and the conformance corpus pin exactly
-        // this behaviour; see docs/TESTING.md (single-VC wedge).
-        Self::allowed(current, dst, current)
-    }
-
-    fn name(&self) -> &'static str {
-        "odd-even"
-    }
+    out
 }
 
 /// Minimal-adaptive west-first turn routing (Glass & Ni, 1992).
@@ -241,34 +209,25 @@ impl RoutingAlgorithm for OddEvenRouting {
 /// hops are taken first (deterministically); once the packet no longer
 /// needs to travel West, it may route fully adaptively among the remaining
 /// minimal directions. Deadlock-free on 2D meshes without extra VCs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WestFirstRouting;
-
-impl RoutingAlgorithm for WestFirstRouting {
-    fn route(&self, c: Coord, d: Coord, _in_dir: Direction) -> RouteCandidates {
-        if c == d {
-            return RouteCandidates::single(Direction::Local);
-        }
-        if d.x < c.x {
-            // West hops first, exclusively.
-            return RouteCandidates::single(Direction::West);
-        }
-        // No West component left: adaptive among the minimal E/N/S moves.
-        let mut out = RouteCandidates::new();
-        if d.x > c.x {
-            out.push(Direction::East);
-        }
-        if d.y > c.y {
-            out.push(Direction::South);
-        } else if d.y < c.y {
-            out.push(Direction::North);
-        }
-        out
+fn west_first(c: Coord, d: Coord) -> RouteCandidates {
+    if c == d {
+        return RouteCandidates::single(Direction::Local);
     }
-
-    fn name(&self) -> &'static str {
-        "west-first"
+    if d.x < c.x {
+        // West hops first, exclusively.
+        return RouteCandidates::single(Direction::West);
     }
+    // No West component left: adaptive among the minimal E/N/S moves.
+    let mut out = RouteCandidates::new();
+    if d.x > c.x {
+        out.push(Direction::East);
+    }
+    if d.y > c.y {
+        out.push(Direction::South);
+    } else if d.y < c.y {
+        out.push(Direction::North);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -283,12 +242,12 @@ mod tests {
     #[test]
     fn xy_reaches_destination_eventually() {
         let m = mesh();
-        let r = XyRouting;
+        let r = RoutingKind::Xy;
         let mut cur = NodeId(0);
         let dst = NodeId(63);
         let mut hops = 0;
         loop {
-            let dirs = r.route(m.coord(cur), m.coord(dst), Direction::Local);
+            let dirs = r.route(m.coord(cur), m.coord(dst));
             assert_eq!(dirs.len(), 1, "XY is deterministic");
             if dirs[0] == Direction::Local {
                 break;
@@ -304,10 +263,10 @@ mod tests {
     #[test]
     fn xy_is_x_first() {
         let m = mesh();
-        let dirs = XyRouting.route(m.coord(NodeId(0)), m.coord(NodeId(63)), Direction::Local);
+        let dirs = RoutingKind::Xy.route(m.coord(NodeId(0)), m.coord(NodeId(63)));
         assert_eq!(dirs.as_slice(), [Direction::East]);
         // Same column: moves in Y.
-        let dirs = XyRouting.route(m.coord(NodeId(7)), m.coord(NodeId(63)), Direction::Local);
+        let dirs = RoutingKind::Xy.route(m.coord(NodeId(7)), m.coord(NodeId(63)));
         assert_eq!(dirs.as_slice(), [Direction::South]);
     }
 
@@ -315,7 +274,7 @@ mod tests {
     fn routes_at_destination_are_local() {
         let m = mesh();
         for kind in RoutingKind::ALL {
-            let dirs = kind.route(m.coord(NodeId(20)), m.coord(NodeId(20)), Direction::North);
+            let dirs = kind.route(m.coord(NodeId(20)), m.coord(NodeId(20)));
             assert_eq!(dirs.as_slice(), [Direction::Local], "{kind:?}");
         }
     }
@@ -323,22 +282,22 @@ mod tests {
     #[test]
     fn west_first_exhausts_west_before_adapting() {
         let m = mesh();
-        let r = WestFirstRouting;
+        let r = RoutingKind::WestFirst;
         // dst is west and south of src: only West offered.
-        let dirs = r.route(m.coord(NodeId(12)), m.coord(NodeId(24)), Direction::Local); // (4,1) -> (0,3)
+        let dirs = r.route(m.coord(NodeId(12)), m.coord(NodeId(24))); // (4,1) -> (0,3)
         assert_eq!(dirs.as_slice(), [Direction::West]);
         // dst is east and south: both adaptive options offered.
-        let dirs = r.route(m.coord(NodeId(0)), m.coord(NodeId(63)), Direction::Local);
+        let dirs = r.route(m.coord(NodeId(0)), m.coord(NodeId(63)));
         assert_eq!(dirs.as_slice(), [Direction::East, Direction::South]);
     }
 
     #[test]
     fn west_first_candidates_are_minimal_on_all_pairs() {
         let m = Mesh2d::new(6, 6).unwrap();
-        let r = WestFirstRouting;
+        let r = RoutingKind::WestFirst;
         for src in m.iter_nodes() {
             for dst in m.iter_nodes() {
-                for &dir in &r.route(m.coord(src), m.coord(dst), Direction::Local) {
+                for &dir in &r.route(m.coord(src), m.coord(dst)) {
                     if dir == Direction::Local {
                         assert_eq!(src, dst);
                         continue;
@@ -357,10 +316,10 @@ mod tests {
     #[test]
     fn odd_even_candidates_are_minimal() {
         let m = mesh();
-        let r = OddEvenRouting;
+        let r = RoutingKind::OddEven;
         for src in m.iter_nodes() {
             for dst in m.iter_nodes() {
-                let dirs = r.route(m.coord(src), m.coord(dst), Direction::Local);
+                let dirs = r.route(m.coord(src), m.coord(dst));
                 assert!(!dirs.is_empty());
                 for d in &dirs {
                     if *d == Direction::Local {
@@ -386,20 +345,20 @@ mod tests {
         // source-column hint is the current column, so an eastbound packet
         // in even column 2 is offered South before East.
         let (c, d) = (Coord::new(2, 1), Coord::new(5, 4));
-        let dirs = OddEvenRouting.route(c, d, Direction::West);
+        let dirs = RoutingKind::OddEven.route(c, d);
         assert_eq!(dirs.as_slice(), [Direction::South, Direction::East]);
     }
 
     #[test]
     fn odd_even_terminates_on_all_pairs() {
         let m = Mesh2d::new(6, 6).unwrap();
-        let r = OddEvenRouting;
+        let r = RoutingKind::OddEven;
         for src in m.iter_nodes() {
             for dst in m.iter_nodes() {
                 let mut cur = src;
                 let mut hops = 0u32;
                 loop {
-                    let dirs = r.route(m.coord(cur), m.coord(dst), Direction::Local);
+                    let dirs = r.route(m.coord(cur), m.coord(dst));
                     if dirs[0] == Direction::Local {
                         break;
                     }

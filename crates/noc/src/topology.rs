@@ -86,7 +86,7 @@ impl Direction {
 
     /// The four mesh directions (no `Local`), in [`Direction::index`]
     /// order — the order link slots are laid out and scanned in.
-    pub const MESH: [Direction; 4] = [
+    pub(crate) const MESH: [Direction; 4] = [
         Direction::North,
         Direction::South,
         Direction::East,

@@ -142,7 +142,8 @@ impl TraceBuffer {
     /// All retained events for one packet, oldest first — the packet's
     /// reconstructed life: injection, per-hop route, tamperings, ejection.
     #[must_use]
-    pub fn packet_history(&self, packet: u64) -> Vec<TraceEvent> {
+    #[cfg(test)]
+    pub(crate) fn packet_history(&self, packet: u64) -> Vec<TraceEvent> {
         self.events
             .iter()
             .filter(|e| e.packet() == packet)
@@ -153,7 +154,8 @@ impl TraceBuffer {
     /// The route (routers in visit order) one packet took, from its
     /// retained `Routed` events.
     #[must_use]
-    pub fn packet_route(&self, packet: u64) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn packet_route(&self, packet: u64) -> Vec<NodeId> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -167,7 +169,8 @@ impl TraceBuffer {
 
     /// Routers where tampering was recorded, with counts, descending.
     #[must_use]
-    pub fn tamper_hotspots(&self) -> Vec<(NodeId, u64)> {
+    #[cfg(test)]
+    pub(crate) fn tamper_hotspots(&self) -> Vec<(NodeId, u64)> {
         let mut counts: std::collections::BTreeMap<NodeId, u64> = std::collections::BTreeMap::new();
         for e in &self.events {
             if let TraceEvent::Tampered { node, .. } = e {

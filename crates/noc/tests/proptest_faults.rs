@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 
-use htpb_faults::FaultPlan;
 use htpb_noc::{
-    HotspotTraffic, Mesh2d, Network, NetworkConfig, PacketKind, TrafficPattern, UniformTraffic,
+    FaultPlan, HotspotTraffic, Mesh2d, Network, NetworkConfig, PacketKind, TrafficPattern,
+    UniformTraffic,
 };
 
 /// Runs `cycles` of traffic plus a bounded drain, returning the stats

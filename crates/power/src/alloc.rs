@@ -300,7 +300,8 @@ impl Default for PiAllocator {
 impl PiAllocator {
     /// The current throttle factor (diagnostics).
     #[must_use]
-    pub fn throttle(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn throttle(&self) -> f64 {
         self.throttle
     }
 }

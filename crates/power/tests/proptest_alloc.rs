@@ -53,8 +53,57 @@ fn check_contract(
     Ok(())
 }
 
+/// Monotonicity in budget for the two work-conserving policies: over the
+/// same requests, budgets `b1 <= b2` give every core a grant at `b1` no
+/// larger than its grant at `b2` (within 1e-9 relative slack).
+fn check_monotone_in_budget(
+    requests: &[PowerRequest],
+    b1: f64,
+    b2: f64,
+) -> Result<(), TestCaseError> {
+    let model = PowerModel::default_45nm();
+    for kind in [AllocatorKind::Greedy, AllocatorKind::FairShare] {
+        let low = kind.build().allocate(requests, b1, &model);
+        let high = kind.build().allocate(requests, b2, &model);
+        for (g1, g2) in low.iter().zip(&high) {
+            prop_assert!(
+                g1.milliwatts <= g2.milliwatts + 1e-9 * g2.milliwatts.max(1.0),
+                "{}: core {} granted {} at budget {} but {} at budget {}",
+                kind.name(),
+                g1.core,
+                g1.milliwatts,
+                b1,
+                g2.milliwatts,
+                b2
+            );
+        }
+    }
+    Ok(())
+}
+
+/// One request per core, core `i` asking for `mws[i]` mW.
+fn requests_of(mws: &[f64]) -> Vec<PowerRequest> {
+    mws.iter()
+        .enumerate()
+        .map(|(i, &mw)| PowerRequest::new(i as u16, mw))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Raising the budget never lowers a greedy or fair-share grant, for
+    /// 1–64 requesters and budgets up to twice the mean demand.
+    #[test]
+    fn grants_are_monotone_in_budget(
+        mws in proptest::collection::vec(0.0f64..6_000.0, 1..65),
+        lo_frac in 0.0f64..2.0,
+        extra_frac in 0.0f64..1.0,
+    ) {
+        let scale = 3_000.0 * mws.len() as f64;
+        let b1 = lo_frac * scale;
+        check_monotone_in_budget(&requests_of(&mws), b1, b1 + extra_frac * scale)?;
+    }
 
     #[test]
     fn greedy_contract(requests in arb_requests(), budget in 0.0f64..100_000.0) {
@@ -122,20 +171,23 @@ proptest! {
     /// 64–1024 requesters, budgets from zero to twice the mean demand.
     /// `GlobalManager::run_epoch` audits grants only in debug builds, so
     /// this is the release-mode check. Greedy and fair-share must also be
-    /// work-conserving: they grant `min(Σ requests, budget)`.
+    /// work-conserving: they grant `min(Σ requests, budget)`, and monotone
+    /// in the budget.
     #[test]
     #[ignore = "release-scale allocator sweep; CI runs it with --release -- --ignored"]
     fn contract_holds_at_release_scale(
         mws in proptest::collection::vec(0.0f64..6_000.0, 64..1025),
         budget_frac in 0.0f64..2.0,
+        extra_frac in 0.0f64..1.0,
     ) {
-        let requests: Vec<PowerRequest> = mws
-            .iter()
-            .enumerate()
-            .map(|(i, &mw)| PowerRequest::new(i as u16, mw))
-            .collect();
+        let requests = requests_of(&mws);
         let demand: f64 = mws.iter().sum();
         let budget = budget_frac * 3_000.0 * mws.len() as f64;
+        check_monotone_in_budget(
+            &requests,
+            budget,
+            budget + extra_frac * 3_000.0 * mws.len() as f64,
+        )?;
         let model = PowerModel::default_45nm();
         for kind in AllocatorKind::ALL {
             let mut allocator = kind.build();

@@ -41,5 +41,5 @@ pub use diff::{
     run_batch, run_differential, run_metrics_identity, BatchReport, DiffConfig, Divergence,
 };
 pub use reference::{RefStats, ReferenceNet};
-pub use scenario::{Scenario, SplitMix64};
+pub use scenario::Scenario;
 pub use shrink::shrink;

@@ -14,9 +14,8 @@
 //! assert_eq!(s, round);
 //! ```
 
-use htpb_faults::FaultPlan;
 use htpb_noc::{
-    spec_fields, spec_rate, spec_u64, Mesh2d, NetworkConfig, NodeId, Packet, PacketKind,
+    spec_fields, spec_rate, spec_u64, FaultPlan, Mesh2d, NetworkConfig, NodeId, Packet, PacketKind,
     RoutingKind,
 };
 use htpb_trojan::{ActivationSchedule, TamperRule};
@@ -84,7 +83,7 @@ fn routing_from_tag(tag: &str) -> Option<RoutingKind> {
 /// SplitMix64: tiny, high-quality, and stable across platforms — the
 /// generator behind all scenario randomness so spec strings replay exactly.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 

@@ -9,16 +9,16 @@
 //! power-based offline Trojan detection.
 
 /// Area of one hardware Trojan in µm² (Synopsys DC, 45 nm TSMC).
-pub const HT_AREA_UM2: f64 = 12.1716;
+pub(crate) const HT_AREA_UM2: f64 = 12.1716;
 
 /// Power of one hardware Trojan in µW (Synopsys DC, 45 nm TSMC).
-pub const HT_POWER_UW: f64 = 0.55018;
+pub(crate) const HT_POWER_UW: f64 = 0.55018;
 
 /// Area of one router (4 VCs, 5-flit FIFOs) in µm², from DSENT.
-pub const ROUTER_AREA_UM2: f64 = 71_814.0;
+pub(crate) const ROUTER_AREA_UM2: f64 = 71_814.0;
 
 /// Power of one router in µW, from DSENT.
-pub const ROUTER_POWER_UW: f64 = 31_881.0;
+pub(crate) const ROUTER_POWER_UW: f64 = 31_881.0;
 
 /// Area/power overhead report for a set of Trojans implanted in a chip.
 #[derive(Debug, Clone, Copy, PartialEq)]

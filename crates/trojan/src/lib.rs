@@ -20,7 +20,7 @@
 //! - [`ActivationSchedule`]: duty-cycled activation, equivalent to the
 //!   paper's stream of alternating ON/OFF configuration packets
 //!   (Section III-B);
-//! - [`area`]: the silicon area / power accounting of Section III-D.
+//! - [`AreaReport`]: the silicon area / power accounting of Section III-D.
 //!
 //! ```
 //! use htpb_noc::{ActivationSignal, NodeId, Packet, PacketInspector};
@@ -40,12 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod area;
+mod area;
 mod circuit;
 mod fleet;
 mod schedule;
 
-pub use area::{AreaReport, HT_AREA_UM2, HT_POWER_UW, ROUTER_AREA_UM2, ROUTER_POWER_UW};
+pub use area::AreaReport;
 pub use circuit::{BoostRule, HardwareTrojan, TamperRule, TrojanMode, TrojanState};
 pub use fleet::{FleetStats, TrojanFleet};
 pub use schedule::ActivationSchedule;

@@ -10,10 +10,11 @@
 //!
 //! Usage: `cargo run --release --example attack_classes -- [mix1-4] [nodes]`
 
-use htpb_core::{
-    AppRole, Benchmark, CampaignConfig, Mesh2d, Mix, SystemBuilder, TamperRule, TrojanFleet,
-    TrojanMode, Workload,
-};
+use htpb_attack::Mix;
+use htpb_core::CampaignConfig;
+use htpb_manycore::{AppRole, Benchmark, SystemBuilder, Workload};
+use htpb_noc::Mesh2d;
+use htpb_trojan::{TamperRule, TrojanFleet, TrojanMode};
 
 fn measure_missing(mode: TrojanMode) -> usize {
     // Drive a small system directly to read the manager-side silence

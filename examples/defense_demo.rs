@@ -3,18 +3,18 @@
 //!
 //! 1. run the attack against the vulnerable baseline protocol (big Q);
 //! 2. re-run with keyed-checksum request authentication
-//!    ([`htpb_core::RequestProtection`]) — the Trojan's payload rewrites are
-//!    detected and discarded, and the attack collapses to Q ≈ 1;
+//!    ([`htpb_manycore::RequestProtection`]) — the Trojan's payload
+//!    rewrites are detected and discarded, and the attack collapses to
+//!    Q ≈ 1;
 //! 3. feed the detector's observations to the path-intersection localizer
 //!    and recover which routers host the Trojans.
 //!
 //! Run with: `cargo run --release --example defense_demo`
 
-use htpb_core::{
-    AppRole, Benchmark, Mesh2d, NodeId, RequestProtection, SystemBuilder, TamperRule, TrojanFleet,
-    Workload,
-};
 use htpb_defense::{DetectorConfig, RequestAnomalyDetector, TrojanLocalizer};
+use htpb_manycore::{AppRole, Benchmark, RequestProtection, SystemBuilder, Workload};
+use htpb_noc::{Mesh2d, NodeId};
+use htpb_trojan::{TamperRule, TrojanFleet};
 
 fn workload() -> Workload {
     Workload::new()
@@ -29,7 +29,7 @@ fn infected_fleet(trojans: &[NodeId], manager: NodeId) -> TrojanFleet {
     fleet
 }
 
-fn victim_theta(sys: &htpb_core::ManyCoreSystem<TrojanFleet>) -> f64 {
+fn victim_theta(sys: &htpb_manycore::ManyCoreSystem<TrojanFleet>) -> f64 {
     sys.performance_report()
         .apps
         .iter()
@@ -43,7 +43,7 @@ fn main() {
     let manager = mesh.center();
     // The optimizer's favourite spot: a ring on the manager's doorstep
     // catches every request (cf. `PlacementOptimizer`).
-    let trojans: Vec<NodeId> = htpb_core::Direction::ALL
+    let trojans: Vec<NodeId> = htpb_noc::Direction::ALL
         .into_iter()
         .filter_map(|d| mesh.neighbor(manager, d))
         .collect();

@@ -4,9 +4,9 @@
 //!
 //! Usage: `cargo run --release --example infection_heatmap -- [nodes] [m]`
 
-use htpb_core::{
-    Coord, Mesh2d, Network, NetworkConfig, Packet, PlacementStrategy, TamperRule, TrojanFleet,
-};
+use htpb_attack::PlacementStrategy;
+use htpb_noc::{Coord, Mesh2d, Network, NetworkConfig, Packet};
+use htpb_trojan::{TamperRule, TrojanFleet};
 
 fn shade(v: f64) -> char {
     match (v * 5.0) as u32 {
@@ -25,8 +25,12 @@ fn main() {
 
     let mesh = Mesh2d::with_nodes(nodes).expect("valid node count");
     let manager = mesh.center();
-    let placement =
-        htpb_core::Placement::generate(mesh, m, &PlacementStrategy::Random { seed: 7 }, &[manager]);
+    let placement = htpb_attack::Placement::generate(
+        mesh,
+        m,
+        &PlacementStrategy::Random { seed: 7 },
+        &[manager],
+    );
     let mut fleet = TrojanFleet::new(placement.nodes(), TamperRule::Zero);
     fleet.configure_all(&[], manager, true);
     let mut net = Network::with_inspector(NetworkConfig::new(mesh), fleet);

@@ -7,10 +7,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use htpb_core::{
-    describe_mixes, describe_platform, run_campaign, AppRole, AreaReport, CampaignConfig, Mesh2d,
-    Mix, PowerModel, SystemConfig, TamperRule,
-};
+use htpb_attack::Mix;
+use htpb_core::{describe_mixes, describe_platform, run_campaign, CampaignConfig};
+use htpb_manycore::{AppRole, SystemConfig};
+use htpb_noc::Mesh2d;
+use htpb_power::PowerModel;
+use htpb_trojan::{AreaReport, TamperRule};
 
 fn main() {
     println!("== HT power-budget attack: quickstart ==\n");
@@ -73,6 +75,8 @@ fn main() {
     let report = AreaReport::new(5, cfg.nodes as usize);
     println!("\nstealth: {report}");
     println!("\nNext steps:");
-    println!("  cargo run --release -p htpb-bench --bin repro_all -- --quick   # every figure, to results/");
-    println!("  cargo run --release --example infection_heatmap                # who gets hit");
+    println!(
+        "  cargo run --release --bin repro_all -- --quick            # every figure, to results/"
+    );
+    println!("  cargo run --release --example infection_heatmap           # who gets hit");
 }

@@ -1,10 +1,10 @@
 //! End-to-end attack integration tests: the Trojan fleet inside the full
 //! many-core system, with the paper's claims asserted as invariants.
 
-use htpb_core::{
-    run_campaign, AppRole, CampaignConfig, Mix, Placement, PlacementStrategy, TamperRule,
-    TrojanMode,
-};
+use htpb_attack::{Mix, Placement, PlacementStrategy};
+use htpb_core::{run_campaign, CampaignConfig};
+use htpb_manycore::AppRole;
+use htpb_trojan::{TamperRule, TrojanMode};
 
 #[test]
 fn attack_starves_victims_and_boosts_attackers() {
@@ -102,14 +102,14 @@ fn off_path_placement_is_harmless() {
     // Trojans clustered in a far corner see (almost) no request traffic
     // when the manager is central: the attack fizzles.
     let mut cfg = CampaignConfig::small(Mix::Mix1);
-    let mesh = htpb_core::Mesh2d::with_nodes(cfg.nodes).unwrap();
+    let mesh = htpb_noc::Mesh2d::with_nodes(cfg.nodes).unwrap();
     cfg.placement = Some(Placement::generate(
         mesh,
         3,
         &PlacementStrategy::Explicit(vec![
-            htpb_core::NodeId(63),
-            htpb_core::NodeId(62),
-            htpb_core::NodeId(55),
+            htpb_noc::NodeId(63),
+            htpb_noc::NodeId(62),
+            htpb_noc::NodeId(55),
         ]),
         &[],
     ));
@@ -147,7 +147,7 @@ fn attacker_boost_extension_strengthens_the_attack() {
     let mut plain = CampaignConfig::small(Mix::Mix1);
     plain.budget_fraction = 0.8;
     let mut boosted = plain.clone();
-    boosted.ht_boost = Some(htpb_core::BoostRule::new(200));
+    boosted.ht_boost = Some(htpb_trojan::BoostRule::new(200));
 
     let r_plain = run_campaign(&plain, 1.0);
     let r_boost = run_campaign(&boosted, 1.0);

@@ -2,13 +2,12 @@
 //! neutralises the attack inside the full system, and detector + localizer
 //! recover the Trojan positions from manager-visible evidence only.
 
-use htpb_core::{
-    AppRole, Benchmark, Mesh2d, NodeId, RequestProtection, SystemBuilder, TamperRule, TrojanFleet,
-    Workload,
-};
 use htpb_defense::{
     DetectorConfig, ProbeCampaign, ProbePlan, RequestAnomalyDetector, TrojanLocalizer,
 };
+use htpb_manycore::{AppRole, Benchmark, RequestProtection, SystemBuilder, Workload};
+use htpb_noc::{Mesh2d, NodeId};
+use htpb_trojan::{TamperRule, TrojanFleet};
 
 fn workload() -> Workload {
     Workload::new()
@@ -53,7 +52,7 @@ fn checksum_protection_neutralises_the_attack() {
     let mesh = Mesh2d::new(8, 8).unwrap();
     // A trojan ring right on the manager's doorstep: full infection.
     let manager = mesh.center();
-    let trojans: Vec<NodeId> = htpb_core::Direction::ALL
+    let trojans: Vec<NodeId> = htpb_noc::Direction::ALL
         .into_iter()
         .filter_map(|d| mesh.neighbor(manager, d))
         .collect();
@@ -148,7 +147,7 @@ fn probing_catches_soft_scaling_that_ewma_misses() {
     let trojan = NodeId(19);
     let mut fleet = TrojanFleet::new(&[trojan], TamperRule::ScalePercent(60));
     fleet.configure_all(&[], manager, true);
-    let mut net = htpb_core::Network::with_inspector(htpb_core::NetworkConfig::new(mesh), fleet);
+    let mut net = htpb_noc::Network::with_inspector(htpb_noc::NetworkConfig::new(mesh), fleet);
 
     // Phase 1: steady honest requests. The Trojan scales them to 60%,
     // which stays above the EWMA detector's 50% collapse threshold — the
@@ -159,7 +158,7 @@ fn probing_catches_soft_scaling_that_ewma_misses() {
             if src == manager {
                 continue;
             }
-            net.inject(htpb_core::Packet::power_request(src, manager, 2_000))
+            net.inject(htpb_noc::Packet::power_request(src, manager, 2_000))
                 .unwrap();
         }
         assert!(net.run_until_idle(100_000));
@@ -181,7 +180,7 @@ fn probing_catches_soft_scaling_that_ewma_misses() {
                 continue;
             }
             let probe = plan.expected(src, epoch);
-            net.inject(htpb_core::Packet::power_request(src, manager, probe))
+            net.inject(htpb_noc::Packet::power_request(src, manager, probe))
                 .unwrap();
         }
         assert!(net.run_until_idle(100_000));

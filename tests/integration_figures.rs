@@ -2,11 +2,13 @@
 //! through the same per-point drivers the `repro_all` jobs run
 //! (`htpb_harness::ReproPlan`).
 
+use htpb_attack::{AttackModel, Mix, Placement, PlacementStrategy};
 use htpb_core::{
     attack_sweep_point_with_baseline, fig3_point, fig4_point, optimal_vs_random,
-    regression_dataset, run_clean_baseline, AreaReport, AttackModel, AttackSweepPoint,
-    CampaignConfig, ManagerLocation, Mesh2d, Mix, Placement, PlacementStrategy,
+    regression_dataset, run_clean_baseline, AttackSweepPoint, CampaignConfig, ManagerLocation,
 };
+use htpb_noc::Mesh2d;
+use htpb_trojan::AreaReport;
 
 /// One Fig. 5/6 point per duty, all against one clean baseline.
 fn sweep(cfg: &CampaignConfig, duties: &[f64]) -> Vec<AttackSweepPoint> {
@@ -124,7 +126,7 @@ fn eq9_regression_fits_with_expected_signs() {
     let manager = ManagerLocation::Center.resolve(mesh);
     let mut placements = Vec::new();
     for m in [2usize, 6] {
-        for anchor in [manager, htpb_core::NodeId(0), htpb_core::NodeId(7)] {
+        for anchor in [manager, htpb_noc::NodeId(0), htpb_noc::NodeId(7)] {
             placements.push(Placement::generate(
                 mesh,
                 m,

@@ -3,10 +3,14 @@
 //! values, area arithmetic). Any change to these is a semantic change to
 //! the reproduction and must be deliberate.
 
-use htpb_core::{
-    analytic_infection_rate, density_eta, distance_rho, sensitivity_phi, AreaReport, Benchmark,
-    DvfsTable, Mesh2d, NodeId, Placement, PlacementStrategy,
+use htpb_attack::{
+    analytic_infection_rate, density_eta, distance_rho, sensitivity_phi, Placement,
+    PlacementStrategy,
 };
+use htpb_manycore::Benchmark;
+use htpb_noc::{Mesh2d, NodeId};
+use htpb_power::DvfsTable;
+use htpb_trojan::AreaReport;
 
 #[test]
 fn golden_analytic_infection_8x8_center() {

@@ -1,11 +1,12 @@
 //! Cross-crate integration tests of the NoC substrate: protocol packets
 //! and Trojan configuration flowing through the cycle-accurate network.
 
-use htpb_core::{
+use htpb_noc::{
     ActivationSignal, Direction, Mesh2d, Network, NetworkConfig, NodeId, Packet, PacketKind,
-    RoutingKind, TamperRule, TrojanFleet,
+    RoutingKind,
 };
 use htpb_noc::{TrafficPattern, UniformTraffic};
+use htpb_trojan::{TamperRule, TrojanFleet};
 
 #[test]
 fn config_broadcast_reaches_every_trojan_in_band() {

@@ -2,9 +2,9 @@
 //! the full many-core system: requests out, allocation, grants back, DVFS
 //! applied — with every allocation policy.
 
-use htpb_core::{
-    AllocatorKind, AppRole, Benchmark, FrequencyLevel, Mesh2d, SystemBuilder, Workload,
-};
+use htpb_manycore::{AppRole, Benchmark, SystemBuilder, Workload};
+use htpb_noc::Mesh2d;
+use htpb_power::{AllocatorKind, FrequencyLevel};
 
 fn workload() -> Workload {
     Workload::new()

@@ -1,11 +1,13 @@
 //! Whole-system integration tests: determinism, cross-layer consistency,
 //! and the Definitions 1–8 metrics computed over real simulation output.
 
-use htpb_core::{
-    density_eta, distance_rho, run_campaign, sensitivity_phi, virtual_center, AllocatorKind,
-    AppRole, Benchmark, CampaignConfig, DvfsTable, ManagerLocation, Mesh2d, Mix, NodeId, Placement,
-    PlacementStrategy, RoutingKind, SystemBuilder, Workload,
+use htpb_attack::{
+    density_eta, distance_rho, sensitivity_phi, virtual_center, Mix, Placement, PlacementStrategy,
 };
+use htpb_core::{run_campaign, CampaignConfig, ManagerLocation};
+use htpb_manycore::{AppRole, Benchmark, SystemBuilder, Workload};
+use htpb_noc::{Mesh2d, NodeId, RoutingKind};
+use htpb_power::{AllocatorKind, DvfsTable};
 
 #[test]
 fn campaigns_are_deterministic() {
@@ -111,7 +113,7 @@ fn starvation_duty_controls_attack_severity() {
             .budget_fraction(0.6)
             .build_with_inspector({
                 let mut fleet =
-                    htpb_core::TrojanFleet::new(&[mesh.center()], htpb_core::TamperRule::Zero);
+                    htpb_trojan::TrojanFleet::new(&[mesh.center()], htpb_trojan::TamperRule::Zero);
                 fleet.configure_all(&[], mesh.center(), true);
                 fleet
             })
@@ -141,11 +143,11 @@ fn detailed_mode_couples_performance_to_memory_latency() {
     // coupling the rate-based model abstracts away.
     let mesh = Mesh2d::new(4, 4).unwrap();
     let run_with_latency = |memory_latency: u64| {
-        let mut cfg = htpb_core::SystemConfig::new(mesh);
+        let mut cfg = htpb_manycore::SystemConfig::new(mesh);
         cfg.detailed_caches = true;
         cfg.memory_latency = memory_latency;
         cfg.mshr_limit = 4;
-        let mut sys = htpb_core::SystemBuilder::from_config(cfg)
+        let mut sys = htpb_manycore::SystemBuilder::from_config(cfg)
             .workload(Workload::new().app(Benchmark::Canneal, 15, AppRole::Legitimate))
             .detailed_caches(true)
             .build()
