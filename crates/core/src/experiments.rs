@@ -5,7 +5,10 @@ use htpb_attack::{
     PlacementOptimizer, PlacementStrategy,
 };
 use htpb_manycore::{AppRole, ManyCoreSystem, PerformanceReport, SystemBuilder};
-use htpb_noc::{FaultPlan, Mesh2d, Network, NetworkConfig, NodeId, Packet, RoutingKind};
+use htpb_noc::{
+    FaultPlan, InspectOutcome, Mesh2d, Network, NetworkConfig, NodeId, Packet, PacketInspector,
+    RoutingKind,
+};
 use htpb_power::{AllocatorKind, DegradationCounters, DvfsTable, HardeningConfig};
 use htpb_trojan::{ActivationSchedule, BoostRule, TamperRule, TrojanFleet, TrojanMode};
 
@@ -36,6 +39,11 @@ impl ManagerLocation {
 /// non-manager node sends power requests to the manager through a NoC with
 /// implanted, always-on Trojans, and the infection rate is the fraction of
 /// delivered requests that arrived tampered (Section V-B).
+///
+/// Each call drains the NoC once, however many placements it measures:
+/// the drain logs every inspection, and each placement's
+/// [`TrojanFleet`] replays the log, which is the exact outcome of
+/// draining with that fleet installed.
 #[derive(Debug, Clone)]
 pub struct InfectionExperiment {
     mesh: Mesh2d,
@@ -88,58 +96,87 @@ impl InfectionExperiment {
     /// Runs the rig and returns the measured infection rate.
     #[must_use]
     pub fn measure(&self, placement: &Placement) -> f64 {
-        self.measure_on(&mut None, placement)
+        self.rates(
+            NetworkConfig::new(self.mesh),
+            TamperRule::Zero,
+            std::slice::from_ref(placement),
+        )[0]
     }
 
     /// Averages [`InfectionExperiment::measure`] over random placements,
-    /// draining every placement on one network.
+    /// summed in seed order.
     #[must_use]
     pub(crate) fn measure_random_avg(&self, m: usize, seeds: &[u64]) -> f64 {
         if seeds.is_empty() {
             return 0.0;
         }
-        let mut net = None;
-        let sum: f64 = seeds
+        let placements: Vec<Placement> = seeds
             .iter()
-            .map(|&seed| {
-                self.measure_on(
-                    &mut net,
-                    &self.placement(m, &PlacementStrategy::Random { seed }),
-                )
-            })
-            .sum();
-        sum / seeds.len() as f64
+            .map(|&seed| self.placement(m, &PlacementStrategy::Random { seed }))
+            .collect();
+        let rates = self.rates(NetworkConfig::new(self.mesh), TamperRule::Zero, &placements);
+        rates.iter().sum::<f64>() / seeds.len() as f64
     }
 
-    /// [`InfectionExperiment::measure`] on `net`: builds the network on
-    /// first use and [`Network::reset`]s it for every later placement, which
-    /// observes exactly what a new network would.
-    fn measure_on(&self, net: &mut Option<Network<TrojanFleet>>, placement: &Placement) -> f64 {
-        let mut fleet = TrojanFleet::new(placement.nodes(), TamperRule::Zero);
-        fleet.configure_all(&[], self.manager, true);
-        let net = match net {
-            Some(net) => {
-                net.reset(fleet);
-                net
-            }
-            None => net.insert(Network::with_inspector(
-                NetworkConfig::new(self.mesh),
-                fleet,
-            )),
-        };
-        for src in self.mesh.iter_nodes() {
-            if src == self.manager {
-                continue;
-            }
-            let payload = 1_000 + u32::from(src.0);
-            net.inject(Packet::power_request(src, self.manager, payload))
-                .expect("infection rig injection");
+    /// The infection rate of each of `placements`, in order, for fleets
+    /// tampering by `rule` on a network built from `config`.
+    ///
+    /// One drain serves every placement: the network logs each inspection
+    /// it makes, and each placement's fleet replays that log on its own
+    /// copy of the requests. This is exact because a false-data fleet only
+    /// rewrites payloads and no pipeline stage reads a payload, so every
+    /// fleet meets the same inspections in the same order at the same
+    /// cycles. A drop would break that, hence the assertion.
+    fn rates(&self, config: NetworkConfig, rule: TamperRule, placements: &[Placement]) -> Vec<f64> {
+        let nodes = self.mesh.nodes() as usize;
+        let route_len = usize::from(self.mesh.width()) + usize::from(self.mesh.height()) - 1;
+        let log = InspectionLog(Vec::with_capacity(nodes.saturating_sub(1) * route_len));
+        let mut net = Network::with_inspector(config, log);
+        let requests: Vec<Packet> = self
+            .mesh
+            .iter_nodes()
+            .map(|src| Packet::power_request(src, self.manager, 1_000 + u32::from(src.0)))
+            .collect();
+        for request in requests.iter().filter(|r| r.src() != self.manager) {
+            net.inject(*request).expect("infection rig injection");
         }
         assert!(
             net.run_until_idle(4_000_000),
             "infection rig failed to drain"
         );
-        net.stats().infection_rate()
+        // Every request is delivered; at least 1 keeps a one-node rig at 0.0.
+        let delivered = net.stats().delivered_power_requests().max(1) as f64;
+        let mut copies = requests.clone();
+        let mut tampered = vec![false; nodes];
+        placements
+            .iter()
+            .map(|placement| {
+                let mut fleet = TrojanFleet::new(placement.nodes(), rule);
+                fleet.configure_all(&[], self.manager, true);
+                copies.copy_from_slice(&requests);
+                tampered.fill(false);
+                for &(router, cycle, src) in &net.inspector().0 {
+                    let i = usize::from(src.0);
+                    let outcome = fleet.inspect(router, u64::from(cycle), &mut copies[i]);
+                    assert!(!outcome.dropped, "infection rig fleet dropped a request");
+                    tampered[i] |= outcome.modified;
+                }
+                tampered.iter().filter(|&&t| t).count() as f64 / delivered
+            })
+            .collect()
+    }
+}
+
+/// The infection rig's inspector: logs every inspection in call order as
+/// `(router, cycle, request's source)`, 8 bytes each, and leaves every
+/// packet untouched.
+struct InspectionLog(Vec<(NodeId, u32, NodeId)>);
+
+impl PacketInspector for InspectionLog {
+    fn inspect(&mut self, router: NodeId, cycle: u64, packet: &mut Packet) -> InspectOutcome {
+        let cycle = u32::try_from(cycle).expect("the rig drains within 4M cycles");
+        self.0.push((router, cycle, packet.src()));
+        InspectOutcome::untouched()
     }
 }
 
@@ -922,27 +959,160 @@ mod tests {
         );
     }
 
+    /// Today's rig without the replay: a network with the fleet for
+    /// `placement` installed, drained once.
+    fn simulated_rate(
+        exp: &InfectionExperiment,
+        config: NetworkConfig,
+        rule: TamperRule,
+        placement: &Placement,
+    ) -> f64 {
+        let mut fleet = TrojanFleet::new(placement.nodes(), rule);
+        fleet.configure_all(&[], exp.manager, true);
+        let mut net = Network::with_inspector(config, fleet);
+        for src in exp.mesh.iter_nodes().filter(|&src| src != exp.manager) {
+            net.inject(Packet::power_request(
+                src,
+                exp.manager,
+                1_000 + u32::from(src.0),
+            ))
+            .unwrap();
+        }
+        assert!(net.run_until_idle(4_000_000));
+        net.stats().infection_rate()
+    }
+
+    /// Asserts that replaying one drain's log gives, for every placement,
+    /// the rate of simulating that placement's fleet, bit for bit.
+    fn assert_replay_matches(
+        exp: &InfectionExperiment,
+        routing: RoutingKind,
+        rule: TamperRule,
+        placements: &[Placement],
+    ) {
+        let config = NetworkConfig::new(exp.mesh).with_routing(routing);
+        let replayed = exp.rates(config.clone(), rule, placements);
+        assert_eq!(replayed.len(), placements.len());
+        for (p, rate) in placements.iter().zip(replayed) {
+            let simulated = simulated_rate(exp, config.clone(), rule, p);
+            assert_eq!(
+                rate.to_bits(),
+                simulated.to_bits(),
+                "{}x{} mesh, manager {:?}, {routing:?}, {rule:?}, Trojans {:?}: \
+                 replay {rate} vs simulation {simulated}",
+                exp.mesh.width(),
+                exp.mesh.height(),
+                exp.manager,
+                p.nodes(),
+            );
+        }
+    }
+
+    /// Random and cluster placements of `m` Trojans on `exp`'s mesh.
+    fn mixed_placements(exp: &InfectionExperiment, m: usize, seed: u64) -> Vec<Placement> {
+        let anchor = NodeId((seed % u64::from(exp.mesh.nodes())) as u16);
+        [
+            PlacementStrategy::Random { seed },
+            PlacementStrategy::Random { seed: seed + 1 },
+            PlacementStrategy::CenterCluster,
+            PlacementStrategy::CornerCluster,
+            PlacementStrategy::ClusterAround { anchor },
+        ]
+        .iter()
+        .map(|s| exp.placement(m, s))
+        .collect()
+    }
+
+    fn rule_for(i: u64) -> TamperRule {
+        match i % 3 {
+            0 => TamperRule::Zero,
+            1 => TamperRule::ScalePercent((i * 37 % 101) as u8),
+            _ => TamperRule::ClampTo(1_000 + (i * 53 % 600) as u32),
+        }
+    }
+
     #[test]
-    fn analytic_matches_simulation_for_xy() {
-        // Every quick-scale Fig. 3 placement: 64 nodes, both manager
-        // locations, 0..=30 Trojans in steps of 5, seeds 0..3.
-        for at in [ManagerLocation::Center, ManagerLocation::Corner] {
-            let exp = InfectionExperiment::new(64).manager(at);
-            for m in (0..=30).step_by(5) {
-                for seed in 0u64..3 {
-                    let p = exp.placement(m, &PlacementStrategy::Random { seed });
-                    let simulated = exp.measure(&p);
-                    let analytic = htpb_attack::analytic_infection_rate(
-                        exp.mesh(),
-                        exp.manager_node(),
-                        p.nodes(),
-                        None,
-                    );
-                    assert!(
-                        (simulated - analytic).abs() < 1e-9,
-                        "{at:?}, {m} Trojans, seed {seed}: sim {simulated} vs analytic {analytic}"
+    fn replay_equals_simulating_each_fleet() {
+        use rand::{Rng, SeedableRng};
+        // The log stays at 8 bytes an inspection.
+        assert_eq!(std::mem::size_of::<(NodeId, u32, NodeId)>(), 8);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1f3c);
+        for case in 0u64..64 {
+            let mesh = Mesh2d::new(rng.gen_range(2u16..=16), rng.gen_range(2u16..=16)).unwrap();
+            let n = mesh.nodes();
+            let exp = InfectionExperiment {
+                mesh,
+                manager: NodeId(rng.gen_range(0..n) as u16),
+            };
+            let m = rng.gen_range(0..=60.min(n as usize - 1));
+            let routing = RoutingKind::ALL[case as usize % 3];
+            let rule = rule_for(rng.gen_range(0u64..300));
+            assert_replay_matches(&exp, routing, rule, &mixed_placements(&exp, m, case));
+        }
+    }
+
+    #[test]
+    #[ignore = "512-node drains: run in release"]
+    fn replay_equals_simulating_each_fleet_at_512_nodes() {
+        for manager in [ManagerLocation::Center, ManagerLocation::Corner] {
+            let exp = InfectionExperiment::new(512).manager(manager);
+            for m in (0..=60).step_by(5) {
+                for (i, routing) in RoutingKind::ALL.into_iter().enumerate() {
+                    let rule = rule_for(m as u64 + i as u64);
+                    assert_replay_matches(
+                        &exp,
+                        routing,
+                        rule,
+                        &mixed_placements(&exp, m, m as u64),
                     );
                 }
+            }
+        }
+    }
+
+    /// Asserts that every placement's rate equals the analytic XY count.
+    fn assert_analytic(exp: &InfectionExperiment, placements: &[Placement], what: &str) {
+        let rates = exp.rates(NetworkConfig::new(exp.mesh), TamperRule::Zero, placements);
+        for (p, simulated) in placements.iter().zip(rates) {
+            let analytic =
+                htpb_attack::analytic_infection_rate(exp.mesh, exp.manager, p.nodes(), None);
+            assert_eq!(
+                simulated.to_bits(),
+                analytic.to_bits(),
+                "{what}, {} Trojans: sim {simulated} vs analytic {analytic}",
+                p.nodes().len(),
+            );
+        }
+    }
+
+    #[test]
+    fn analytic_matches_simulation_for_xy() {
+        // Every paper-scale Fig. 3 placement: 64 and 512 nodes, both
+        // manager locations, 0..=30 / 0..=60 Trojans in steps of 5, seeds
+        // 0..8.
+        for (nodes, max) in [(64, 30), (512, 60)] {
+            for at in [ManagerLocation::Center, ManagerLocation::Corner] {
+                let exp = InfectionExperiment::new(nodes).manager(at);
+                for m in (0..=max).step_by(5) {
+                    let placements: Vec<Placement> = (0u64..8)
+                        .map(|seed| exp.placement(m, &PlacementStrategy::Random { seed }))
+                        .collect();
+                    assert_analytic(&exp, &placements, &format!("fig3 {nodes} {at:?}"));
+                }
+            }
+        }
+        // Every paper-scale Fig. 4 placement: 64..512 nodes, three
+        // strategies, nodes / d Trojans for d in {16, 8}.
+        for nodes in [64, 128, 256, 512] {
+            let exp = InfectionExperiment::new(nodes);
+            for d in [16, 8] {
+                let m = (nodes / d).max(1) as usize;
+                let mut placements: Vec<Placement> = (0u64..8)
+                    .map(|seed| exp.placement(m, &PlacementStrategy::Random { seed }))
+                    .collect();
+                placements.push(exp.placement(m, &PlacementStrategy::CenterCluster));
+                placements.push(exp.placement(m, &PlacementStrategy::CornerCluster));
+                assert_analytic(&exp, &placements, &format!("fig4 {nodes}/{d}"));
             }
         }
     }
