@@ -785,14 +785,12 @@ pub fn resilience_point(
 
     // Baseline: same faults, no Trojan activity.
     let mut clean_sys = build_system_opts(base, TrojanFleet::clean(), hardening);
-    clean_sys.set_fault_hook(Box::new(faults.with_fresh_counters()));
+    clean_sys.set_fault_plan(faults.clone());
     let clean = run_to_report(base, &mut clean_sys);
 
     // Attacked: same faults, Trojans at `duty`.
-    let attacked_plan = faults.with_fresh_counters();
-    let attacked_counters = attacked_plan.counter_handle();
     let mut attacked_sys = build_attacked_system(base, duty, hardening);
-    attacked_sys.set_fault_hook(Box::new(attacked_plan));
+    attacked_sys.set_fault_plan(faults);
     let attacked = run_to_report(base, &mut attacked_sys);
 
     let outcome = AttackOutcome::compare(&attacked, &clean)
@@ -811,7 +809,12 @@ pub fn resilience_point(
             rejects: attacked.requests_rejected,
             clamps: attacked.requests_clamped,
         },
-        faults_applied: attacked_counters.get().total(),
+        faults_applied: attacked_sys
+            .network()
+            .fault_plan()
+            .expect("the attacked arm runs under the plan")
+            .counters()
+            .total(),
     }
 }
 

@@ -27,8 +27,8 @@
 //! `File::create`, `fs::write`, `fs::rename` or `OpenOptions` directly
 //! (outside `#[cfg(test)]` code, which deliberately corrupts files). The
 //! `fs/choke-point` rule of the workspace analyzer (docs/LINTS.md)
-//! checks this at the token level; the `choke_point_enforced` test in
-//! `tests/crash_safety.rs` runs that rule, and this file is the single
+//! checks this at the token level (`crates/lint/tests/workspace_clean.rs`
+//! holds the whole tree to it), and this file is the single
 //! waived-by-scope exception.
 
 use std::fs::{File, OpenOptions};

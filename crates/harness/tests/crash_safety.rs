@@ -429,36 +429,3 @@ fn result_cache_survives_a_two_process_store_race() {
     assert_eq!(tmp_litter(&dir), Vec::<String>::new());
     let _ = fs::remove_dir_all(&dir);
 }
-
-/// The durable-write choke point, enforced by the real analyzer instead of
-/// a substring grep: outside `fs.rs`, no production code in this crate may
-/// call the raw creating/renaming std APIs — everything routes through
-/// `commit_file()`/`commit_append()`. The token-level engine ignores
-/// strings, comments and `#[cfg(test)]` modules, so the old grep's
-/// false-positive/false-negative classes (names in doc comments, patterns
-/// split across lines) are gone. The workspace-wide sweep lives in
-/// `crates/lint/tests/workspace_clean.rs`; this test pins the contract
-/// where the crash-safety machinery is defined.
-#[test]
-fn choke_point_enforced() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = htpb_lint::analyze_workspace(&root).expect("scan workspace");
-    let breaches: Vec<String> = report
-        .violations
-        .iter()
-        .filter(|v| v.rule == "fs/choke-point" && v.file.starts_with("crates/harness/"))
-        .map(htpb_lint::Violation::render)
-        .collect();
-    assert!(
-        breaches.is_empty(),
-        "raw durable-write APIs outside fs.rs:\n{}",
-        breaches.join("\n")
-    );
-    // The choke point itself must have been scanned (and exempted), or the
-    // rule is not actually guarding anything.
-    assert!(
-        report.files_scanned > 0
-            && std::fs::metadata(root.join("crates/harness/src/fs.rs")).is_ok(),
-        "walker missed the choke-point file"
-    );
-}

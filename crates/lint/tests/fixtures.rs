@@ -1,10 +1,15 @@
 //! Drives the fixture corpus under `tests/fixtures/` through the engine:
 //! every rule in the catalog must fire on its `_fire` fixture and stay
-//! quiet on its `_clean` twin. The same fixture contents back the
-//! binary's `--self-check` mode (embedded via `include_str!`), so this
-//! suite and the CI self-test can never drift apart.
+//! quiet on its `_clean` twin. [`CASES`] is the one table of fixtures,
+//! rules and paths: the per-source tests hand each fixture to
+//! `analyze_source` with a context built here, and
+//! `fixture_trees_through_the_workspace_walker` writes the same pairs into
+//! scratch trees so `analyze_workspace`'s walker and path classification
+//! are exercised too.
 
-use htpb_lint::{analyze_source, FileCtx, RULES};
+use std::path::Path;
+
+use htpb_lint::{analyze_source, analyze_workspace, FileCtx, RULES};
 
 fn ctx(path: &'static str, in_test_dir: bool) -> FileCtx<'static> {
     let crate_name = path
@@ -206,4 +211,61 @@ fn fire_fixtures_are_quiet_in_test_context() {
             "{fire}: [{rule}] must not fire in test context"
         );
     }
+}
+
+/// Writes `files` (workspace path, fixture name) under `root` and scans it
+/// with the workspace walker, which classifies each file from its path.
+fn scan_tree(root: &Path, files: &[(&str, &str)]) -> htpb_lint::Report {
+    let _ = std::fs::remove_dir_all(root);
+    for (path, name) in files {
+        let dest = root.join(path);
+        std::fs::create_dir_all(dest.parent().expect("fixture path has a parent"))
+            .expect("create scratch dir");
+        std::fs::write(&dest, fixture(name)).expect("write scratch fixture");
+    }
+    let report = analyze_workspace(root).expect("scan scratch tree");
+    assert_eq!(report.files_scanned, files.len());
+    report
+}
+
+#[test]
+fn fixture_trees_through_the_workspace_walker() {
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("htpb-lint-fixture-trees");
+
+    // Every seeded violation fires at its own path, so every rule fires.
+    let dirty: Vec<(&str, &str)> = CASES
+        .iter()
+        .map(|(fire, _, _, path)| (*path, *fire))
+        .collect();
+    let report = scan_tree(&scratch.join("dirty"), &dirty);
+    for (fire, _, rule, path) in CASES {
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.rule == *rule && v.file == *path),
+            "{fire} at {path} did not fire [{rule}]"
+        );
+    }
+
+    // The clean twins, plus the lexer torture file, stay quiet, and the
+    // justified waivers are tallied.
+    let mut clean: Vec<(&str, &str)> = CASES
+        .iter()
+        .map(|(_, clean, _, path)| (*path, *clean))
+        .collect();
+    clean.push(("crates/core/src/lexer_tricky.rs", "lexer_tricky_clean.rs"));
+    let report = scan_tree(&scratch.join("clean"), &clean);
+    assert!(
+        report.violations.is_empty(),
+        "{:?}",
+        report
+            .violations
+            .iter()
+            .map(htpb_lint::Violation::render)
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(report.waivers.len(), 2, "waiver_ok.rs waivers not tallied");
+
+    let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use htpb_noc::{
-    DeliveredPacket, FaultHook, Mesh2d, Network, NetworkConfig, NodeId, NullInspector, Packet,
+    DeliveredPacket, FaultPlan, Mesh2d, Network, NetworkConfig, NodeId, NullInspector, Packet,
     PacketInspector, PacketKind, RoutingKind,
 };
 use htpb_power::{
@@ -554,17 +554,12 @@ impl<I: PacketInspector> ManyCoreSystem<I> {
         self.net.inspector_mut()
     }
 
-    /// Installs a fault-injection hook on the underlying NoC (e.g. a seeded
-    /// `htpb_noc::FaultPlan`). Like the inspector, this is configured
-    /// after `build()` because the builder stays `Clone`.
-    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
-        self.net.set_fault_hook(hook);
-    }
-
-    /// Removes and returns the fault hook, if one was installed (e.g. to
-    /// read back its fault counters at the end of a run).
-    pub fn take_fault_hook(&mut self) -> Option<Box<dyn FaultHook>> {
-        self.net.take_fault_hook()
+    /// Installs a seeded fault-injection plan on the underlying NoC; its
+    /// tallies are read back through [`Self::network`]. Like the
+    /// inspector, this is configured after `build()` because the builder
+    /// stays `Clone`.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.net.set_fault_plan(plan);
     }
 
     /// The global manager (budget, epoch summaries).
@@ -1316,9 +1311,7 @@ mod tests {
                 b = b.hardening(HardeningConfig::default());
             }
             let mut sys = b.build().unwrap();
-            sys.set_fault_hook(Box::new(
-                htpb_noc::FaultPlan::new(0xD1E).with_drops(200_000),
-            ));
+            sys.set_fault_plan(FaultPlan::new(0xD1E).with_drops(200_000));
             sys.run_epochs(1);
             sys.begin_measurement();
             sys.run_epochs(6);

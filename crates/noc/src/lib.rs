@@ -34,7 +34,6 @@
 
 mod active;
 mod error;
-mod fault;
 mod flit;
 mod fnv;
 mod inspect;
@@ -53,14 +52,13 @@ mod traffic;
 mod vc;
 
 pub use error::NocError;
-pub use fault::{FaultAction, FaultHook};
 pub use flit::{Flit, FlitKind, FLITS_PER_META_PACKET};
 pub use fnv::{Digest, FnvHashMap, FnvHashSet, FnvHasher};
 pub use inspect::{InspectOutcome, NullInspector, PacketInspector};
 pub use metrics::NocMetrics;
 pub use network::{DeliveredPacket, Network, NetworkConfig, INJECTION_QUEUE_CAPACITY};
 pub use packet::{ActivationSignal, ConfigCommand, Packet, PacketKind};
-pub use plan::{FaultCounterHandle, FaultCounters, FaultPlan};
+pub use plan::{FaultAction, FaultCounters, FaultPlan};
 pub use router::{Router, RouterConfig, VcSnapshot};
 pub use routing::{RouteCandidates, RoutingKind};
 pub use spec::{spec_fields, spec_rate, spec_u64};

@@ -58,7 +58,7 @@ impl NocMetrics {
         self.queued_flit_cycles += queued as u64;
     }
 
-    /// Called when a fault hook stalls a router for one cycle.
+    /// Called when the fault plan stalls a router for one cycle.
     #[inline]
     pub(crate) fn on_router_stalled(&mut self) {
         self.stalled_router_cycles += 1;

@@ -1,10 +1,10 @@
 use crate::active::{ActiveSet, BitsIter};
 use crate::error::NocError;
-use crate::fault::{FaultAction, FaultHook};
 use crate::flit::{FlitHandle, FlitKind};
 use crate::inspect::{NullInspector, PacketInspector};
 use crate::metrics::NocMetrics;
 use crate::packet::{Packet, PacketKind};
+use crate::plan::{FaultAction, FaultPlan};
 use crate::router::{Router, RouterConfig, Routers};
 use crate::routing::RoutingKind;
 use crate::stats::NetworkStats;
@@ -180,10 +180,10 @@ pub struct Network<I: PacketInspector = NullInspector> {
     store: PacketStore,
     ejected: Vec<DeliveredPacket>,
     inspector: I,
-    /// Optional deterministic fault layer ([`FaultHook`]). `None` (the
-    /// default) costs one branch per [`Network::step`]; a hook whose
-    /// [`FaultHook::any_faults_at`] returns `false` costs one virtual call.
-    faults: Option<Box<dyn FaultHook>>,
+    /// Optional deterministic fault layer ([`FaultPlan`]). `None` (the
+    /// default) costs one branch per [`Network::step`]; so does an empty
+    /// plan, which the pipeline never consults.
+    faults: Option<FaultPlan>,
     /// Optional live metrics ([`NocMetrics`]). `None` (the default) costs
     /// one branch per [`Network::step`] and one per flit push; the pipeline
     /// only ever *writes* these tallies, so enabling them cannot perturb
@@ -269,7 +269,7 @@ impl<I: PacketInspector> Network<I> {
     /// [`Network::with_inspector`] builds from the same configuration, with
     /// `inspector` installed: cycle 0, packet ids from 0, empty statistics
     /// and trace, idle routers with full credits and round-robin pointers
-    /// at 0, and no fault hook or metrics. Reusing one network across
+    /// at 0, and no fault plan or metrics. Reusing one network across
     /// back-to-back runs skips rebuilding its slabs; what the runs observe
     /// is the same as with a new network each time.
     ///
@@ -329,23 +329,17 @@ impl<I: PacketInspector> Network<I> {
         &mut self.inspector
     }
 
-    /// Installs a fault-injection hook (replacing any previous one). See
-    /// [`FaultHook`] for where the pipeline consults it.
-    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
-        self.faults = Some(hook);
+    /// Installs a fault-injection plan (replacing any previous one). See
+    /// [`FaultPlan`] for where the pipeline consults it.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.faults = Some(plan);
     }
 
-    /// Removes and returns the installed fault hook, if any — the way to
-    /// read back a fault plan's counters after a run.
-    pub fn take_fault_hook(&mut self) -> Option<Box<dyn FaultHook>> {
-        self.faults.take()
-    }
-
-    /// Whether a fault hook is currently installed.
+    /// The installed fault plan, if any, with the tallies of the faults it
+    /// has applied so far ([`FaultPlan::counters`]).
     #[must_use]
-    #[cfg(test)]
-    pub(crate) fn has_fault_hook(&self) -> bool {
-        self.faults.is_some()
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.faults.as_ref()
     }
 
     /// Enables live metric collection ([`NocMetrics`]). Idempotent; the
@@ -488,13 +482,10 @@ impl<I: PacketInspector> Network<I> {
             self.cycle += 1;
             return;
         }
-        // One gate call per cycle; when it reports no faults the stages
-        // make zero further hook calls, keeping the empty-plan path
-        // bit-identical to a build with no hook installed.
-        let faults_engaged = match self.faults.as_mut() {
-            Some(hook) => hook.any_faults_at(self.cycle),
-            None => false,
-        };
+        // One gate per cycle; without a non-empty plan the stages make
+        // zero fault decisions, keeping the empty-plan path bit-identical
+        // to a network with no plan installed.
+        let faults_engaged = self.faults.as_ref().is_some_and(|p| !p.is_empty());
         if let Some(m) = self.metrics.as_deref_mut() {
             m.on_cycle(
                 self.active.len(),
@@ -659,7 +650,7 @@ impl<I: PacketInspector> Network<I> {
     /// inspector ordered dropped are drained into a sink instead (one flit
     /// per cycle, credits still returned upstream).
     ///
-    /// When `faults_engaged`, the installed [`FaultHook`] may stall whole
+    /// When `faults_engaged`, the installed [`FaultPlan`] may stall whole
     /// routers (skipped before the drop sink; their flits stay buffered and
     /// the router stays in the active set) and take links down (the output
     /// port skips arbitration this cycle).
@@ -685,7 +676,7 @@ impl<I: PacketInspector> Network<I> {
                 let ri = w * 64 + b;
                 // Only output ports with a switch request can grant. Faulted
                 // cycles still visit every port of every active router, so
-                // the hook is asked about the same routers and links in the
+                // the plan is asked about the same routers and links in the
                 // same order.
                 let ports = if faults_engaged {
                     ALL_PORTS
@@ -701,8 +692,8 @@ impl<I: PacketInspector> Network<I> {
                 // Its flits stay buffered, so it is still a legitimate
                 // active-set member and the removal below is skipped.
                 if faults_engaged {
-                    if let Some(hook) = self.faults.as_mut() {
-                        if hook.router_stalled(node, now) {
+                    if let Some(plan) = self.faults.as_mut() {
+                        if plan.router_stalled(node, now) {
                             if let Some(m) = self.metrics.as_deref_mut() {
                                 m.on_router_stalled();
                             }
@@ -744,8 +735,8 @@ impl<I: PacketInspector> Network<I> {
                         );
                         // A downed link simply skips arbitration this cycle.
                         if faults_engaged {
-                            if let Some(hook) = self.faults.as_mut() {
-                                if hook.link_down(node, out_dir, now) {
+                            if let Some(plan) = self.faults.as_mut() {
+                                if plan.link_down(node, out_dir, now) {
                                     continue;
                                 }
                             }
@@ -895,7 +886,7 @@ impl<I: PacketInspector> Network<I> {
     ///
     /// `VA(r); RC(r)` for each `r` is order-identical to all-VA-then-all-RC:
     /// VA reads and writes only its own router's state and calls no hook,
-    /// so the inspector, the fault hook and the trace still see routers —
+    /// so the inspector, the fault plan and the trace still see routers —
     /// and slots within a router — in the same ascending order. The VA
     /// candidates are fixed before RC runs, so a route computed this cycle
     /// is allocated next cycle, as before. Neither stage moves a flit, so
@@ -933,7 +924,7 @@ impl<I: PacketInspector> Network<I> {
     /// implanted Trojan reads and possibly rewrites the packet (Fig. 2b).
     /// The frame it rewrites is the packet store's, the one copy there is.
     ///
-    /// When `faults_engaged`, the installed [`FaultHook`] runs immediately
+    /// When `faults_engaged`, the installed [`FaultPlan`] runs immediately
     /// after the inspector on the same once-per-packet-per-router
     /// discipline: payload bit flips reuse the tamper bookkeeping,
     /// whole-packet drops reuse the inspector's drop-sink machinery.
@@ -974,10 +965,10 @@ impl<I: PacketInspector> Network<I> {
                 }
             }
             let action = match self.faults.as_mut() {
-                Some(hook) if faults_engaged => {
-                    hook.packet_fault(node, self.cycle, self.store.packet(meta))
+                Some(plan) if faults_engaged => {
+                    plan.packet_fault(node, self.cycle, self.store.packet(meta))
                 }
-                _ => FaultAction::none(),
+                _ => FaultAction::default(),
             };
             if action.drop {
                 self.routers.mark_dropping(ri, slot);
@@ -1071,6 +1062,7 @@ impl<I: PacketInspector + std::fmt::Debug> std::fmt::Debug for Network<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultCounters;
 
     fn net(w: u16, h: u16) -> Network {
         Network::new(NetworkConfig::new(Mesh2d::new(w, h).unwrap()))
@@ -1453,133 +1445,99 @@ mod tests {
         assert!(far_lat - near_lat >= 14 * 2);
     }
 
-    /// A scriptable hook for the fault-path tests below.
-    #[derive(Debug, Default)]
-    struct ScriptedFaults {
-        stall_node: Option<(NodeId, u64)>,
-        down_link: Option<(NodeId, Direction, u64)>,
-        flip_mask: u32,
-        drop_at: Option<NodeId>,
-    }
-
-    impl crate::FaultHook for ScriptedFaults {
-        fn any_faults_at(&mut self, _cycle: u64) -> bool {
-            true
+    /// Runs one packet `src → dst` on a `w × 1` mesh under `plan` (when
+    /// given) and returns the delivery with the plan's tallies.
+    fn run_one(
+        w: u16,
+        src: u16,
+        dst: u16,
+        payload: u32,
+        plan: Option<FaultPlan>,
+    ) -> (DeliveredPacket, FaultCounters) {
+        let mut n = net(w, 1);
+        if let Some(plan) = plan {
+            n.set_fault_plan(plan);
         }
-        fn link_down(&mut self, node: NodeId, dir: Direction, cycle: u64) -> bool {
-            matches!(self.down_link, Some((n, d, until)) if n == node && d == dir && cycle < until)
-        }
-        fn router_stalled(&mut self, node: NodeId, cycle: u64) -> bool {
-            matches!(self.stall_node, Some((n, until)) if n == node && cycle < until)
-        }
-        fn packet_fault(&mut self, node: NodeId, _cycle: u64, _p: &Packet) -> crate::FaultAction {
-            if self.drop_at == Some(node) {
-                crate::FaultAction::drop_packet()
-            } else {
-                crate::FaultAction::flip(self.flip_mask)
-            }
-        }
-    }
-
-    fn faulty_net(w: u16, h: u16, faults: ScriptedFaults) -> Network {
-        let mut n = net(w, h);
-        n.set_fault_hook(Box::new(faults));
-        n
+        n.inject(Packet::power_request(NodeId(src), NodeId(dst), payload))
+            .unwrap();
+        assert!(n.run_until_idle(10_000), "faults must end, not deadlock");
+        let mut out = n.drain_ejected();
+        assert_eq!(out.len(), 1);
+        let counters = n.fault_plan().map(FaultPlan::counters).unwrap_or_default();
+        (out.remove(0), counters)
     }
 
     #[test]
     fn stalled_router_delays_but_delivers() {
-        let baseline = {
-            let mut n = net(4, 1);
-            n.inject(Packet::power_request(NodeId(0), NodeId(3), 7))
-                .unwrap();
-            assert!(n.run_until_idle(1_000));
-            n.drain_ejected()[0].latency
-        };
-        let mut n = faulty_net(
-            4,
-            1,
-            ScriptedFaults {
-                stall_node: Some((NodeId(1), 50)),
-                ..ScriptedFaults::default()
-            },
-        );
-        n.inject(Packet::power_request(NodeId(0), NodeId(3), 7))
-            .unwrap();
-        assert!(n.run_until_idle(1_000), "stall must end, not deadlock");
-        let out = n.drain_ejected();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].packet.payload(), 7);
-        assert!(!out[0].modified);
+        let (baseline, _) = run_one(4, 0, 3, 7, None);
+        let (out, counters) = run_one(4, 0, 3, 7, Some(FaultPlan::new(1).with_stalls(500_000, 20)));
+        assert!(counters.stall_cycles > 0, "no stall fired: {counters:?}");
+        assert_eq!(counters.total(), counters.stall_cycles);
+        assert_eq!(out.packet.payload(), 7);
+        assert!(!out.modified);
         assert!(
-            out[0].latency > baseline + 20,
+            out.latency > baseline.latency,
             "stall did not delay: {} vs {}",
-            out[0].latency,
-            baseline
+            out.latency,
+            baseline.latency
         );
     }
 
     #[test]
     fn downed_link_delays_but_delivers() {
-        let mut n = faulty_net(
+        let (baseline, _) = run_one(4, 0, 3, 9, None);
+        let (out, counters) = run_one(
             4,
-            1,
-            ScriptedFaults {
-                down_link: Some((NodeId(1), Direction::East, 60)),
-                ..ScriptedFaults::default()
-            },
+            0,
+            3,
+            9,
+            Some(FaultPlan::new(1).with_link_down(500_000, 20)),
         );
-        n.inject(Packet::power_request(NodeId(0), NodeId(3), 9))
-            .unwrap();
+        assert!(counters.link_denials > 0, "no link went down: {counters:?}");
+        assert_eq!(counters.total(), counters.link_denials);
+        assert_eq!(out.packet.payload(), 9);
+        assert!(!out.modified);
         assert!(
-            n.run_until_idle(1_000),
-            "link outage must end, not deadlock"
+            out.latency > baseline.latency,
+            "outage did not delay: {} vs {}",
+            out.latency,
+            baseline.latency
         );
-        let out = n.drain_ejected();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].packet.payload(), 9);
-        assert!(out[0].latency > 60, "latency {}", out[0].latency);
     }
 
     #[test]
     fn payload_flip_fault_marks_packet_modified() {
-        let mut n = faulty_net(
+        // Every inspection flips one bit: once at each of the two routers.
+        let (out, counters) = run_one(
             2,
+            0,
             1,
-            ScriptedFaults {
-                flip_mask: 0b1,
-                ..ScriptedFaults::default()
-            },
+            0b100,
+            Some(FaultPlan::new(1).with_flips(1_000_000)),
         );
-        n.inject(Packet::power_request(NodeId(0), NodeId(1), 0b100))
-            .unwrap();
-        assert!(n.run_until_idle(1_000));
-        let out = n.drain_ejected();
-        assert_eq!(out.len(), 1);
-        // Flipped once per router on the two-node path: 0b100 ^ 1 ^ 1 at the
-        // source and destination routers.
-        assert_eq!(out[0].packet.payload(), 0b100);
-        assert!(out[0].modified, "fault corruption must be observable");
+        assert_eq!(counters.bit_flips, 2, "{counters:?}");
+        assert_eq!(counters.total(), 2);
+        assert_eq!((out.packet.payload() ^ 0b100).count_ones(), 2);
+        assert!(out.modified, "fault corruption must be observable");
     }
 
     #[test]
     fn packet_drop_fault_sinks_cleanly() {
-        let mut n = faulty_net(
-            4,
-            1,
-            ScriptedFaults {
-                drop_at: Some(NodeId(2)),
-                ..ScriptedFaults::default()
-            },
-        );
-        for i in 0..4 {
+        let mut n = net(4, 1);
+        n.set_fault_plan(FaultPlan::new(1).with_drops(300_000));
+        for i in 0..8 {
             n.inject(Packet::new(NodeId(3), NodeId(0), PacketKind::Data, i))
                 .unwrap();
         }
         assert!(n.run_until_idle(50_000), "fault sink leaked resources");
-        assert_eq!(n.stats().dropped_packets(), 4);
-        assert_eq!(n.stats().delivered_packets(), 0);
-        assert!(n.router(NodeId(2)).is_idle());
+        let counters = n.fault_plan().unwrap().counters();
+        assert!(counters.packet_drops > 0, "no drop fired: {counters:?}");
+        assert_eq!(counters.total(), counters.packet_drops);
+        assert_eq!(n.stats().dropped_packets(), counters.packet_drops);
+        assert_eq!(n.stats().delivered_packets() + counters.packet_drops, 8);
+        for r in 0..4 {
+            assert!(n.router(NodeId(r)).is_idle(), "router {r} kept flits");
+        }
     }
 
     #[test]
@@ -1596,13 +1554,13 @@ mod tests {
     fn reset_drops_fault_hook_metrics_trace_and_undrained_deliveries() {
         let mesh = Mesh2d::new(4, 1).unwrap();
         let mut n = Network::new(NetworkConfig::new(mesh).with_tracing(64));
-        n.set_fault_hook(Box::new(ScriptedFaults::default()));
+        n.set_fault_plan(FaultPlan::new(1).with_drops(1));
         n.enable_metrics();
         n.inject(Packet::power_request(NodeId(3), NodeId(0), 1))
             .unwrap();
         assert!(n.run_until_idle(1_000));
         n.reset(NullInspector);
-        assert!(!n.has_fault_hook());
+        assert!(n.fault_plan().is_none());
         assert!(n.metrics().is_none());
         assert_eq!(n.cycle(), 0);
         assert_eq!(
@@ -1617,14 +1575,5 @@ mod tests {
             Ok(0),
             "packet ids restart at 0"
         );
-    }
-
-    #[test]
-    fn fault_hook_can_be_taken_back() {
-        let mut n = faulty_net(2, 1, ScriptedFaults::default());
-        assert!(n.has_fault_hook());
-        assert!(n.take_fault_hook().is_some());
-        assert!(!n.has_fault_hook());
-        assert!(n.take_fault_hook().is_none());
     }
 }

@@ -7,18 +7,20 @@
 //! credible against that noisy baseline. This module provides the noise:
 //!
 //! * [`FaultPlan`] — a seeded description of *which* faults occur *when*,
-//!   implementing [`FaultHook`]. Every decision is a pure hash of
-//!   `(seed, entity, time)`, so the same plan replays the same faults bit
-//!   for bit, independently of call order or platform.
+//!   installed with [`crate::Network::set_fault_plan`]. Every decision is a
+//!   pure hash of `(seed, entity, time)`, so the same plan replays the same
+//!   faults bit for bit, independently of call order or platform.
+//! * [`FaultAction`] — what the plan orders done to one routed packet.
 //! * [`FaultCounters`] — ground-truth tallies of the faults actually applied
 //!   during a run, read back with [`FaultPlan::counters`] (via
-//!   [`crate::Network::take_fault_hook`]).
+//!   [`crate::Network::fault_plan`]).
 //!
-//! An **empty** plan (all rates zero — [`FaultPlan::new`]) reports "no
-//! faults" from its per-cycle gate, which keeps the simulator's fault path
-//! to a single branch and the network bit-identical to a build with no hook
-//! installed. That equivalence is locked by `tests/proptest_faults.rs` and
-//! the NoC golden digests.
+//! An **empty** plan (all rates zero — [`FaultPlan::new`]) is never
+//! consulted: the simulator's per-cycle gate is "a plan is installed and
+//! not [`FaultPlan::is_empty`]", which keeps the fault path to a single
+//! branch and the network bit-identical to one with no plan installed.
+//! That equivalence is locked by `tests/proptest_faults.rs` and the NoC
+//! golden digests.
 //!
 //! ```
 //! use htpb_noc::{FaultPlan, Mesh2d, Network, NetworkConfig, NodeId, Packet};
@@ -26,14 +28,13 @@
 //! let plan = FaultPlan::new(0xFA_017).with_drops(10_000); // 1% of packets
 //! let mesh = Mesh2d::new(4, 4).unwrap();
 //! let mut net = Network::new(NetworkConfig::new(mesh));
-//! net.set_fault_hook(Box::new(plan));
+//! net.set_fault_plan(plan);
 //! net.inject(Packet::power_request(NodeId(0), NodeId(15), 1500)).unwrap();
 //! net.run_until_idle(10_000);
+//! let applied = net.fault_plan().unwrap().counters();
+//! assert_eq!(applied.total(), applied.packet_drops);
 //! ```
 
-use std::sync::{Arc, Mutex};
-
-use crate::fault::{FaultAction, FaultHook};
 use crate::packet::Packet;
 use crate::topology::{Direction, NodeId};
 
@@ -74,26 +75,22 @@ impl FaultCounters {
     }
 }
 
-/// A handle onto a [`FaultPlan`]'s live counters.
+/// What a [`FaultPlan`] ordered done to one routed packet.
 ///
-/// [`crate::Network::set_fault_hook`] takes the plan by `Box<dyn
-/// FaultHook>`, which cannot be downcast back; grab a handle with
-/// [`FaultPlan::counter_handle`] *before* installing the plan and read the
-/// tallies any time, including mid-run.
-#[derive(Debug, Clone)]
-pub struct FaultCounterHandle(Arc<Mutex<FaultCounters>>);
-
-impl FaultCounterHandle {
-    /// Snapshot of the counters at this moment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous reader panicked while holding the lock (cannot
-    /// happen from this crate's code, which never panics under the lock).
-    #[must_use]
-    pub fn get(&self) -> FaultCounters {
-        *self.0.lock().expect("fault counter lock poisoned")
-    }
+/// Returned by [`FaultPlan::packet_fault`] once per packet per router, at
+/// the same pipeline point where a [`crate::PacketInspector`] runs (between
+/// the input buffer and routing computation). Unlike an inspector, a fault
+/// models *physical* corruption — bit flips on the payload wires, or a
+/// faulty buffer silently losing the whole packet — rather than an
+/// adversarial rewrite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FaultAction {
+    /// Bits of the payload word to invert. Zero leaves the payload intact.
+    pub flip_mask: u32,
+    /// Sink the whole packet at this router (all flits drained, credits
+    /// returned upstream, counted in
+    /// [`crate::NetworkStats::dropped_packets`]).
+    pub drop: bool,
 }
 
 /// A deterministic, seeded fault-injection plan.
@@ -109,6 +106,24 @@ impl FaultCounterHandle {
 ///   single-cycle glitches.
 /// * **Bit flips** and **packet drops** are decided per packet per router,
 ///   at the inspection point of the pipeline.
+///
+/// The network consults an installed, non-empty plan from three pipeline
+/// points, chosen so that every fault mode composes with the active-set
+/// invariants of [`crate::Network::step`] without touching them:
+///
+/// * [`FaultPlan::router_stalled`] — once per active router per cycle at the
+///   head of switch traversal. A stalled router forwards nothing that cycle;
+///   its flits stay buffered, so it simply remains in the active set.
+/// * [`FaultPlan::link_down`] — once per (router, output direction)
+///   arbitration attempt in switch traversal. A downed link behaves exactly
+///   like a busy one: the output port skips arbitration this cycle.
+/// * [`FaultPlan::packet_fault`] — once per packet per router, immediately
+///   after the [`crate::PacketInspector`]. Payload bit flips reuse the
+///   tamper bookkeeping (the delivered packet reports `modified`);
+///   whole-packet drops reuse the inspector drop-sink machinery.
+///
+/// Each decision that fires bumps the plan's own [`FaultCounters`]; a clone
+/// of a plan that has not run starts from zero.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
@@ -118,9 +133,7 @@ pub struct FaultPlan {
     stall_granularity: u64,
     flip_ppm: u32,
     drop_ppm: u32,
-    /// Shared with any [`FaultCounterHandle`]s; a [`FaultPlan::clone`]
-    /// shares the same tallies.
-    counters: Arc<Mutex<FaultCounters>>,
+    counters: FaultCounters,
 }
 
 impl FaultPlan {
@@ -135,7 +148,7 @@ impl FaultPlan {
             stall_granularity: 50,
             flip_ppm: 0,
             drop_ppm: 0,
-            counters: Arc::new(Mutex::new(FaultCounters::default())),
+            counters: FaultCounters::default(),
         }
     }
 
@@ -179,35 +192,59 @@ impl FaultPlan {
     }
 
     /// Tallies of the faults applied so far.
-    ///
-    /// # Panics
-    ///
-    /// See [`FaultCounterHandle::get`].
     #[must_use]
     pub fn counters(&self) -> FaultCounters {
-        *self.counters.lock().expect("fault counter lock poisoned")
+        self.counters
     }
 
-    /// A handle onto the live counters that survives installing the plan
-    /// into a network as a boxed hook.
-    #[must_use]
-    pub fn counter_handle(&self) -> FaultCounterHandle {
-        FaultCounterHandle(Arc::clone(&self.counters))
+    /// Whether the link leaving `node` towards `dir` is down this cycle.
+    pub fn link_down(&mut self, node: NodeId, dir: Direction, cycle: u64) -> bool {
+        let entity = u64::from(node.0) * 4 + dir.index() as u64;
+        let window = cycle / self.link_granularity;
+        let down = self
+            .decide(DOMAIN_LINK, entity, window, self.link_down_ppm)
+            .is_some();
+        if down {
+            self.counters.link_denials += 1;
+        }
+        down
     }
 
-    /// A copy of this plan (same seed and rates — so the same
-    /// fault decisions) with its own zeroed counters, detached from this
-    /// plan's. `clone()` shares the counter cell; use this when running the
-    /// same plan in several networks whose tallies must stay separate.
-    #[must_use]
-    pub fn with_fresh_counters(&self) -> FaultPlan {
-        let mut plan = self.clone();
-        plan.counters = Arc::new(Mutex::new(FaultCounters::default()));
-        plan
+    /// Whether router `node` is stalled (forwards nothing) this cycle.
+    pub fn router_stalled(&mut self, node: NodeId, cycle: u64) -> bool {
+        let window = cycle / self.stall_granularity;
+        let stalled = self
+            .decide(DOMAIN_STALL, u64::from(node.0), window, self.stall_ppm)
+            .is_some();
+        if stalled {
+            self.counters.stall_cycles += 1;
+        }
+        stalled
     }
 
-    fn tally(&self, bump: impl FnOnce(&mut FaultCounters)) {
-        bump(&mut self.counters.lock().expect("fault counter lock poisoned"));
+    /// Fault to apply to `packet` as it is routed at `node`. A drop wins
+    /// over a flip.
+    pub fn packet_fault(&mut self, node: NodeId, cycle: u64, packet: &Packet) -> FaultAction {
+        let entity = Self::packet_entity(packet) ^ (u64::from(node.0) << 48);
+        if self
+            .decide(DOMAIN_DROP, entity, cycle, self.drop_ppm)
+            .is_some()
+        {
+            self.counters.packet_drops += 1;
+            return FaultAction {
+                flip_mask: 0,
+                drop: true,
+            };
+        }
+        if let Some(hash) = self.decide(DOMAIN_FLIP, entity, cycle, self.flip_ppm) {
+            self.counters.bit_flips += 1;
+            // The flipped bit position comes from untouched high hash bits.
+            return FaultAction {
+                flip_mask: 1 << ((hash >> 32) % 32),
+                drop: false,
+            };
+        }
+        FaultAction::default()
     }
 
     /// One decision: hash `(seed, domain, a, b)` and compare against `ppm`.
@@ -242,52 +279,6 @@ impl FaultPlan {
     }
 }
 
-impl FaultHook for FaultPlan {
-    fn any_faults_at(&mut self, _cycle: u64) -> bool {
-        !self.is_empty()
-    }
-
-    fn link_down(&mut self, node: NodeId, dir: Direction, cycle: u64) -> bool {
-        let entity = u64::from(node.0) * 4 + dir.index() as u64;
-        let window = cycle / self.link_granularity;
-        let down = self
-            .decide(DOMAIN_LINK, entity, window, self.link_down_ppm)
-            .is_some();
-        if down {
-            self.tally(|c| c.link_denials += 1);
-        }
-        down
-    }
-
-    fn router_stalled(&mut self, node: NodeId, cycle: u64) -> bool {
-        let window = cycle / self.stall_granularity;
-        let stalled = self
-            .decide(DOMAIN_STALL, u64::from(node.0), window, self.stall_ppm)
-            .is_some();
-        if stalled {
-            self.tally(|c| c.stall_cycles += 1);
-        }
-        stalled
-    }
-
-    fn packet_fault(&mut self, node: NodeId, cycle: u64, packet: &Packet) -> FaultAction {
-        let entity = Self::packet_entity(packet) ^ (u64::from(node.0) << 48);
-        if self
-            .decide(DOMAIN_DROP, entity, cycle, self.drop_ppm)
-            .is_some()
-        {
-            self.tally(|c| c.packet_drops += 1);
-            return FaultAction::drop_packet();
-        }
-        if let Some(hash) = self.decide(DOMAIN_FLIP, entity, cycle, self.flip_ppm) {
-            self.tally(|c| c.bit_flips += 1);
-            // The flipped bit position comes from untouched high hash bits.
-            return FaultAction::flip(1 << ((hash >> 32) % 32));
-        }
-        FaultAction::none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,10 +287,17 @@ mod tests {
     #[test]
     fn empty_plan_never_engages() {
         let mut plan = FaultPlan::new(0xDEAD_BEEF);
-        for cycle in [0u64, 1, 999, u64::MAX] {
-            assert!(!plan.any_faults_at(cycle));
-        }
         assert!(plan.is_empty());
+        assert!(!plan.clone().with_drops(1).is_empty());
+        let p = Packet::power_request(NodeId(3), NodeId(9), 1234);
+        for cycle in [0u64, 1, 999, u64::MAX] {
+            assert!(!plan.link_down(NodeId(5), Direction::East, cycle));
+            assert!(!plan.router_stalled(NodeId(5), cycle));
+            assert_eq!(
+                plan.packet_fault(NodeId(5), cycle, &p),
+                FaultAction::default()
+            );
+        }
         assert_eq!(plan.counters(), FaultCounters::default());
     }
 
@@ -345,7 +343,7 @@ mod tests {
                 PacketKind::Data,
                 1,
             );
-            if !plan.packet_fault(NodeId(0), cycle, &p).is_none() {
+            if plan.packet_fault(NodeId(0), cycle, &p) != FaultAction::default() {
                 fired += 1;
             }
         }
@@ -385,10 +383,9 @@ mod tests {
     fn full_drop_plan_sinks_all_traffic() {
         use crate::{Mesh2d, Network, NetworkConfig};
         let mesh = Mesh2d::new(4, 4).unwrap();
-        let plan = FaultPlan::new(3).with_drops(1_000_000);
-        let counters = plan.counter_handle();
         let mut net = Network::new(NetworkConfig::new(mesh));
-        net.set_fault_hook(Box::new(plan));
+        assert!(net.fault_plan().is_none());
+        net.set_fault_plan(FaultPlan::new(3).with_drops(1_000_000));
         for i in 0..8u16 {
             net.inject(Packet::power_request(NodeId(i), NodeId(15), 100))
                 .unwrap();
@@ -396,8 +393,7 @@ mod tests {
         assert!(net.run_until_idle(100_000));
         assert_eq!(net.stats().delivered_packets(), 0);
         assert_eq!(net.stats().dropped_packets(), 8);
-        // The handle still sees the tallies of the boxed, installed plan.
-        assert_eq!(counters.get().packet_drops, 8);
-        assert!(net.take_fault_hook().is_some());
+        // The installed plan's own tallies are read back in place.
+        assert_eq!(net.fault_plan().unwrap().counters().packet_drops, 8);
     }
 }

@@ -4,7 +4,7 @@
 //! Each packet injected into a [`crate::Network`] owns one slot of a
 //! [`PacketStore`] from [`crate::Network::inject`] until its tail flit is
 //! ejected or sunk. The slot holds the packet **frame** (the one copy the
-//! inspector and the fault hook rewrite and tail ejection delivers), the
+//! inspector and the fault plan rewrite and tail ejection delivers), the
 //! simulator-assigned id, the injection cycle, the hop count and the tamper
 //! flag. Flits inside the network are 8-byte handles naming the slot, so a
 //! flit-hop moves a handle and never a frame. Slots recycle through an
@@ -153,7 +153,7 @@ impl PacketStore {
     }
 
     /// Mutable frame of the live packet in `slot` — what the inspection
-    /// hook and the fault hook rewrite.
+    /// hook and the fault plan rewrite.
     pub fn packet_mut(&mut self, slot: u32) -> &mut Packet {
         &mut self.get_mut(slot).packet
     }

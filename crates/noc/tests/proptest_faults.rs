@@ -1,8 +1,9 @@
-//! Property tests for the fault layer's zero-overhead contract: a seeded
-//! but **empty** `FaultPlan`, installed as a live hook, must leave the
-//! network's observable behaviour bit-identical to a build with no hook at
-//! all — for any seed and traffic shape. This is the guard on the
-//! `any_faults_at` fast path that also keeps the NoC golden digests valid.
+//! Property tests for the fault layer. Its zero-overhead contract: a
+//! seeded but **empty** `FaultPlan`, installed on the network, must leave
+//! its observable behaviour bit-identical to a network with no plan at all
+//! — for any seed and traffic shape. This is the guard on the `is_empty`
+//! fast path that also keeps the NoC golden digests valid. And a
+//! non-empty plan of all four fault families must still conserve packets.
 
 use proptest::prelude::*;
 
@@ -41,7 +42,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Empty plan ⇒ bit-identical `NetworkStats::fingerprint()` to the
-    /// no-hook build, under uniform traffic.
+    /// network without a plan, under uniform traffic.
     #[test]
     fn empty_plan_is_invisible_uniform(
         seed in any::<u64>(),
@@ -60,11 +61,11 @@ proptest! {
 
         let bare = run_fingerprint(Network::new(NetworkConfig::new(mesh)), traffic(), 400);
 
-        let mut hooked_net = Network::new(NetworkConfig::new(mesh));
-        hooked_net.set_fault_hook(Box::new(FaultPlan::new(seed)));
-        let hooked = run_fingerprint(hooked_net, traffic(), 400);
+        let mut planned_net = Network::new(NetworkConfig::new(mesh));
+        planned_net.set_fault_plan(FaultPlan::new(seed));
+        let planned = run_fingerprint(planned_net, traffic(), 400);
 
-        prop_assert_eq!(bare, hooked);
+        prop_assert_eq!(bare, planned);
     }
 
     /// Same equivalence under hotspot (manager-bound) traffic — the shape
@@ -81,27 +82,36 @@ proptest! {
 
         let bare = run_fingerprint(Network::new(NetworkConfig::new(mesh)), traffic(), 900);
 
-        let mut hooked_net = Network::new(NetworkConfig::new(mesh));
-        hooked_net.set_fault_hook(Box::new(FaultPlan::new(seed)));
-        let hooked = run_fingerprint(hooked_net, traffic(), 900);
+        let mut planned_net = Network::new(NetworkConfig::new(mesh));
+        planned_net.set_fault_plan(FaultPlan::new(seed));
+        let planned = run_fingerprint(planned_net, traffic(), 900);
 
-        prop_assert_eq!(bare, hooked);
+        prop_assert_eq!(bare, planned);
     }
 
     /// A non-empty plan still conserves packets: everything injected is
-    /// delivered or counted dropped, and the network fully drains.
+    /// delivered or counted dropped, and the network fully drains — under
+    /// drops, flips, link outages and router stalls together.
     #[test]
     fn faulty_network_conserves_packets(
         seed in any::<u64>(),
         traffic_seed in any::<u64>(),
         drop_ppm in 0u32..=200_000,
         flip_ppm in 0u32..=200_000,
+        link_ppm in 0u32..=200_000,
+        link_granularity in 1u64..=200,
+        stall_ppm in 0u32..=200_000,
+        stall_granularity in 1u64..=100,
     ) {
         let mesh = Mesh2d::new(4, 4).expect("valid dims");
         let mut net = Network::new(NetworkConfig::new(mesh));
-        net.set_fault_hook(Box::new(
-            FaultPlan::new(seed).with_drops(drop_ppm).with_flips(flip_ppm),
-        ));
+        net.set_fault_plan(
+            FaultPlan::new(seed)
+                .with_drops(drop_ppm)
+                .with_flips(flip_ppm)
+                .with_link_down(link_ppm, link_granularity)
+                .with_stalls(stall_ppm, stall_granularity),
+        );
         let mut traffic = UniformTraffic::new(mesh, 0.05, PacketKind::Data, traffic_seed);
         for cycle in 0..300 {
             for p in traffic.generate(cycle) {
@@ -116,5 +126,7 @@ proptest! {
             stats.injected_packets(),
             "conservation violated under faults"
         );
+        let applied = net.fault_plan().expect("plan installed").counters();
+        prop_assert_eq!(stats.dropped_packets(), applied.packet_drops);
     }
 }

@@ -189,8 +189,8 @@ pub fn run_differential(scenario: &Scenario, config: &DiffConfig) -> Option<Dive
     if scenario.has_faults() {
         // Two independent plan instances: decisions are pure functions of
         // (seed, domain, entity, window), so both sides see identical faults.
-        optimized.set_fault_hook(Box::new(scenario.fault_plan()));
-        reference.set_fault_hook(Box::new(scenario.fault_plan()));
+        optimized.set_fault_plan(scenario.fault_plan());
+        reference.set_fault_plan(scenario.fault_plan());
     }
     let mut rng = SplitMix64::new(scenario.seed);
     for _ in 0..scenario.cycles {
@@ -268,7 +268,7 @@ fn observe_optimized(
         net.enable_metrics();
     }
     if scenario.has_faults() {
-        net.set_fault_hook(Box::new(scenario.fault_plan()));
+        net.set_fault_plan(scenario.fault_plan());
     }
     let mut obs = RunObservables {
         cycle: 0,

@@ -8,11 +8,11 @@
 //! `5 × vcs` slots with a modulo, and bookkeeping is recomputed rather than
 //! maintained incrementally. The semantics mirror `Network::step` stage by
 //! stage — link delivery → switch traversal → injection → VC allocation →
-//! routing computation & inspection — including the fault-hook call points
-//! threaded through the pipeline: `any_faults_at` once per non-quiescent
-//! cycle, `router_stalled` per flit-holding router at the head of switch
-//! traversal, `link_down` after the link-busy check, and `packet_fault`
-//! immediately after the inspector.
+//! routing computation & inspection — including the fault-plan call points
+//! threaded through the pipeline: the `is_empty` gate once per
+//! non-quiescent cycle, `router_stalled` per flit-holding router at the
+//! head of switch traversal, `link_down` after the link-busy check, and
+//! `packet_fault` immediately after the inspector.
 //!
 //! The reference keeps its own statistics mirror ([`RefStats`]) whose
 //! [`RefStats::fingerprint`] folds the same fields in the same order as
@@ -23,7 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use htpb_noc::{
-    DeliveredPacket, Digest, FaultAction, FaultHook, Flit, Mesh2d, NetworkConfig, NocError, NodeId,
+    DeliveredPacket, Digest, FaultAction, FaultPlan, Flit, Mesh2d, NetworkConfig, NocError, NodeId,
     Packet, PacketInspector, PacketKind, RoutingKind, TraceBuffer, TraceEvent, VcSnapshot,
     INJECTION_QUEUE_CAPACITY,
 };
@@ -212,7 +212,7 @@ pub struct ReferenceNet {
     pending_heads: HashMap<u64, Packet>,
     ejected: Vec<DeliveredPacket>,
     inspector: Box<dyn PacketInspector>,
-    faults: Option<Box<dyn FaultHook>>,
+    faults: Option<FaultPlan>,
     stats: RefStats,
     trace: Option<TraceBuffer>,
     cycle: u64,
@@ -249,10 +249,10 @@ impl ReferenceNet {
         }
     }
 
-    /// Installs a fault hook, consulted at the same pipeline points as the
+    /// Installs a fault plan, consulted at the same pipeline points as the
     /// optimized network's.
-    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
-        self.faults = Some(hook);
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.faults = Some(plan);
     }
 
     /// Current cycle.
@@ -355,8 +355,8 @@ impl ReferenceNet {
             self.cycle += 1;
             return;
         }
-        let faults_engaged = match self.faults.as_mut() {
-            Some(hook) => hook.any_faults_at(self.cycle),
+        let faults_engaged = match &self.faults {
+            Some(plan) => !plan.is_empty(),
             None => false,
         };
         self.stage_link_delivery();
@@ -400,8 +400,8 @@ impl ReferenceNet {
             let node = NodeId(ri as u16);
             // A stalled router forwards (and sinks) nothing this cycle.
             if faults_engaged {
-                if let Some(hook) = self.faults.as_mut() {
-                    if hook.router_stalled(node, self.cycle) {
+                if let Some(plan) = self.faults.as_mut() {
+                    if plan.router_stalled(node, self.cycle) {
                         continue;
                     }
                 }
@@ -434,8 +434,8 @@ impl ReferenceNet {
                 }
                 // A downed link is indistinguishable from a busy one.
                 if faults_engaged && out_dir != Direction::Local {
-                    if let Some(hook) = self.faults.as_mut() {
-                        if hook.link_down(node, out_dir, self.cycle) {
+                    if let Some(plan) = self.faults.as_mut() {
+                        if plan.link_down(node, out_dir, self.cycle) {
                             continue;
                         }
                     }
@@ -609,10 +609,10 @@ impl ReferenceNet {
                             }
                         }
                         let action = match self.faults.as_mut() {
-                            Some(hook) if faults_engaged => {
-                                hook.packet_fault(node, self.cycle, packet)
+                            Some(plan) if faults_engaged => {
+                                plan.packet_fault(node, self.cycle, packet)
                             }
-                            _ => FaultAction::none(),
+                            _ => FaultAction::default(),
                         };
                         if action.drop {
                             let ivc = &mut self.routers[ri].inputs[in_port][vc];

@@ -168,8 +168,8 @@ impl Scenario {
     }
 
     /// Builds the scenario's fault plan (empty when all ppm are zero, which
-    /// [`FaultPlan::is_empty`] reports, keeping the no-fault path
-    /// hook-free).
+    /// [`FaultPlan::is_empty`] reports, keeping the no-fault path free of
+    /// fault decisions).
     #[must_use]
     pub(crate) fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new(self.fault_seed);

@@ -175,7 +175,7 @@ fn metamorphic_duty_zero_trojan_is_harmless() {
 
 /// Metamorphic property: an all-zero-ppm fault plan is empty, installs no
 /// observable behaviour, and yields bit-identical fingerprints to a run
-/// with no fault hook at all.
+/// with no fault plan at all.
 #[test]
 fn metamorphic_empty_fault_plan_is_identity() {
     // Two differential runs per seed; sized like `random_scenarios_agree`.
